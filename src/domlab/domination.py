@@ -4,6 +4,12 @@ Two routes to the domination number: `gamma_bruteforce` is the oracle
 (exhaustive subset search, guarded to small n), `gamma_exact` is the
 branch-and-bound solver expected to match it everywhere.  All solvers are
 deterministic: fixed branch orders, lexicographic tie-breaking.
+
+The branch-and-bound solvers prune with the larger of a packing bound and
+a fractional-cover bound (after van Rooij and Bodlaender, "Exact
+algorithms for dominating set", 2011).  Neither bound changes a returned
+set: the certificate is the first minimum leaf in the fixed branch order,
+and a valid bound never prunes its ancestors (see `gamma_exact`).
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Iterable
 
 from .graphs import Graph
@@ -122,30 +129,85 @@ def _greedy_cover(g: Graph, masks: list[int], full: int) -> list[int]:
     return chosen
 
 
-def _packing_bound(g: Graph, masks: list[int], dominated: int) -> int:
-    # undominated vertices with pairwise disjoint closed neighborhoods each
-    # need their own dominator
+def _lower_bound(
+    masks: list[int],
+    closed: list[tuple[int, ...]],
+    undominated: int,
+    admissible: int,
+    scale: int,
+    need: int,
+) -> int:
+    """Lower bound on the dominators still needed for `undominated`.
+
+    The larger of two bounds.  Packing: undominated vertices with pairwise
+    disjoint closed neighborhoods each need their own dominator.
+    Fractional cover: a dominator c covers gain(c) = |N[c] & undominated|
+    vertices, so charging each undominated u 1 / (max gain over the
+    admissible c in N[u]) never charges more than the dominators used.
+    Only members of `admissible` may be dominators; `scale` is a common
+    multiple of every possible gain, so the sum is exact in integers.
+    Returns min(bound, need), stopping as soon as the bound reaches `need`.
+    """
     packed = 0
     count = 0
-    for v in range(g.n):
-        if not (dominated >> v) & 1 and not (masks[v] & packed):
-            packed |= masks[v]
+    charge = 0
+    limit = (need - 1) * scale
+    rest = undominated
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        if not masks[u] & packed:
+            packed |= masks[u]
             count += 1
-    return count
+            if count >= need:
+                return need
+        top = 0
+        for c in closed[u]:
+            if admissible >> c & 1:
+                gain = (masks[c] & undominated).bit_count()
+                if gain > top:
+                    top = gain
+        charge += scale // top
+        if charge > limit:
+            return need
+    return max(count, -(-charge // scale))
+
+
+def _search_tables(g: Graph) -> tuple[list[int], list[tuple[int, ...]], int]:
+    """Closed-neighborhood masks, sorted closed neighborhoods, and the
+    least common multiple of 1..max degree + 1 (every possible gain)."""
+    masks = closed_masks(g)
+    closed = [tuple(sorted((v, *g.adj[v]))) for v in range(g.n)]
+    return masks, closed, lcm(*range(1, g.max_degree() + 2))
 
 
 def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertificate:
     """Branch-and-bound minimum dominating set.
 
-    Branches on an undominated vertex of minimum degree; the candidates are
-    its closed neighborhood in ascending id order.  Greedy cover supplies
-    the initial upper bound, a greedy packing the lower bound.
+    Branches on an undominated vertex of minimum degree (least id among
+    ties); the candidates are its closed neighborhood in ascending id
+    order.  Greedy cover supplies the initial incumbent; a node is pruned
+    when the chosen count plus the larger of the packing and the
+    fractional-cover bound (see `_lower_bound`) reaches the incumbent.
+
+    The certificate depends only on the branch order, not on the bound:
+    a valid bound never prunes an ancestor of a minimum leaf while the
+    incumbent is larger than gamma, so the first minimum leaf in branch
+    order is returned (or the greedy set, when it is already minimum)
+    whatever valid bound is used.
     """
     if g.n == 0:
         return _certificate(g, (), KIND_GAMMA)
-    masks = closed_masks(g)
+    masks, closed, scale = _search_tables(g)
     full = (1 << g.n) - 1
-    by_degree = sorted(range(g.n), key=lambda v: (len(g.adj[v]), v))
+    # vertices grouped by degree, lowest degree first: the least undominated
+    # bit of the first class that has one is the by-(degree, id) minimum
+    classes: dict[int, int] = {}
+    for v in range(g.n):
+        d = len(g.adj[v])
+        classes[d] = classes.get(d, 0) | 1 << v
+    by_degree = [classes[d] for d in sorted(classes)]
     best = _greedy_cover(g, masks, full)
     ticks = 0
 
@@ -158,10 +220,16 @@ def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertifi
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        if len(chosen) + _packing_bound(g, masks, dominated) >= len(best):
+        undominated = full ^ dominated
+        need = len(best) - len(chosen)
+        if _lower_bound(masks, closed, undominated, full, scale, need) >= need:
             return
-        u = next(v for v in by_degree if not (dominated >> v) & 1)
-        for c in sorted((u, *g.adj[u])):
+        for cls in by_degree:
+            pick = cls & undominated
+            if pick:
+                u = (pick & -pick).bit_length() - 1
+                break
+        for c in closed[u]:
             chosen.append(c)
             search(chosen, dominated | masks[c])
             chosen.pop()
@@ -174,11 +242,14 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
     """Minimum maximal independent set (independent domination number).
 
     Same scheme as gamma_exact with the independence constraint folded in:
-    a candidate dominator must not be adjacent to the chosen set.
+    a candidate dominator must not be adjacent to the chosen set, that is,
+    it must lie outside N[chosen], so the bound admits only those.  The
+    branch vertex is the least undominated id; the initial incumbent is
+    the lexicographically first maximal independent set.
     """
     if g.n == 0:
         return _certificate(g, (), KIND_IDOM)
-    masks = closed_masks(g)
+    masks, closed, scale = _search_tables(g)
     nbr_masks = [masks[v] ^ (1 << v) for v in range(g.n)]
     full = (1 << g.n) - 1
 
@@ -200,10 +271,13 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
             if len(chosen) < len(best):
                 best = list(chosen)
             return
-        if len(chosen) + _packing_bound(g, masks, dominated) >= len(best):
+        undominated = full ^ dominated
+        need = len(best) - len(chosen)
+        # dominated == N[chosen]: exactly the undominated vertices are admissible
+        if _lower_bound(masks, closed, undominated, undominated, scale, need) >= need:
             return
-        u = next(v for v in range(g.n) if not (dominated >> v) & 1)
-        for c in sorted((u, *g.adj[u])):
+        u = (undominated & -undominated).bit_length() - 1
+        for c in closed[u]:
             if nbr_masks[c] & chosen_mask:
                 continue
             chosen.append(c)

@@ -133,59 +133,85 @@ def is_cubic(g: Graph) -> bool:
     return all(len(row) == 3 for row in g.adj)
 
 
-def _disjoint_paths(g: Graph, s: int, t: int, cap: int) -> int:
-    """Maximum number of internally disjoint s-t paths, capped at `cap`.
+def _split_network(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+    """Unit-capacity split digraph of g on flat arc arrays.
 
-    Unit-capacity max flow on the split digraph: vertex v becomes arc
-    2v -> 2v+1 of capacity one (unbounded at the terminals), each edge
-    contributes an arc of capacity one in both directions.
+    Vertex v becomes node 2v (in) and node 2v+1 (out) joined by the arc
+    2v -> 2v+1; each edge u-v contributes the arcs 2u+1 -> 2v and
+    2v+1 -> 2u.  Arc a runs into head[a] with capacity capacity[a]; its
+    reverse is arc a ^ 1, stored right after it with capacity zero.
+    out_arcs[x] lists the arcs leaving node x, reverse arcs included.
     """
-    big = g.n
-    capacity: dict[tuple[int, int], int] = {}
+    head: list[int] = []
+    capacity: list[int] = []
+    out_arcs: list[list[int]] = [[] for _ in range(2 * g.n)]
 
-    def arc(a: int, b: int, c: int) -> None:
-        capacity[(a, b)] = capacity.get((a, b), 0) + c
-        capacity.setdefault((b, a), 0)
+    def arc(a: int, b: int) -> None:
+        out_arcs[a].append(len(head))
+        head.append(b)
+        capacity.append(1)
+        out_arcs[b].append(len(head))
+        head.append(a)
+        capacity.append(0)
 
     for v in range(g.n):
-        arc(2 * v, 2 * v + 1, big if v in (s, t) else 1)
+        arc(2 * v, 2 * v + 1)
     for u, v in g.edges():
-        arc(2 * u + 1, 2 * v, 1)
-        arc(2 * v + 1, 2 * u, 1)
+        arc(2 * u + 1, 2 * v)
+        arc(2 * v + 1, 2 * u)
+    return head, capacity, out_arcs
 
-    succ: dict[int, list[int]] = {}
-    for a, b in capacity:
-        succ.setdefault(a, []).append(b)
-    for a in succ:
-        succ[a].sort()
 
+def _disjoint_paths(
+    network: tuple[list[int], list[int], list[list[int]]], s: int, t: int, cap: int
+) -> int:
+    """Maximum number of internally disjoint s-t paths, capped at `cap`.
+
+    Augmenting-path max flow from node 2s+1 to node 2t of the split
+    digraph built by `_split_network`, so only the internal vertices of
+    a path use up their unit arc.  s and t must not be adjacent.
+    """
+    head, capacity, out_arcs = network
+    residual = capacity[:]
     src, dst = 2 * s + 1, 2 * t
     flow = 0
     while flow < cap:
-        parent = {src: src}
+        via = [-1] * len(out_arcs)
+        via[src] = -2
         queue = deque([src])
-        while queue and dst not in parent:
+        while queue and via[dst] == -1:
             a = queue.popleft()
-            for b in succ.get(a, ()):
-                if b not in parent and capacity[(a, b)] > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if dst not in parent:
+            for arc in out_arcs[a]:
+                if residual[arc]:
+                    b = head[arc]
+                    if via[b] == -1:
+                        via[b] = arc
+                        queue.append(b)
+        if via[dst] == -1:
             break
         b = dst
         while b != src:
-            a = parent[b]
-            capacity[(a, b)] -= 1
-            capacity[(b, a)] += 1
-            b = a
+            arc = via[b]
+            residual[arc] -= 1
+            residual[arc ^ 1] += 1
+            b = head[arc ^ 1]
         flow += 1
     return flow
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Minimum over non-adjacent pairs of the disjoint-path count.
+    """Vertex connectivity by Menger's theorem and Even's source restriction.
 
-    Complete graphs (including a single vertex) return n-1.
+    kappa is the least number of internally disjoint paths between two
+    non-adjacent vertices, and the minimum degree bounds it from above.
+    Fix a minimum separator S: the first vertex v_i outside S has
+    i <= kappa, and some later vertex, in another component of g - S, is
+    joined to v_i by only kappa disjoint paths.  So flows from each source
+    v_s to every later non-adjacent vertex may stop once s reaches `best`,
+    the least count so far: were best > kappa, then i < best, and source
+    v_i would already have lowered best to kappa (S. Even, 1975).
+    Complete graphs (including a single vertex) return n-1, disconnected
+    graphs 0.
     """
     if g.n == 0:
         raise ValueError("vertex connectivity needs at least one vertex")
@@ -193,11 +219,14 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     if not is_connected(g):
         return 0
-    best = g.n - 1
-    for s in range(g.n):
+    network = _split_network(g)
+    best = min(len(row) for row in g.adj)
+    s = 0
+    while s < best:
         for t in range(s + 1, g.n):
             if not g.has_edge(s, t):
-                best = min(best, _disjoint_paths(g, s, t, best))
+                best = min(best, _disjoint_paths(network, s, t, best))
+        s += 1
     return best
 
 
