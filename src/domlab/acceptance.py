@@ -17,37 +17,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import ceil
+from typing import Iterator
 
 from . import cli
+from .checks import CHECKS, Facts
 from .cycles import mod3_cycles
-from .domination import (
-    SolverTimeout,
-    enumerate_min_dsets,
-    gamma_bruteforce,
-    gamma_exact,
-    idom_exact,
-    induced_edge_count,
-    is_dominating,
-)
+from .domination import SolverTimeout, gamma_bruteforce, gamma_exact, idom_exact
 from .graph6 import encode_graph6, parse_graph6, read_graph6_lines
-from .graphs import (
-    Graph,
-    delete_edges,
-    gnp_random,
-    named_graph,
-    random_cubic,
-    vertex_connectivity,
-)
+from .graphs import Graph, gnp_random, named_graph, random_cubic, vertex_connectivity
 from .reduction import (
-    check_detach_fact,
-    check_pair_separation,
+    AuditVerdict,
     check_removal_fact,
-    detachable_vertices,
     find_forbidden_core,
     find_induced_claw,
     removable_edges,
 )
-from .seams import family_dset_audit
 
 COUNTEREXAMPLE_ENV = "DOMLAB_COUNTEREXAMPLE"
 
@@ -178,7 +162,8 @@ def cubic_corpus() -> tuple[Graph, ...]:
 
 
 def _cut_enumeration_connectivity(g: Graph) -> int:
-    # independent oracle: smallest vertex set whose removal disconnects
+    # independent oracle: smallest vertex set whose removal disconnects;
+    # the tests import it from here too
     if g.n == 1:
         return 0
     for k in range(g.n - 1):
@@ -244,40 +229,41 @@ def crit03_petersen_facts() -> CriterionResult:
                            f"gamma={gam} idom={ind} conn={conn} shortest_mod3={lengths[0] if lengths else None}")
 
 
-def _equal_numbers_over(corpus, cid: int, name: str) -> CriterionResult:
-    for g in corpus:
-        if gamma_exact(g).size != idom_exact(g).size:
+def _verdicts(check: str, graphs) -> Iterator[tuple[Graph, AuditVerdict]]:
+    """The registry's verdict of `check` on each graph its gate admits."""
+    entry = CHECKS[check]
+    for g in graphs:
+        facts = Facts(g)
+        if entry.gate(facts) is None:
+            yield g, entry.evaluate(facts)
+
+
+def _equal_numbers_over(corpus, check: str, cid: int, name: str) -> CriterionResult:
+    for g, verdict in _verdicts(check, corpus):
+        if not verdict.holds:
             return CriterionResult(cid, name, False, False, f"violation on n={g.n} m={g.m}")
     return CriterionResult(cid, name, True, False, f"{len(corpus)} graphs, zero violations")
 
 
 def crit04_claw_free_audit() -> CriterionResult:
-    return _equal_numbers_over(filtered_corpus("claw_free"), 4, "claw-free-gamma-equals-idom")
+    return _equal_numbers_over(filtered_corpus("claw_free"), "claw_free_equal", 4,
+                               "claw-free-gamma-equals-idom")
 
 
 def crit05_core_free_audit() -> CriterionResult:
-    return _equal_numbers_over(filtered_corpus("core_free"), 5, "core-free-gamma-equals-idom")
-
-
-def _min_edge_dsets(g: Graph):
-    enum = enumerate_min_dsets(g)
-    counts = [(induced_edge_count(g, d), d) for d in enum.dsets]
-    floor = min(c for c, _ in counts)
-    return [d for c, d in counts if c == floor]
+    return _equal_numbers_over(filtered_corpus("core_free"), "core_free_equal", 5,
+                               "core-free-gamma-equals-idom")
 
 
 def crit06_pair_separation() -> CriterionResult:
     checked = 0
     vacuous = 0
-    for g in separation_corpus():
-        for dset in _min_edge_dsets(g):
-            verdict = check_pair_separation(g, dset)
-            checked += 1
-            if verdict.vacuous:
-                vacuous += 1
-            elif not verdict.holds:
-                return CriterionResult(6, "tight-pair-separation", False, False,
-                                       f"violation: {verdict.witness}")
+    for _, verdict in _verdicts("tight_pair_separation", separation_corpus()):
+        if not verdict.holds:
+            return CriterionResult(6, "tight-pair-separation", False, False,
+                                   f"violation: {verdict.witness}")
+        checked += verdict.info["dsets"]
+        vacuous += verdict.info["vacuous_dsets"]
     return CriterionResult(
         6, "tight-pair-separation", True, False,
         f"{checked} minimum-edge d-sets, {checked - vacuous} non-vacuous, "
@@ -286,13 +272,11 @@ def crit06_pair_separation() -> CriterionResult:
 
 def crit07_single_edge_removal() -> CriterionResult:
     checked = 0
-    for g in separation_corpus():
-        for dset in enumerate_min_dsets(g).dsets:
-            for e in sorted(removable_edges(g, dset)):
-                checked += 1
-                if not is_dominating(delete_edges(g, [e]), dset):
-                    return CriterionResult(7, "single-edge-removal-safety", False, False,
-                                           f"violation on n={g.n} edge={e}")
+    for g, verdict in _verdicts("edge_removal", separation_corpus()):
+        if not verdict.holds:
+            return CriterionResult(7, "single-edge-removal-safety", False, False,
+                                   f"violation on n={g.n} edge={tuple(verdict.witness['edge'])}")
+        checked += verdict.info["edges_checked"]
     # the documented simultaneous-deletion failure must reproduce
     c4 = named_graph("c4")
     fixture = check_removal_fact(c4, {0, 2}, removable_edges(c4, {0, 2}))
@@ -306,63 +290,53 @@ def crit07_single_edge_removal() -> CriterionResult:
 def crit08_detach_transform() -> CriterionResult:
     checked = 0
     vacuous = 0
-    for g in separation_corpus():
-        for dset in enumerate_min_dsets(g).dsets:
-            pool = sorted(detachable_vertices(g, dset))
-            subsets = [frozenset()]
-            subsets += [frozenset((a,)) for a in pool]
-            subsets += [frozenset(pair) for pair in combinations(pool, 2)]
-            for chosen in subsets:
-                verdict = check_detach_fact(g, dset, chosen)
-                checked += 1
-                if verdict.vacuous:
-                    vacuous += 1
-                elif not verdict.holds:
-                    return CriterionResult(8, "detach-transform-fact", False, False,
-                                           f"violation on n={g.n} chosen={sorted(chosen)}")
+    for g, verdict in _verdicts("detach_transform", separation_corpus()):
+        if not verdict.holds:
+            return CriterionResult(8, "detach-transform-fact", False, False,
+                                   f"violation on n={g.n} chosen={verdict.witness['chosen']}")
+        checked += verdict.info["transforms"]
+        vacuous += verdict.info["vacuous"]
     return CriterionResult(8, "detach-transform-fact", True, False,
                            f"{checked} transforms, {vacuous} vacuous, zero violations")
 
 
 def crit09_cubic_sweep() -> CriterionResult:
     t0 = time.monotonic()
-    antecedent_true = 0
-    for g in cubic_corpus():
-        gam = gamma_exact(g).size
-        bound = ceil(g.n / 3)
-        if gam > bound:
-            antecedent_true += 1
+    corpus = cubic_corpus()
+    for g, verdict in _verdicts("third_bound", corpus):
+        if not verdict.holds:
+            w = verdict.witness
             return CriterionResult(9, "cubic-third-bound-sweep", False, False,
-                                   f"bound violated on n={g.n}: gamma={gam} > {bound}")
+                                   f"bound violated on n={g.n}: gamma={w['gamma']} > {w['bound']}")
     took = time.monotonic() - t0
+    # a graph with gamma above the bound (a true antecedent) has failed above
     return CriterionResult(9, "cubic-third-bound-sweep", took < 600, False,
-                           f"1000 graphs, antecedent-true count = {antecedent_true}, "
+                           f"{len(corpus)} graphs, antecedent-true count = 0, "
                            "within the 600s budget")
 
 
 def crit10_mod3_nonempty() -> CriterionResult:
-    pool = [g for g in cubic_corpus() if vertex_connectivity(g) >= 3]
-    pool += [g for g in fixture_graphs().values()
-             if g.n >= 4 and vertex_connectivity(g) >= 3]
-    misses = [g for g in pool if not mod3_cycles(g, limit=1).cycles]
-    if misses:
-        g = misses[0]
-        return CriterionResult(10, "mod3-cycle-existence", False, False,
-                               f"no 0-mod-3 cycle in a 3-connected graph n={g.n}")
+    checked = 0
+    pool = cubic_corpus() + tuple(fixture_graphs().values())
+    for g, verdict in _verdicts("mod3_cycle_exists", pool):
+        if not verdict.holds:
+            return CriterionResult(10, "mod3-cycle-existence", False, False,
+                                   f"no 0-mod-3 cycle in a 3-connected graph n={g.n}")
+        checked += 1
     return CriterionResult(10, "mod3-cycle-existence", True, False,
-                           f"{len(pool)} three-connected graphs, zero failures")
+                           f"{checked} three-connected graphs, zero failures")
 
 
 def crit11_family_pipeline() -> CriterionResult:
-    names = [n for n in ("k4", "prism", "petersen") ]
+    names = ["k4", "prism", "petersen"]
+    family = CHECKS["family_dset"]
     extra = [n for n, g in fixture_graphs().items()
-             if n not in names and g.n <= 12 and g.n >= 4 and vertex_connectivity(g) >= 3]
+             if n not in names and 4 <= g.n <= 12 and family.gate(Facts(g)) is None]
     rows = []
     for name in names + sorted(extra):
-        g = named_graph(name)
-        deadline = time.monotonic() + 60
+        facts = Facts(named_graph(name), deadline=time.monotonic() + 60)
         try:
-            verdict = family_dset_audit(g, deadline=deadline)
+            verdict = family.evaluate(facts)
         except SolverTimeout:
             return CriterionResult(11, "family-dset-pipeline", False, False,
                                    f"{name} exceeded its budget")

@@ -1,0 +1,278 @@
+"""The audited claims: one registry over facts computed once per graph.
+
+`Facts` holds one graph and a deadline.  Each fact the checks read
+(connectivity, gamma, i, the minimum dominating sets) is computed on first
+read and kept; a `SolverTimeout` is kept as well, so a later read raises it
+again without running the solver a second time.
+
+`CHECKS` maps each check name to a `Check`: a gate that returns a skip
+reason (or None) from the cheap structural facts, and an evaluator that
+returns an `AuditVerdict`.  The sweep serializes those verdicts and the
+acceptance criteria run the same evaluators over their corpora, so each
+claim is written down here and nowhere else.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+from math import ceil
+from typing import Callable
+
+from .cycles import first_mod3_cycle
+from .domination import (
+    DsetEnumeration,
+    SolverTimeout,
+    enumerate_min_dsets,
+    gamma_exact,
+    idom_exact,
+    induced_edge_count,
+    is_dominating,
+)
+from .graphs import Graph, delete_edges, is_connected, is_cubic, vertex_connectivity
+from .reduction import (
+    CHECK_DETACH,
+    CHECK_EDGE_REMOVAL,
+    CHECK_PAIR_SEPARATION,
+    AuditVerdict,
+    check_detach_fact,
+    check_pair_separation,
+    detachable_vertices,
+    find_forbidden_core,
+    find_induced_claw,
+    removable_edges,
+)
+from .seams import CHECK_FAMILY_DSET, family_dset_audit
+
+CHECK_CLAW_FREE = "claw_free_equal"
+CHECK_CORE_FREE = "core_free_equal"
+CHECK_THIRD_BOUND = "third_bound"
+CHECK_EXCESS_GAMMA = "excess_gamma_independent"
+CHECK_MOD3_NONEMPTY = "mod3_cycle_exists"
+
+# enumeration caps keeping per-graph audit work bounded
+DSET_CAP = 5000
+ENUM_GUARD = 24
+
+
+def _fact(compute):
+    """Property computed on first read and kept, a `SolverTimeout` included."""
+    name = compute.__name__
+
+    def read(self):
+        memo = self._memo
+        if name not in memo:
+            try:
+                memo[name] = compute(self)
+            except SolverTimeout as exc:
+                memo[name] = exc
+        value = memo[name]
+        if isinstance(value, SolverTimeout):
+            raise value.with_traceback(None)
+        return value
+
+    return property(read, doc=compute.__doc__)
+
+
+class Facts:
+    """Facts about one graph that the checks share; each is computed once.
+
+    `deadline` (a `time.monotonic()` value) bounds the exact solvers and
+    the family pipeline; the structural facts the gates read never time out.
+    """
+
+    def __init__(self, g: Graph, deadline: float | None = None) -> None:
+        self.g = g
+        self.deadline = deadline
+        self._memo: dict[str, object] = {}
+
+    @_fact
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    @_fact
+    def cubic(self) -> bool:
+        return is_cubic(self.g)
+
+    @_fact
+    def connectivity(self) -> int:
+        return vertex_connectivity(self.g) if self.g.n else 0
+
+    @_fact
+    def gamma(self) -> int:
+        return gamma_exact(self.g, deadline=self.deadline).size
+
+    @_fact
+    def idom(self) -> int:
+        return idom_exact(self.g, deadline=self.deadline).size
+
+    @_fact
+    def min_dsets(self) -> DsetEnumeration:
+        """Minimum dominating sets in lexicographic order, at most DSET_CAP."""
+        return enumerate_min_dsets(self.g, self.gamma, limit=DSET_CAP)
+
+    @_fact
+    def min_edge_dsets(self) -> tuple[list[frozenset[int]], int]:
+        """The sets of `min_dsets` inducing the fewest edges, and that count."""
+        counts = [(induced_edge_count(self.g, d), d) for d in self.min_dsets.dsets]
+        floor = min(c for c, _ in counts)
+        return [d for c, d in counts if c == floor], floor
+
+
+@dataclass(frozen=True)
+class Check:
+    """One audited claim: where it applies, and its verdict there."""
+
+    gate: Callable[[Facts], str | None]
+    evaluate: Callable[[Facts], AuditVerdict]
+
+
+def _no_gate(f: Facts) -> str | None:
+    return None
+
+
+def _enumeration_gate(f: Facts) -> str | None:
+    return f"n > {ENUM_GUARD}" if f.g.n > ENUM_GUARD else None
+
+
+def _subcubic_enumeration_gate(f: Facts) -> str | None:
+    return "max degree > 3" if f.g.max_degree() > 3 else _enumeration_gate(f)
+
+
+def _connected_cubic_gate(f: Facts) -> str | None:
+    return None if f.cubic and f.connected else "not a connected cubic graph"
+
+
+def _three_connected_gate(f: Facts) -> str | None:
+    return "connectivity < 3" if f.connectivity < 3 else None
+
+
+def _gamma_equals_idom(check: str, f: Facts) -> AuditVerdict:
+    numbers = {"gamma": f.gamma, "idom": f.idom}
+    if f.gamma != f.idom:
+        return AuditVerdict(check, False, witness=numbers)
+    return AuditVerdict(check, True, info=numbers)
+
+
+def _claw_free_equal(f: Facts) -> AuditVerdict:
+    """Claw-free graphs have gamma = i."""
+    claw = find_induced_claw(f.g)
+    if claw is not None:
+        return AuditVerdict(CHECK_CLAW_FREE, True, vacuous=True, info={"claw": list(claw)})
+    return _gamma_equals_idom(CHECK_CLAW_FREE, f)
+
+
+def _core_free_equal(f: Facts) -> AuditVerdict:
+    """Graphs with no adjacent pair of degree >= 3 have gamma = i."""
+    core = find_forbidden_core(f.g)
+    if core is not None:
+        return AuditVerdict(CHECK_CORE_FREE, True, vacuous=True, info={"core": [core.v1, core.v2]})
+    return _gamma_equals_idom(CHECK_CORE_FREE, f)
+
+
+def _pair_separation(f: Facts) -> AuditVerdict:
+    """Every minimum-edge minimum dominating set separates its induced pairs."""
+    keepers, floor = f.min_edge_dsets
+    vacuous = 0
+    for dset in keepers:
+        verdict = check_pair_separation(f.g, dset)
+        if not verdict.holds:
+            return verdict
+        if verdict.vacuous:
+            vacuous += 1
+    info = {
+        "dsets": len(keepers),
+        "vacuous_dsets": vacuous,
+        "min_induced_edges": floor,
+        "truncated": f.min_dsets.truncated,
+    }
+    return AuditVerdict(CHECK_PAIR_SEPARATION, True, vacuous=vacuous == len(keepers), info=info)
+
+
+def _edge_removal(f: Facts) -> AuditVerdict:
+    """Deleting any one removable edge keeps a minimum dominating set dominating."""
+    g, enum = f.g, f.min_dsets
+    checked = 0
+    for dset in enum.dsets:
+        for e in sorted(removable_edges(g, dset)):
+            checked += 1
+            if not is_dominating(delete_edges(g, [e]), dset):
+                return AuditVerdict(
+                    CHECK_EDGE_REMOVAL, False, witness={"set": sorted(dset), "edge": list(e)}
+                )
+    info = {"dsets": len(enum.dsets), "edges_checked": checked, "truncated": enum.truncated}
+    return AuditVerdict(CHECK_EDGE_REMOVAL, True, info=info)
+
+
+def _detach(f: Facts) -> AuditVerdict:
+    """The detach fact for every minimum dominating set and every choice of
+    at most two detachable vertices, in lexicographic order of the choice."""
+    g, enum = f.g, f.min_dsets
+    checked = 0
+    vacuous = 0
+    for dset in enum.dsets:
+        pool = sorted(detachable_vertices(g, dset))
+        for chosen in sorted(c for k in range(3) for c in combinations(pool, k)):
+            verdict = check_detach_fact(g, dset, chosen)
+            checked += 1
+            if not verdict.holds:
+                return AuditVerdict(
+                    CHECK_DETACH, False, witness={"set": sorted(dset), "chosen": list(chosen)}
+                )
+            if verdict.vacuous:
+                vacuous += 1
+    info = {
+        "dsets": len(enum.dsets),
+        "transforms": checked,
+        "vacuous": vacuous,
+        "truncated": enum.truncated,
+    }
+    return AuditVerdict(CHECK_DETACH, True, info=info)
+
+
+def _third_bound(f: Facts) -> AuditVerdict:
+    """gamma <= ceil(n/3) for a connected cubic graph; never vacuous."""
+    numbers = {"gamma": f.gamma, "bound": ceil(f.g.n / 3)}
+    if f.gamma > numbers["bound"]:
+        return AuditVerdict(CHECK_THIRD_BOUND, False, witness=numbers)
+    return AuditVerdict(CHECK_THIRD_BOUND, True, info=numbers)
+
+
+def _excess_gamma(f: Facts) -> AuditVerdict:
+    """A connected cubic graph with gamma > ceil(n/3) has gamma = i.
+
+    Vacuous whenever the bound is respected, which at desk scale it always
+    is; the interesting inputs arrive externally.
+    """
+    bound = ceil(f.g.n / 3)
+    if f.gamma <= bound:
+        return AuditVerdict(CHECK_EXCESS_GAMMA, True, vacuous=True, info={"gamma": f.gamma, "bound": bound})
+    numbers = {"gamma": f.gamma, "idom": f.idom, "bound": bound}
+    if f.gamma != f.idom:
+        return AuditVerdict(CHECK_EXCESS_GAMMA, False, witness=numbers)
+    return AuditVerdict(CHECK_EXCESS_GAMMA, True, info=numbers)
+
+
+def _mod3_nonempty(f: Facts) -> AuditVerdict:
+    """A 3-connected graph contains a 0-mod-3 cycle."""
+    cyc = first_mod3_cycle(f.g, deadline=f.deadline)
+    if cyc is None:
+        return AuditVerdict(CHECK_MOD3_NONEMPTY, False, witness={"n": f.g.n, "m": f.g.m})
+    return AuditVerdict(CHECK_MOD3_NONEMPTY, True, info={"cycle": list(cyc.vertices)})
+
+
+def _family_dset(f: Facts) -> AuditVerdict:
+    return family_dset_audit(f.g, gamma=f.gamma, deadline=f.deadline)
+
+
+CHECKS: dict[str, Check] = {
+    CHECK_CLAW_FREE: Check(_no_gate, _claw_free_equal),
+    CHECK_CORE_FREE: Check(_no_gate, _core_free_equal),
+    CHECK_PAIR_SEPARATION: Check(_subcubic_enumeration_gate, _pair_separation),
+    CHECK_EDGE_REMOVAL: Check(_enumeration_gate, _edge_removal),
+    CHECK_DETACH: Check(_enumeration_gate, _detach),
+    CHECK_THIRD_BOUND: Check(_connected_cubic_gate, _third_bound),
+    CHECK_EXCESS_GAMMA: Check(_connected_cubic_gate, _excess_gamma),
+    CHECK_MOD3_NONEMPTY: Check(_three_connected_gate, _mod3_nonempty),
+    CHECK_FAMILY_DSET: Check(_three_connected_gate, _family_dset),
+}

@@ -12,6 +12,7 @@ import sys
 import time
 
 from . import acceptance
+from .checks import CHECKS
 from .domination import SolverTimeout, gamma_exact, idom_exact
 from .graph6 import Graph6ParseError, encode_graph6, parse_graph6, read_graph6_lines
 from .graphs import Graph, gnp_random, is_graph_name, named_graph, random_cubic
@@ -19,7 +20,6 @@ from .seams import assign_marks, family_dset_audit, prune_nonexclusive, seamless
 from .sweep import (
     CACHE_ENV,
     DEFAULT_CHECKS,
-    CHECKS,
     record_to_jsonl,
     records_to_csv,
     run_sweep,
@@ -82,7 +82,7 @@ def cmd_csg(args: argparse.Namespace) -> int:
             print(f"  exclusive {j}: cycles={len(dsg.cycles)} assignment={shown}")
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
     try:
-        verdict = family_dset_audit(g, deadline=deadline, min_connectivity=0)
+        verdict = family_dset_audit(g, deadline=deadline)
     except SolverTimeout:
         print(f"verdict: timeout after {args.budget_ms} ms")
         return 0

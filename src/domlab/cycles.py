@@ -8,9 +8,11 @@ cut short by a budget, the result distinguishes "proven absent" from
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from .domination import SolverTimeout
 from .graphs import Edge, Graph, delete_vertices, edge_key, is_connected
 
 
@@ -62,18 +64,26 @@ class Cycle:
         return all(g.has_edge(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
 
 
-def all_simple_cycles(g: Graph) -> list[Cycle]:
+def all_simple_cycles(g: Graph, *, deadline: float | None = None) -> list[Cycle]:
     """Every simple cycle once, in canonical form.
 
     Classic backtracking: a cycle is discovered from its smallest vertex s
     along vertices > s, and the direction with the smaller second vertex is
-    kept, so each cycle appears exactly once.
+    kept, so each cycle appears exactly once.  The number of cycles grows
+    exponentially with n, so a `deadline` (a `time.monotonic()` value)
+    raises `SolverTimeout` once passed.
     """
     found: list[Cycle] = []
     path: list[int] = []
     on_path: set[int] = set()
+    ticks = 0
 
     def extend(s: int, v: int) -> None:
+        nonlocal ticks
+        if deadline is not None:
+            ticks += 1
+            if ticks % 1024 == 0 and time.monotonic() > deadline:
+                raise SolverTimeout("cycle listing exceeded its budget")
         for w in g.adj[v]:
             if w == s and len(path) >= 3 and path[1] < path[-1]:
                 found.append(Cycle(tuple(path)))
@@ -97,14 +107,16 @@ class CycleListing:
     truncated: bool
 
 
-def mod3_cycles(g: Graph, limit: int | None = None) -> CycleListing:
+def mod3_cycles(
+    g: Graph, limit: int | None = None, *, deadline: float | None = None
+) -> CycleListing:
     """All simple cycles of length divisible by 3, shortest first.
 
     Ordered by (length, canonical vertex tuple); `limit` truncates the
-    listing and sets the flag.
+    listing and sets the flag.  `deadline` bounds the cycle listing.
     """
     hits = sorted(
-        (c for c in all_simple_cycles(g) if len(c) % 3 == 0),
+        (c for c in all_simple_cycles(g, deadline=deadline) if len(c) % 3 == 0),
         key=lambda c: (len(c), c.vertices),
     )
     if limit is not None and len(hits) > limit:
@@ -112,9 +124,9 @@ def mod3_cycles(g: Graph, limit: int | None = None) -> CycleListing:
     return CycleListing(tuple(hits), False)
 
 
-def first_mod3_cycle(g: Graph) -> Cycle | None:
+def first_mod3_cycle(g: Graph, *, deadline: float | None = None) -> Cycle | None:
     """Shortest (then lexicographically first) 0-mod-3 cycle, if any."""
-    listing = mod3_cycles(g, limit=1)
+    listing = mod3_cycles(g, limit=1, deadline=deadline)
     return listing.cycles[0] if listing.cycles else None
 
 

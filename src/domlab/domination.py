@@ -325,17 +325,20 @@ class DsetEnumeration:
     truncated: bool
 
 
-def enumerate_min_dsets(g: Graph, limit: int | None = None) -> DsetEnumeration:
-    """Every dominating set of minimum cardinality, lexicographic order."""
+def enumerate_min_dsets(g: Graph, gamma: int, limit: int | None = None) -> DsetEnumeration:
+    """Every dominating set of minimum cardinality, lexicographic order.
+
+    `gamma` must be gamma(g), e.g. `gamma_exact(g).size`; the sets of that
+    size that dominate are listed, at most `limit` of them.
+    """
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"enumeration is guarded to n <= {BRUTE_FORCE_LIMIT}")
     if g.n == 0:
         return DsetEnumeration((frozenset(),), False)
-    k = gamma_exact(g).size
     masks = closed_masks(g)
     full = (1 << g.n) - 1
     out: list[frozenset[int]] = []
-    for combo in combinations(range(g.n), k):
+    for combo in combinations(range(g.n), gamma):
         cover = 0
         for v in combo:
             cover |= masks[v]

@@ -20,19 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import ceil
 from typing import Iterable
 
-from .domination import gamma_exact, idom_exact, is_dominating
-from .graphs import Edge, Graph, delete_edges, delete_vertices, edge_key, is_connected, is_cubic
+from .domination import is_dominating
+from .graphs import Edge, Graph, delete_edges, delete_vertices, edge_key
 
-CHECK_CLAW_FREE = "claw_free_equal"
-CHECK_CORE_FREE = "core_free_equal"
 CHECK_PAIR_SEPARATION = "tight_pair_separation"
 CHECK_EDGE_REMOVAL = "edge_removal"
 CHECK_DETACH = "detach_transform"
-CHECK_EXCESS_GAMMA = "excess_gamma_independent"
-CHECK_THIRD_BOUND = "third_bound"
 
 
 @dataclass(frozen=True)
@@ -205,16 +200,25 @@ def detach_transform(g: Graph, anchors: Iterable[int], chosen: Iterable[int]) ->
     edge at b is subdivided once by a fresh vertex.
     """
     y = frozenset(anchors)
-    picked = sorted(set(chosen))
+    picked = frozenset(chosen)
+    _require_detachable(g, y, picked)
+    return _detach(g, y, picked)
+
+
+def _require_detachable(g: Graph, y: frozenset[int], picked: frozenset[int]) -> None:
     allowed = detachable_vertices(g, y)
-    for b in picked:
-        if b not in allowed:
-            raise ValueError(f"vertex {b} is not detachable for this anchor set")
+    if not picked <= allowed:
+        bad = sorted(picked - allowed)[0]
+        raise ValueError(f"vertex {bad} is not detachable for this anchor set")
+
+
+def _detach(g: Graph, y: frozenset[int], picked: frozenset[int]) -> DetachResult:
+    """`detach_transform` on a `picked` set already known to be detachable."""
     nbrs: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
     nxt = g.n
     new_vertices: dict[tuple[int, int], int] = {}
     deleted: set[Edge] = set()
-    for b in picked:
+    for b in sorted(picked):
         t1 = min(v for v in nbrs[b] if v in y)
         nbrs[b].discard(t1)
         nbrs[t1].discard(b)
@@ -241,10 +245,7 @@ def check_detach_fact(g: Graph, anchors: Iterable[int], chosen: Iterable[int]) -
     """
     y = frozenset(anchors)
     picked = frozenset(chosen)
-    allowed = detachable_vertices(g, y)
-    if not picked <= allowed:
-        bad = sorted(picked - allowed)[0]
-        raise ValueError(f"vertex {bad} is not detachable for this anchor set")
+    _require_detachable(g, y, picked)
     reduced, remap = delete_vertices(g, picked)
     index = {old: new for new, old in enumerate(remap)}
     if not is_dominating(reduced, {index[v] for v in y}):
@@ -254,7 +255,7 @@ def check_detach_fact(g: Graph, anchors: Iterable[int], chosen: Iterable[int]) -
             vacuous=True,
             info={"reason": "anchors do not dominate the vertex-deleted graph"},
         )
-    result = detach_transform(g, y, picked)
+    result = _detach(g, y, picked)
     combined = y | picked
     h = result.graph
     for v in range(h.n):
@@ -305,91 +306,4 @@ def check_pair_separation(g: Graph, members: Iterable[int]) -> AuditVerdict:
         check=CHECK_PAIR_SEPARATION,
         holds=True,
         info={"induced_edges": len(induced), "size": len(x)},
-    )
-
-
-def audit_claw_free_equal(g: Graph) -> AuditVerdict:
-    """Claw-free graphs must have equal domination numbers."""
-    claw = find_induced_claw(g)
-    if claw is not None:
-        return AuditVerdict(
-            check=CHECK_CLAW_FREE, holds=True, vacuous=True, info={"claw": list(claw)}
-        )
-    gam = gamma_exact(g).size
-    ind = idom_exact(g).size
-    if gam != ind:
-        return AuditVerdict(
-            check=CHECK_CLAW_FREE, holds=False, witness={"gamma": gam, "idom": ind}
-        )
-    return AuditVerdict(check=CHECK_CLAW_FREE, holds=True, info={"gamma": gam, "idom": ind})
-
-
-def audit_core_free_equal(g: Graph) -> AuditVerdict:
-    """Graphs with no adjacent degree->=3 pair must have equal domination numbers."""
-    core = find_forbidden_core(g)
-    if core is not None:
-        return AuditVerdict(
-            check=CHECK_CORE_FREE,
-            holds=True,
-            vacuous=True,
-            info={"core": [core.v1, core.v2]},
-        )
-    gam = gamma_exact(g).size
-    ind = idom_exact(g).size
-    if gam != ind:
-        return AuditVerdict(
-            check=CHECK_CORE_FREE, holds=False, witness={"gamma": gam, "idom": ind}
-        )
-    return AuditVerdict(check=CHECK_CORE_FREE, holds=True, info={"gamma": gam, "idom": ind})
-
-
-def _require_connected_cubic(g: Graph) -> None:
-    if not (is_connected(g) and is_cubic(g) and g.n > 0):
-        raise ValueError("audit requires a connected cubic graph")
-
-
-def check_excess_gamma(g: Graph) -> AuditVerdict:
-    """Connected cubic graphs whose domination number exceeds ceil(n/3)
-    must have an independent minimum dominating set (gamma = i).
-
-    Vacuous whenever the bound is respected, which at desk scale it always
-    is; the interesting inputs arrive externally.
-    """
-    _require_connected_cubic(g)
-    gam = gamma_exact(g).size
-    bound = ceil(g.n / 3)
-    if gam <= bound:
-        return AuditVerdict(
-            check=CHECK_EXCESS_GAMMA,
-            holds=True,
-            vacuous=True,
-            info={"gamma": gam, "bound": bound},
-        )
-    ind = idom_exact(g).size
-    if gam != ind:
-        return AuditVerdict(
-            check=CHECK_EXCESS_GAMMA,
-            holds=False,
-            witness={"gamma": gam, "idom": ind, "bound": bound},
-        )
-    return AuditVerdict(
-        check=CHECK_EXCESS_GAMMA,
-        holds=True,
-        info={"gamma": gam, "idom": ind, "bound": bound},
-    )
-
-
-def check_third_bound(g: Graph) -> AuditVerdict:
-    """gamma(g) <= ceil(n/3) for a connected cubic graph; never vacuous."""
-    _require_connected_cubic(g)
-    cert = gamma_exact(g)
-    bound = ceil(g.n / 3)
-    if cert.size > bound:
-        return AuditVerdict(
-            check=CHECK_THIRD_BOUND,
-            holds=False,
-            witness={"gamma": cert.size, "bound": bound, "set": sorted(cert.members)},
-        )
-    return AuditVerdict(
-        check=CHECK_THIRD_BOUND, holds=True, info={"gamma": cert.size, "bound": bound}
     )

@@ -21,20 +21,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cycles import (
-    BudgetExceeded,
-    Cycle,
-    first_mod3_cycle,
-    mod3_cycles,
-)
+from .cycles import BudgetExceeded, Cycle, mod3_cycles
 from .domination import SolverTimeout, gamma_exact, is_dominating
-from .graphs import Edge, Graph, components, edge_key, vertex_connectivity
+from .graphs import Edge, Graph, components, edge_key
 from .reduction import AuditVerdict
 
 KIND_SEAMLESS = "CSG"
 KIND_EXCLUSIVE = "DSG"
 
-CHECK_MOD3_NONEMPTY = "mod3_cycle_exists"
 CHECK_TWO_SPACED = "two_spaced_paths"
 CHECK_LEFTOVER = "leftover_at_most_one"
 CHECK_FAMILY_DSET = "family_dset"
@@ -296,14 +290,16 @@ def _pair_link_memo(cycles: list[Cycle], link_budget: int | None):
     return pair_link
 
 
-def seamless_families(g: Graph, *, link_budget: int | None = None) -> tuple[CycleCollection, ...]:
+def seamless_families(
+    g: Graph, *, link_budget: int | None = None, deadline: float | None = None
+) -> tuple[CycleCollection, ...]:
     """All maximal seamlessly linked families of 0-mod-3 cycles.
 
     Grown greedily from every seed cycle in canonical order, then
     deduplicated; maximal means no enumerated 0-mod-3 cycle attaches to
-    the family by a single ear link.
+    the family by a single ear link.  `deadline` bounds the cycle listing.
     """
-    cycles = list(mod3_cycles(g).cycles)
+    cycles = list(mod3_cycles(g, deadline=deadline).cycles)
     if not cycles:
         return ()
     pair_link = _pair_link_memo(cycles, link_budget)
@@ -604,20 +600,6 @@ def classify_attachments(
     return tuple(out)
 
 
-def audit_mod3_nonempty(g: Graph) -> AuditVerdict:
-    """A 3-connected graph should contain a 0-mod-3 cycle."""
-    if vertex_connectivity(g) < 3:
-        raise ValueError("audit requires a 3-connected graph")
-    cyc = first_mod3_cycle(g)
-    if cyc is None:
-        return AuditVerdict(
-            check=CHECK_MOD3_NONEMPTY, holds=False, witness={"n": g.n, "m": g.m}
-        )
-    return AuditVerdict(
-        check=CHECK_MOD3_NONEMPTY, holds=True, info={"cycle": list(cyc.vertices)}
-    )
-
-
 def _union_adjacency(col: CycleCollection) -> dict[int, tuple[int, ...]]:
     nbrs: dict[int, set[int]] = {v: set() for v in col.vertex_union}
     for c in col.cycles:
@@ -723,7 +705,7 @@ def family_dset_audit(
     assignment_cap: int = 200_000,
     link_budget: int | None = None,
     deadline: float | None = None,
-    min_connectivity: int = 3,
+    gamma: int | None = None,
 ) -> AuditVerdict:
     """Do the exclusive families yield a minimum dominating set?
 
@@ -732,14 +714,14 @@ def family_dset_audit(
     singleton vertices it fails to dominate, and keep the best dominating
     candidate.  Holds iff some candidate dominates with exactly gamma
     vertices; either way the verdict reports candidate size against gamma.
+    `gamma` is gamma(g) when the caller already knows it.
 
-    The claim is stated for 3-connected graphs, hence the gate; pass
-    min_connectivity=0 to run the same pipeline informatively elsewhere.
+    The claim is stated for 3-connected graphs; the `family_dset` check
+    gates on that, and the pipeline itself runs on any graph.
     """
-    if min_connectivity and vertex_connectivity(g) < min_connectivity:
-        raise ValueError("family audit requires a 3-connected graph")
-    gamma = gamma_exact(g, deadline=deadline).size
-    families = seamless_families(g, link_budget=link_budget)
+    if gamma is None:
+        gamma = gamma_exact(g, deadline=deadline).size
+    families = seamless_families(g, link_budget=link_budget, deadline=deadline)
     best: tuple[int, list[int]] | None = None
     tried = 0
     truncated = False

@@ -18,253 +18,63 @@ from dataclasses import dataclass
 from math import ceil
 
 from . import __version__
-from .cycles import BudgetExceeded, first_mod3_cycle
-from .domination import (
-    SolverTimeout,
-    enumerate_min_dsets,
-    gamma_exact,
-    idom_exact,
-    induced_edge_count,
-    is_dominating,
-)
+from .checks import CHECKS, Check, Facts
+from .cycles import BudgetExceeded
+from .domination import SolverTimeout
 from .graph6 import parse_graph6
-from .graphs import Graph, delete_edges, is_connected, is_cubic, vertex_connectivity
-from .reduction import (
-    check_detach_fact,
-    check_pair_separation,
-    detachable_vertices,
-    find_forbidden_core,
-    find_induced_claw,
-    removable_edges,
-)
-from .seams import family_dset_audit
 
 CACHE_ENV = "DOMLAB_CACHE"
 BASE_KEY = "base"
-
-# enumeration caps keeping per-graph audit work bounded
-DSET_CAP = 5000
-ENUM_GUARD = 24
-
-
-def _subsets_upto2(items: list[int]):
-    yield frozenset()
-    for i, a in enumerate(items):
-        yield frozenset((a,))
-        for b in items[i + 1:]:
-            yield frozenset((a, b))
-
-
-def _check_claw_free(g: Graph, ctx: dict) -> dict:
-    claw = find_induced_claw(g)
-    if claw is not None:
-        return _verdict(True, vacuous=True, info={"claw": list(claw)})
-    if ctx["gamma"] != ctx["idom"]:
-        return _verdict(False, witness={"gamma": ctx["gamma"], "idom": ctx["idom"]})
-    return _verdict(True, info={"gamma": ctx["gamma"], "idom": ctx["idom"]})
-
-
-def _check_core_free(g: Graph, ctx: dict) -> dict:
-    core = find_forbidden_core(g)
-    if core is not None:
-        return _verdict(True, vacuous=True, info={"core": [core.v1, core.v2]})
-    if ctx["gamma"] != ctx["idom"]:
-        return _verdict(False, witness={"gamma": ctx["gamma"], "idom": ctx["idom"]})
-    return _verdict(True, info={"gamma": ctx["gamma"], "idom": ctx["idom"]})
-
-
-def _min_edge_dsets(g: Graph) -> tuple[list[frozenset[int]], bool, int]:
-    enum = enumerate_min_dsets(g, limit=DSET_CAP)
-    counts = [(induced_edge_count(g, d), d) for d in enum.dsets]
-    floor = min(c for c, _ in counts)
-    return [d for c, d in counts if c == floor], enum.truncated, floor
-
-
-def _check_pair_separation_sweep(g: Graph, ctx: dict) -> dict:
-    if g.max_degree() > 3:
-        return {"skipped": "max degree > 3"}
-    if g.n > ENUM_GUARD:
-        return {"skipped": f"n > {ENUM_GUARD}"}
-    keepers, truncated, floor = _min_edge_dsets(g)
-    vacuous_count = 0
-    for dset in keepers:
-        verdict = check_pair_separation(g, dset)
-        if not verdict.holds:
-            return _verdict(False, witness=verdict.witness)
-        if verdict.vacuous:
-            vacuous_count += 1
-    info = {
-        "dsets": len(keepers),
-        "vacuous_dsets": vacuous_count,
-        "min_induced_edges": floor,
-        "truncated": truncated,
-    }
-    if vacuous_count == len(keepers):
-        return _verdict(True, vacuous=True, info=info)
-    return _verdict(True, info=info)
-
-
-def _check_edge_removal(g: Graph, ctx: dict) -> dict:
-    if g.n > ENUM_GUARD:
-        return {"skipped": f"n > {ENUM_GUARD}"}
-    enum = enumerate_min_dsets(g, limit=DSET_CAP)
-    checked = 0
-    for dset in enum.dsets:
-        for e in sorted(removable_edges(g, dset)):
-            checked += 1
-            if not is_dominating(delete_edges(g, [e]), dset):
-                return _verdict(
-                    False, witness={"set": sorted(dset), "edge": list(e)}
-                )
-    return _verdict(
-        True, info={"dsets": len(enum.dsets), "edges_checked": checked, "truncated": enum.truncated}
-    )
-
-
-def _check_detach(g: Graph, ctx: dict) -> dict:
-    if g.n > ENUM_GUARD:
-        return {"skipped": f"n > {ENUM_GUARD}"}
-    enum = enumerate_min_dsets(g, limit=DSET_CAP)
-    checked = 0
-    vacuous_count = 0
-    for dset in enum.dsets:
-        pool = sorted(detachable_vertices(g, dset))
-        for chosen in _subsets_upto2(pool):
-            verdict = check_detach_fact(g, dset, chosen)
-            checked += 1
-            if not verdict.holds:
-                return _verdict(
-                    False, witness={"set": sorted(dset), "chosen": sorted(chosen)}
-                )
-            if verdict.vacuous:
-                vacuous_count += 1
-    return _verdict(
-        True,
-        info={
-            "dsets": len(enum.dsets),
-            "transforms": checked,
-            "vacuous": vacuous_count,
-            "truncated": enum.truncated,
-        },
-    )
-
-
-def _check_third_bound_sweep(g: Graph, ctx: dict) -> dict:
-    if not ctx["cubic"] or not ctx["connected"]:
-        return {"skipped": "not a connected cubic graph"}
-    bound = ceil(g.n / 3)
-    if ctx["gamma"] > bound:
-        return _verdict(False, witness={"gamma": ctx["gamma"], "bound": bound})
-    return _verdict(True, info={"gamma": ctx["gamma"], "bound": bound})
-
-
-def _check_excess_gamma_sweep(g: Graph, ctx: dict) -> dict:
-    if not ctx["cubic"] or not ctx["connected"]:
-        return {"skipped": "not a connected cubic graph"}
-    bound = ceil(g.n / 3)
-    if ctx["gamma"] <= bound:
-        return _verdict(True, vacuous=True, info={"gamma": ctx["gamma"], "bound": bound})
-    if ctx["gamma"] != ctx["idom"]:
-        return _verdict(
-            False, witness={"gamma": ctx["gamma"], "idom": ctx["idom"], "bound": bound}
-        )
-    return _verdict(True, info={"gamma": ctx["gamma"], "idom": ctx["idom"], "bound": bound})
-
-
-def _check_mod3_nonempty(g: Graph, ctx: dict) -> dict:
-    if ctx["connectivity"] < 3:
-        return {"skipped": "connectivity < 3"}
-    cyc = first_mod3_cycle(g)
-    if cyc is None:
-        return _verdict(False, witness={"n": g.n, "m": g.m})
-    return _verdict(True, info={"cycle": list(cyc.vertices)})
-
-
-def _check_family_dset(g: Graph, ctx: dict) -> dict:
-    if ctx["connectivity"] < 3:
-        return {"skipped": "connectivity < 3"}
-    # the gate above already read the connectivity computed once per graph
-    verdict = family_dset_audit(g, deadline=ctx["deadline"], min_connectivity=0)
-    piece = verdict.to_json()
-    del piece["check"]  # the checks map already carries the name
-    return piece
-
-
-def _verdict(holds: bool, vacuous: bool = False, witness: dict | None = None, info: dict | None = None) -> dict:
-    return {
-        "holds": holds,
-        "vacuous": vacuous,
-        "witness": witness,
-        "info": info or {},
-    }
-
-
-CHECKS = {
-    "claw_free_equal": _check_claw_free,
-    "core_free_equal": _check_core_free,
-    "tight_pair_separation": _check_pair_separation_sweep,
-    "edge_removal": _check_edge_removal,
-    "detach_transform": _check_detach,
-    "third_bound": _check_third_bound_sweep,
-    "excess_gamma_independent": _check_excess_gamma_sweep,
-    "mod3_cycle_exists": _check_mod3_nonempty,
-    "family_dset": _check_family_dset,
-}
 DEFAULT_CHECKS = tuple(CHECKS)
+
+
+def _solved(facts: Facts, name: str) -> int | None:
+    try:
+        return getattr(facts, name)
+    except SolverTimeout:
+        return None
+
+
+def _base_piece(facts: Facts) -> dict:
+    g = facts.g
+    return {
+        "n": g.n,
+        "m": g.m,
+        "connectivity": facts.connectivity,
+        "cubic": facts.cubic,
+        "gamma": _solved(facts, "gamma"),
+        "idom": _solved(facts, "idom"),
+        "reed_bound": ceil(g.n / 3),
+    }
+
+
+def _check_piece(check: Check, facts: Facts) -> dict:
+    reason = check.gate(facts)
+    if reason is not None:
+        return {"skipped": reason}
+    try:
+        piece = check.evaluate(facts).to_json()
+    except (SolverTimeout, BudgetExceeded):
+        return {"timeout": True}
+    del piece["check"]  # the record's checks map already carries the name
+    return piece
 
 
 def compute_pieces(line: str, needed: tuple[str, ...], budget_ms: int | None) -> dict[str, dict]:
     """Compute base facts and/or check verdicts for one graph6 line.
 
-    Pure per-line work, safe to run in worker processes; timing lives in a
-    separate '_elapsed' piece so default records stay byte-stable.
+    Every piece reads one shared `Facts`, so each fact is computed at most
+    once per graph, and only a check that reads an exhausted solver times
+    out.  Pure per-line work, safe to run in worker processes; timing lives
+    in a separate '_elapsed' piece so default records stay byte-stable.
     """
-    g = parse_graph6(line)
     deadline = time.monotonic() + budget_ms / 1000 if budget_ms else None
+    facts = Facts(parse_graph6(line), deadline)
     elapsed: dict[str, float] = {}
     out: dict[str, dict] = {}
-
-    t0 = time.monotonic()
-    connected = is_connected(g)
-    cubic = is_cubic(g)
-    connectivity = vertex_connectivity(g) if g.n else 0
-    timed_out = False
-    try:
-        gamma = gamma_exact(g, deadline=deadline).size
-        idom = idom_exact(g, deadline=deadline).size
-    except SolverTimeout:
-        gamma = idom = None
-        timed_out = True
-    elapsed[BASE_KEY] = time.monotonic() - t0
-    if BASE_KEY in needed:
-        out[BASE_KEY] = {
-            "n": g.n,
-            "m": g.m,
-            "connectivity": connectivity,
-            "cubic": cubic,
-            "gamma": gamma,
-            "idom": idom,
-            "reed_bound": ceil(g.n / 3),
-        }
-    ctx = {
-        "connected": connected,
-        "cubic": cubic,
-        "connectivity": connectivity,
-        "gamma": gamma,
-        "idom": idom,
-        "deadline": deadline,
-    }
     for name in needed:
-        if name == BASE_KEY:
-            continue
         t0 = time.monotonic()
-        if timed_out:
-            out[name] = {"timeout": True}
-        else:
-            try:
-                out[name] = CHECKS[name](g, ctx)
-            except (SolverTimeout, BudgetExceeded):
-                out[name] = {"timeout": True}
+        out[name] = _base_piece(facts) if name == BASE_KEY else _check_piece(CHECKS[name], facts)
         elapsed[name] = time.monotonic() - t0
     out["_elapsed"] = {k: round(v * 1000.0, 3) for k, v in elapsed.items()}
     return out
@@ -383,7 +193,7 @@ def run_sweep(
                 if cache_fh is None:
                     continue
                 # budget artifacts are not facts about the graph; never cache them
-                if value.get("timeout") or (name == BASE_KEY and value.get("gamma") is None):
+                if value.get("timeout") or (name == BASE_KEY and None in (value["gamma"], value["idom"])):
                     continue
                 cache.put(cache_fh, line, name, value)
             base = pieces[BASE_KEY]
@@ -393,17 +203,8 @@ def run_sweep(
             for name in checks:
                 piece = pieces[name]
                 record["checks"][name] = piece
-                bucket = counts[name]
-                if "skipped" in piece:
-                    bucket["skipped"] += 1
-                elif piece.get("timeout"):
-                    bucket["timeout"] += 1
-                elif piece["vacuous"]:
-                    bucket["vacuous"] += 1
-                elif piece["holds"]:
-                    bucket["holds"] += 1
-                else:
-                    bucket["violations"] += 1
+                status = piece_status(piece)
+                counts[name]["violations" if status == "violation" else status] += 1
             if timings and "_elapsed" in fresh:
                 record["elapsed_ms"] = fresh["_elapsed"]
             records.append(record)
@@ -418,6 +219,17 @@ def run_sweep(
         "checks": counts,
     }
     return SweepResult(records=records, summary=summary)
+
+
+def piece_status(piece: dict) -> str:
+    """One word for a check piece: skipped, timeout, vacuous, holds or violation."""
+    if "skipped" in piece:
+        return "skipped"
+    if piece.get("timeout"):
+        return "timeout"
+    if piece["vacuous"]:
+        return "vacuous"
+    return "holds" if piece["holds"] else "violation"
 
 
 def record_to_jsonl(record: dict) -> str:
@@ -439,18 +251,7 @@ def records_to_csv(records: list[dict], checks: tuple[str, ...]) -> str:
     lines = [",".join(head + list(checks))]
     for rec in records:
         row = [str(rec[k]) for k in head]
-        for name in checks:
-            piece = rec["checks"][name]
-            if "skipped" in piece:
-                row.append("skipped")
-            elif piece.get("timeout"):
-                row.append("timeout")
-            elif piece["vacuous"]:
-                row.append("vacuous")
-            elif piece["holds"]:
-                row.append("holds")
-            else:
-                row.append("violation")
+        row += [piece_status(rec["checks"][name]) for name in checks]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

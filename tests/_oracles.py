@@ -8,30 +8,9 @@ from collections import deque
 from itertools import combinations, permutations
 
 from domlab import Graph, is_connected
+# `domlab verify` needs this oracle at run time, so its one copy lives there
+from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
 from domlab.domination import KIND_GAMMA, KIND_IDOM, _certificate, closed_masks
-
-
-def connectivity_by_cut_enumeration(g: Graph) -> int:
-    """Smallest vertex set whose removal disconnects the graph."""
-    if g.n == 1:
-        return 0
-    for k in range(g.n - 1):
-        for cut in combinations(range(g.n), k):
-            rest = [v for v in range(g.n) if v not in cut]
-            if len(rest) < 2:
-                continue
-            banned = set(cut)
-            seen = {rest[0]}
-            stack = [rest[0]]
-            while stack:
-                v = stack.pop()
-                for w in g.adj[v]:
-                    if w not in banned and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(rest):
-                return k
-    return g.n - 1
 
 
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:

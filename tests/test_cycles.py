@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from domlab import (
     Cycle,
     Graph,
+    SolverTimeout,
     ear_decomposition,
     fan_paths,
     first_mod3_cycle,
@@ -10,6 +13,7 @@ from domlab import (
     mod3_cycles,
     named_graph,
     path_with_residue,
+    random_cubic,
 )
 from domlab.cycles import all_simple_cycles, is_two_connected
 from domlab.graphs import edge_key
@@ -54,6 +58,18 @@ def test_mod3_ordering_and_limit():
     assert lengths.count(6) == 10 and lengths.count(9) == 20
     clipped = mod3_cycles(named_graph("petersen"), limit=3)
     assert clipped.truncated and len(clipped.cycles) == 3
+
+
+def test_cycle_listing_stops_at_its_deadline():
+    big = random_cubic(60, seed=1)  # far too many cycles to list
+    passed = time.monotonic() - 1
+    with pytest.raises(SolverTimeout):
+        all_simple_cycles(big, deadline=passed)
+    with pytest.raises(SolverTimeout):
+        first_mod3_cycle(big, deadline=passed)
+    # a listing that ends before the first deadline read is unaffected
+    k4 = named_graph("k4")
+    assert mod3_cycles(k4, deadline=passed) == mod3_cycles(k4)
 
 
 def test_first_mod3_cycle():

@@ -92,13 +92,14 @@ def test_gamma_min_edges():
 
 
 def test_enumerate_min_dsets():
-    enum = enumerate_min_dsets(named_graph("k4"))
+    k4 = named_graph("k4")
+    enum = enumerate_min_dsets(k4, 1)
     assert [sorted(s) for s in enum.dsets] == [[0], [1], [2], [3]]
     assert not enum.truncated
-    clipped = enumerate_min_dsets(named_graph("k4"), limit=1)
+    clipped = enumerate_min_dsets(k4, 1, limit=1)
     assert [sorted(s) for s in clipped.dsets] == [[0]] and clipped.truncated
     c6 = named_graph("c6")
-    enum = enumerate_min_dsets(c6)
+    enum = enumerate_min_dsets(c6, gamma_exact(c6).size)
     assert set(enum.dsets) == set(dominating_sets_of_size(c6, 2))
 
 

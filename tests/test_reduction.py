@@ -3,23 +3,21 @@ import pytest
 from domlab import (
     Graph,
     check_detach_fact,
-    check_excess_gamma,
     check_pair_separation,
     check_removal_fact,
-    check_third_bound,
     delete_edges,
     detach_transform,
     detachable_vertices,
     enumerate_min_dsets,
     find_forbidden_core,
     find_induced_claw,
+    gamma_exact,
     gnp_random,
     greedy_removable_subset,
     is_dominating,
     named_graph,
     removable_edges,
 )
-from domlab.reduction import audit_claw_free_equal, audit_core_free_equal
 
 
 def triangle() -> Graph:
@@ -71,7 +69,7 @@ def test_check_removal_fact():
 
 def test_single_edge_removal_always_safe():
     for g in subcubic_corpus(25):
-        for dset in enumerate_min_dsets(g).dsets:
+        for dset in enumerate_min_dsets(g, gamma_exact(g).size).dsets:
             for e in removable_edges(g, dset):
                 assert is_dominating(delete_edges(g, [e]), dset)
 
@@ -86,7 +84,7 @@ def test_greedy_removable_subset():
 
 def test_greedy_subset_passes_removal_fact():
     for g in subcubic_corpus(15):
-        for dset in enumerate_min_dsets(g, limit=5).dsets:
+        for dset in enumerate_min_dsets(g, gamma_exact(g).size, limit=5).dsets:
             kept = greedy_removable_subset(g, dset)
             assert check_removal_fact(g, dset, kept).holds
 
@@ -99,7 +97,7 @@ def test_detachable_vertices():
 
 def test_detachable_avoids_anchor_set():
     for g in subcubic_corpus(20):
-        for dset in enumerate_min_dsets(g, limit=3).dsets:
+        for dset in enumerate_min_dsets(g, gamma_exact(g).size, limit=3).dsets:
             pool = detachable_vertices(g, dset)
             assert not pool & dset
             for b in pool:
@@ -140,7 +138,7 @@ def test_detach_transform_identity():
 
 def test_detach_transform_counts():
     for g in subcubic_corpus(20):
-        for dset in enumerate_min_dsets(g, limit=2).dsets:
+        for dset in enumerate_min_dsets(g, gamma_exact(g).size, limit=2).dsets:
             pool = sorted(detachable_vertices(g, dset))[:2]
             result = detach_transform(g, dset, pool)
             grown = sum(g.degree(b) - 1 for b in pool)
@@ -160,6 +158,24 @@ def test_check_detach_fact_examples():
         check_detach_fact(named_graph("p4"), {1, 3}, {2})
 
 
+def test_check_detach_fact_validates_once(monkeypatch):
+    from domlab import reduction
+
+    calls = []
+    original = reduction.detachable_vertices
+
+    def counted(g, anchors):
+        calls.append(anchors)
+        return original(g, anchors)
+
+    monkeypatch.setattr(reduction, "detachable_vertices", counted)
+    verdict = check_detach_fact(named_graph("c6"), {0, 3}, {1})
+    assert verdict.holds and not verdict.vacuous  # the transform ran
+    assert len(calls) == 1
+    detach_transform(named_graph("c6"), {0, 3}, {1})
+    assert len(calls) == 2  # outside callers are still validated
+
+
 def test_check_detach_fact_vacuous_for_non_dominating_anchors():
     # {0} leaves 2 and 3 of P4 undominated once vertex 1 is cut away
     verdict = check_detach_fact(named_graph("p4"), {0}, {1})
@@ -174,32 +190,3 @@ def test_check_pair_separation():
     assert vac.vacuous  # only two members, no third to clash with
     with pytest.raises(ValueError):
         check_pair_separation(Graph.from_edges(5, [(0, i) for i in range(1, 5)]), {0})
-
-
-def test_audit_claw_and_core_free():
-    v = audit_claw_free_equal(named_graph("c6"))
-    assert v.holds and not v.vacuous
-    v = audit_claw_free_equal(named_graph("k13"))
-    assert v.vacuous
-    v = audit_core_free_equal(named_graph("petersen"))
-    assert v.vacuous and v.info["core"] == [0, 1]
-    v = audit_core_free_equal(named_graph("c6"))
-    assert v.holds and not v.vacuous
-
-
-def test_check_excess_gamma_vacuous_on_small_cubic():
-    v = check_excess_gamma(named_graph("k4"))
-    assert v.holds and v.vacuous and v.info == {"gamma": 1, "bound": 2}
-    v = check_excess_gamma(named_graph("petersen"))
-    assert v.vacuous and v.info == {"gamma": 3, "bound": 4}
-    with pytest.raises(ValueError):
-        check_excess_gamma(named_graph("c6"))
-
-
-def test_check_third_bound():
-    v = check_third_bound(named_graph("k4"))
-    assert v.holds and v.info == {"gamma": 1, "bound": 2}
-    v = check_third_bound(named_graph("petersen"))
-    assert v.holds
-    with pytest.raises(ValueError):
-        check_third_bound(named_graph("p4"))

@@ -1,11 +1,13 @@
+import time
+
 import pytest
 
 from domlab import (
     Cycle,
     Graph,
+    SolverTimeout,
     assign_marks,
     audit_leftover_single,
-    audit_mod3_nonempty,
     audit_two_spaced_paths,
     classify_attachments,
     family_dset_audit,
@@ -15,9 +17,11 @@ from domlab import (
     is_dominating,
     named_graph,
     prune_nonexclusive,
+    random_cubic,
     seamless_families,
     spaced_assignments,
 )
+from domlab.checks import CHECKS, Facts
 from domlab.seams import (
     EXTENSION_TABLE,
     EarLink,
@@ -186,13 +190,6 @@ def test_find_seam_extension_validates_component():
         find_seam_extension(g, fam, {0, 1}, {6})  # marks not spaced
 
 
-def test_audit_mod3_nonempty():
-    assert audit_mod3_nonempty(named_graph("k4")).holds
-    assert audit_mod3_nonempty(named_graph("petersen")).holds
-    with pytest.raises(ValueError):
-        audit_mod3_nonempty(named_graph("c6"))
-
-
 def test_audit_two_spaced_paths_c6():
     fam = seamless_families(named_graph("c6"))[0]
     verdict = audit_two_spaced_paths(named_graph("c6"), fam, {0, 3})
@@ -227,13 +224,19 @@ def test_family_dset_audit_fixtures():
         assert verdict.info["gamma"] == expected_size
         candidate = verdict.info["candidate"]
         assert is_dominating(named_graph(name), candidate)
-    with pytest.raises(ValueError):
-        family_dset_audit(named_graph("c6"))
+    # the claim's 3-connectivity condition is the registry gate's job
+    assert CHECKS["family_dset"].gate(Facts(named_graph("c6"))) == "connectivity < 3"
 
 
 def test_family_dset_pipeline_candidates_dominate():
-    verdict = family_dset_audit(named_graph("c6"), min_connectivity=0)
+    verdict = family_dset_audit(named_graph("c6"))
     assert verdict.info["candidate_size"] == gamma_exact(named_graph("c6")).size
+
+
+def test_family_dset_audit_stops_at_its_deadline():
+    # gamma is known, so only the cycle listing can read the deadline
+    with pytest.raises(SolverTimeout):
+        family_dset_audit(random_cubic(60, seed=1), gamma=17, deadline=time.monotonic() - 1)
 
 
 def test_spaced_assignments_are_valid_everywhere():

@@ -1,10 +1,12 @@
 import json
+import os
+import time
 
 import pytest
 
 from domlab import Graph, cli, encode_graph6, named_graph
 from domlab.cli import generate_corpus
-from domlab.sweep import DEFAULT_CHECKS, record_to_jsonl, run_sweep, summary_to_csv
+from domlab.sweep import DEFAULT_CHECKS, piece_status, record_to_jsonl, run_sweep, summary_to_csv
 
 
 FIXTURE_LINES = [encode_graph6(named_graph(n)) for n in ("k4", "c6", "prism")]
@@ -204,6 +206,51 @@ def test_budget_produces_timeout_records(tmp_path):
     assert rerun.summary["cache_hits"] == 0
 
 
+def test_timeout_reaches_only_checks_that_read_gamma_or_idom(tmp_path):
+    from domlab import random_cubic
+
+    line = encode_graph6(random_cubic(60, seed=1))
+    cache = tmp_path / "cache.jsonl"
+    checks = ("claw_free_equal", "third_bound")
+    result = run_sweep([line], checks=checks, budget_ms=200, cache_path=str(cache))
+    rec = result.records[0]
+    assert rec["gamma"] is None and rec["idom"] is None
+    # a claw settles claw_free_equal without gamma or i
+    claw = rec["checks"]["claw_free_equal"]
+    assert claw["holds"] and claw["vacuous"] and "claw" in claw["info"]
+    assert rec["checks"]["third_bound"] == {"timeout": True}
+    cached = [json.loads(raw) for raw in cache.read_text().splitlines()]
+    assert [row["c"] for row in cached] == ["claw_free_equal"]
+    rerun = run_sweep([line], checks=checks, budget_ms=200, cache_path=str(cache))
+    assert rerun.summary["cache_hits"] == 1
+    assert rerun.records[0]["checks"]["claw_free_equal"] == claw
+
+
+def test_budget_bounds_default_checks_on_a_large_graph():
+    from domlab import random_cubic
+
+    # listing every cycle of this graph would not finish; the budget stops it
+    line = encode_graph6(random_cubic(60, seed=1))
+    t0 = time.monotonic()
+    rec = run_sweep([line], checks=DEFAULT_CHECKS, budget_ms=200).records[0]
+    assert time.monotonic() - t0 < 30
+    assert rec["gamma"] is None and rec["connectivity"] == 3
+    for name in ("third_bound", "excess_gamma_independent", "mod3_cycle_exists", "family_dset"):
+        assert rec["checks"][name] == {"timeout": True}, name
+    for name in ("tight_pair_separation", "edge_removal", "detach_transform"):
+        assert rec["checks"][name] == {"skipped": "n > 24"}, name
+    assert rec["checks"]["claw_free_equal"]["vacuous"]
+
+
+def test_piece_status_words():
+    assert piece_status({"skipped": "connectivity < 3"}) == "skipped"
+    assert piece_status({"timeout": True}) == "timeout"
+    verdict = {"holds": True, "vacuous": True, "witness": None, "info": {}}
+    assert piece_status(verdict) == "vacuous"
+    assert piece_status({**verdict, "vacuous": False}) == "holds"
+    assert piece_status({**verdict, "vacuous": False, "holds": False}) == "violation"
+
+
 def test_generator_spec_corpus_sweep(tmp_path, capsys):
     assert cli.main(["sweep", "--corpus", "random-cubic n=10 count=50 seed=1",
                      "--checks", "third_bound", "--strict",
@@ -235,3 +282,40 @@ def test_cli_verify_reports_failure(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "run_all", broken)
     assert cli.main(["verify"]) == 1
     assert "FAIL  1 stub: boom" in capsys.readouterr().out
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "sweep_golden.jsonl")
+
+
+def _golden_runs() -> list[tuple[tuple[str, ...], list[str]]]:
+    # consecutive records sharing one check set were written by one sweep
+    runs: list[tuple[tuple[str, ...], list[str]]] = []
+    with open(GOLDEN, encoding="utf-8") as fh:
+        for raw in fh:
+            rec = json.loads(raw)
+            checks = tuple(rec["checks"])
+            if not runs or runs[-1][0] != checks:
+                runs.append((checks, []))
+            runs[-1][1].append(rec["graph6"])
+    return runs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_reproduces_golden_records(tmp_path, jobs):
+    """Records frozen from an earlier release must come back byte for byte.
+
+    The file holds fixtures, G(n, p) graphs, graphs below connectivity 3 or
+    above degree 3, family_dset gaps (octahedron, wheel) and a cubic n=26
+    graph swept with the enumeration checks only, reaching their n > 24 gate.
+    """
+    produced = []
+    for i, (checks, lines) in enumerate(_golden_runs()):
+        corpus = tmp_path / f"corpus{i}.g6"
+        corpus.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        out = tmp_path / f"out{i}.jsonl"
+        assert cli.main(["sweep", "--corpus", str(corpus), "--checks", ",".join(checks),
+                         "--jobs", str(jobs), "--out", str(out),
+                         "--summary", str(tmp_path / f"s{i}.csv")]) == 0
+        produced.append(out.read_bytes())
+    with open(GOLDEN, "rb") as fh:
+        assert b"".join(produced) == fh.read()
