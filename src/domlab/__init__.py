@@ -49,7 +49,6 @@ from .cycles import (
     EarDecomposition,
     ear_decomposition,
     fan_paths,
-    first_mod3_cycle,
     mod3_cycles,
     path_with_residue,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "EarDecomposition",
     "ear_decomposition",
     "fan_paths",
-    "first_mod3_cycle",
     "mod3_cycles",
     "path_with_residue",
     "CycleCollection",

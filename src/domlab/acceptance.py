@@ -215,7 +215,7 @@ def crit03_petersen_facts() -> CriterionResult:
     ind = idom_exact(g).size
     conn = vertex_connectivity(g)
     conn_oracle = _cut_enumeration_connectivity(g)
-    lengths = sorted(len(c) for c in mod3_cycles(g).cycles)
+    lengths = sorted(len(c) for c in mod3_cycles(g))
     ok = (
         gam == 3
         and gamma_exact(g).size == 3

@@ -1,9 +1,10 @@
 """The audited claims: one registry over facts computed once per graph.
 
 `Facts` holds one graph and a deadline.  Each fact the checks read
-(connectivity, gamma, i, the minimum dominating sets) is computed on first
-read and kept; a `SolverTimeout` is kept as well, so a later read raises it
-again without running the solver a second time.
+(connectivity, gamma, i, the minimum dominating sets, the 0-mod-3 cycle
+listing) is computed on first read and kept; a `SolverTimeout` is kept as
+well, so a later read raises it again without running the solver a second
+time.
 
 `CHECKS` maps each check name to a `Check`: a gate that returns a skip
 reason (or None) from the cheap structural facts, and an evaluator that
@@ -19,7 +20,7 @@ from itertools import combinations
 from math import ceil
 from typing import Callable
 
-from .cycles import first_mod3_cycle
+from .cycles import Cycle, mod3_cycles
 from .domination import (
     DsetEnumeration,
     SolverTimeout,
@@ -77,8 +78,9 @@ def _fact(compute):
 class Facts:
     """Facts about one graph that the checks share; each is computed once.
 
-    `deadline` (a `time.monotonic()` value) bounds the exact solvers and
-    the family pipeline; the structural facts the gates read never time out.
+    `deadline` (a `time.monotonic()` value) bounds the exact solvers, the
+    cycle listing and the family pipeline; the structural facts the gates
+    read never time out.
     """
 
     def __init__(self, g: Graph, deadline: float | None = None) -> None:
@@ -112,6 +114,11 @@ class Facts:
         return enumerate_min_dsets(self.g, self.gamma, limit=DSET_CAP)
 
     @_fact
+    def mod3_cycles(self) -> tuple[Cycle, ...]:
+        """The 0-mod-3 cycles, shortest first."""
+        return mod3_cycles(self.g, deadline=self.deadline)
+
+    @_fact
     def min_edge_dsets(self) -> tuple[list[frozenset[int]], int]:
         """The sets of `min_dsets` inducing the fewest edges, and that count."""
         counts = [(induced_edge_count(self.g, d), d) for d in self.min_dsets.dsets]
@@ -140,7 +147,8 @@ def _subcubic_enumeration_gate(f: Facts) -> str | None:
 
 
 def _connected_cubic_gate(f: Facts) -> str | None:
-    return None if f.cubic and f.connected else "not a connected cubic graph"
+    # the 0-vertex graph is cubic and connected only vacuously
+    return None if f.g.n and f.cubic and f.connected else "not a connected cubic graph"
 
 
 def _three_connected_gate(f: Facts) -> str | None:
@@ -255,14 +263,15 @@ def _excess_gamma(f: Facts) -> AuditVerdict:
 
 def _mod3_nonempty(f: Facts) -> AuditVerdict:
     """A 3-connected graph contains a 0-mod-3 cycle."""
-    cyc = first_mod3_cycle(f.g, deadline=f.deadline)
-    if cyc is None:
+    cycles = f.mod3_cycles
+    if not cycles:
         return AuditVerdict(CHECK_MOD3_NONEMPTY, False, witness={"n": f.g.n, "m": f.g.m})
-    return AuditVerdict(CHECK_MOD3_NONEMPTY, True, info={"cycle": list(cyc.vertices)})
+    return AuditVerdict(CHECK_MOD3_NONEMPTY, True, info={"cycle": list(cycles[0].vertices)})
 
 
 def _family_dset(f: Facts) -> AuditVerdict:
-    return family_dset_audit(f.g, gamma=f.gamma, deadline=f.deadline)
+    gamma = f.gamma  # before the listing, so a gamma timeout skips it
+    return family_dset_audit(f.g, f.mod3_cycles, gamma, deadline=f.deadline)
 
 
 CHECKS: dict[str, Check] = {

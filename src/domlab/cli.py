@@ -13,6 +13,7 @@ import time
 
 from . import acceptance
 from .checks import CHECKS
+from .cycles import mod3_cycles
 from .domination import SolverTimeout, gamma_exact, idom_exact
 from .graph6 import Graph6ParseError, encode_graph6, parse_graph6, read_graph6_lines
 from .graphs import Graph, gnp_random, is_graph_name, named_graph, random_cubic
@@ -66,7 +67,8 @@ def cmd_idom(args: argparse.Namespace) -> int:
 
 def cmd_csg(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
-    families = seamless_families(g)
+    cycles = mod3_cycles(g)
+    families = seamless_families(cycles)
     if not families:
         print("no mod-3 cycles")
         return 0
@@ -82,7 +84,8 @@ def cmd_csg(args: argparse.Namespace) -> int:
             print(f"  exclusive {j}: cycles={len(dsg.cycles)} assignment={shown}")
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
     try:
-        verdict = family_dset_audit(g, deadline=deadline)
+        gamma = gamma_exact(g, deadline=deadline).size
+        verdict = family_dset_audit(g, cycles, gamma, deadline=deadline)
     except SolverTimeout:
         print(f"verdict: timeout after {args.budget_ms} ms")
         return 0

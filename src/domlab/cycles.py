@@ -101,33 +101,16 @@ def all_simple_cycles(g: Graph, *, deadline: float | None = None) -> list[Cycle]
     return found
 
 
-@dataclass(frozen=True)
-class CycleListing:
-    cycles: tuple[Cycle, ...]
-    truncated: bool
-
-
-def mod3_cycles(
-    g: Graph, limit: int | None = None, *, deadline: float | None = None
-) -> CycleListing:
+def mod3_cycles(g: Graph, *, deadline: float | None = None) -> tuple[Cycle, ...]:
     """All simple cycles of length divisible by 3, shortest first.
 
-    Ordered by (length, canonical vertex tuple); `limit` truncates the
-    listing and sets the flag.  `deadline` bounds the cycle listing.
+    Ordered by (length, canonical vertex tuple), so the first entry is the
+    shortest 0-mod-3 cycle.  `deadline` bounds the cycle listing.
     """
-    hits = sorted(
+    return tuple(sorted(
         (c for c in all_simple_cycles(g, deadline=deadline) if len(c) % 3 == 0),
         key=lambda c: (len(c), c.vertices),
-    )
-    if limit is not None and len(hits) > limit:
-        return CycleListing(tuple(hits[:limit]), True)
-    return CycleListing(tuple(hits), False)
-
-
-def first_mod3_cycle(g: Graph, *, deadline: float | None = None) -> Cycle | None:
-    """Shortest (then lexicographically first) 0-mod-3 cycle, if any."""
-    listing = mod3_cycles(g, limit=1, deadline=deadline)
-    return listing.cycles[0] if listing.cycles else None
+    ))
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ is what `family_dset_audit` measures against the exact solver.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Sequence
 
-from .cycles import BudgetExceeded, Cycle, mod3_cycles
-from .domination import SolverTimeout, gamma_exact, is_dominating
+from .cycles import BudgetExceeded, Cycle
+from .domination import SolverTimeout, is_dominating
 from .graphs import Edge, Graph, components, edge_key
 from .reduction import AuditVerdict
 
@@ -32,6 +33,12 @@ KIND_EXCLUSIVE = "DSG"
 CHECK_TWO_SPACED = "two_spaced_paths"
 CHECK_LEFTOVER = "leftover_at_most_one"
 CHECK_FAMILY_DSET = "family_dset"
+
+# search-node caps of the per-collection searches; a search that reaches
+# its cap raises BudgetExceeded
+ASSIGNMENT_CAP = 200_000
+EXTENSION_CAP = 1_000_000
+SPACED_PATH_CAP = 500_000
 
 # Seam-extension case table: (row, path length mod 3, endpoint type pair).
 # A path of the listed residue between attachment vertices of the listed
@@ -184,6 +191,38 @@ def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: in
     return None
 
 
+def _link_components(k: int, links: Iterable[EarLink]) -> list[list[int]]:
+    """Connected components of the link graph on cycles 0..k-1.
+
+    Components come in order of their smallest cycle, each listed in BFS
+    order from it with neighbours taken in increasing order.
+    """
+    nbrs: list[set[int]] = [set() for _ in range(k)]
+    for link in links:
+        nbrs[link.base].add(link.derived)
+        nbrs[link.derived].add(link.base)
+    seen = [False] * k
+    out = []
+    for start in range(k):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order = [start]
+        for i in order:  # the list grows while it is read: a FIFO queue
+            for j in sorted(nbrs[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    order.append(j)
+        out.append(order)
+    return out
+
+
+def _without_exclusive(cycles: Sequence[Cycle]) -> list[int]:
+    """Indexes of the cycles all of whose vertices lie on another cycle."""
+    uses = Counter(v for c in cycles for v in c.vertices)
+    return [i for i, c in enumerate(cycles) if all(uses[v] > 1 for v in c.vertices)]
+
+
 @dataclass(frozen=True)
 class CycleCollection:
     """Family of 0-mod-3 cycles with a connected seamless link graph."""
@@ -205,32 +244,17 @@ class CycleCollection:
         if union != self.vertex_union:
             raise ValueError("vertex_union does not match the cycles")
         k = len(self.cycles)
-        nbrs: dict[int, set[int]] = {i: set() for i in range(k)}
         for link in self.links:
             if not (0 <= link.base < k and 0 <= link.derived < k):
                 raise ValueError("link refers to a cycle outside the collection")
             if replay_link(self.cycles[link.base], link) != self.cycles[link.derived]:
                 raise ValueError("link replay does not rebuild the derived cycle")
-            nbrs[link.base].add(link.derived)
-            nbrs[link.derived].add(link.base)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in nbrs[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        if len(seen) != k:
+        if len(_link_components(k, self.links)) != 1:
             raise ValueError("link graph is not connected")
         if self.kind == KIND_EXCLUSIVE:
-            for i, c in enumerate(self.cycles):
-                others = set()
-                for j, d in enumerate(self.cycles):
-                    if j != i:
-                        others.update(d.vertices)
-                if not set(c.vertices) - others:
-                    raise ValueError(f"cycle {i} has no exclusive vertex")
+            lacking = _without_exclusive(self.cycles)
+            if lacking:
+                raise ValueError(f"cycle {lacking[0]} has no exclusive vertex")
 
     def to_json(self) -> dict:
         return {
@@ -249,127 +273,75 @@ class CycleCollection:
         }
 
 
-def _collection_from(
-    cycles: list[Cycle], indexes: list[int], pair_link, kind: str
-) -> CycleCollection:
-    local = [cycles[i] for i in indexes]
-    pos = {gi: li for li, gi in enumerate(indexes)}
-    links = []
-    for a in range(len(indexes)):
-        for b in range(a + 1, len(indexes)):
-            link = pair_link(indexes[a], indexes[b])
-            if link is not None:
-                links.append(
-                    EarLink(
-                        base=pos[link.base],
-                        derived=pos[link.derived],
-                        ear=link.ear,
-                        replaced_arc=link.replaced_arc,
-                    )
-                )
-    union = frozenset(v for c in local for v in c.vertices)
-    return CycleCollection(tuple(local), tuple(links), kind, union)
+def _restricted(links: Iterable[EarLink], members: list[int]) -> list[EarLink]:
+    """The links between `members`, renumbered by position in `members`."""
+    pos = {i: li for li, i in enumerate(members)}
+    return [
+        EarLink(pos[l.base], pos[l.derived], l.ear, l.replaced_arc)
+        for l in links
+        if l.base in pos and l.derived in pos
+    ]
 
 
-def _pair_link_memo(cycles: list[Cycle], link_budget: int | None):
-    memo: dict[tuple[int, int], EarLink | None] = {}
-    spent = [0]
-
-    def pair_link(i: int, j: int) -> EarLink | None:
-        key = (i, j) if i < j else (j, i)
-        if key not in memo:
-            spent[0] += 1
-            if link_budget is not None and spent[0] > link_budget:
-                raise BudgetExceeded("ear-link search budget exhausted")
-            a, b = key
-            memo[key] = try_ear_link(cycles[a], cycles[b], a, b) or try_ear_link(
-                cycles[b], cycles[a], b, a
-            )
-        return memo[key]
-
-    return pair_link
+def _collections(
+    cycles: Sequence[Cycle], links: list[EarLink], kind: str
+) -> tuple[CycleCollection, ...]:
+    """One collection per component of the link graph, by smallest cycle."""
+    out = []
+    for order in _link_components(len(cycles), links):
+        members = sorted(order)
+        local = tuple(cycles[i] for i in members)
+        union = frozenset(v for c in local for v in c.vertices)
+        out.append(CycleCollection(local, tuple(_restricted(links, members)), kind, union))
+    return tuple(out)
 
 
 def seamless_families(
-    g: Graph, *, link_budget: int | None = None, deadline: float | None = None
+    cycles: Sequence[Cycle], *, deadline: float | None = None
 ) -> tuple[CycleCollection, ...]:
-    """All maximal seamlessly linked families of 0-mod-3 cycles.
+    """All maximal seamlessly linked families among the listed 0-mod-3 cycles.
 
-    Grown greedily from every seed cycle in canonical order, then
-    deduplicated; maximal means no enumerated 0-mod-3 cycle attaches to
-    the family by a single ear link.  `deadline` bounds the cycle listing.
+    `cycles` is a listing such as `mod3_cycles(g)`.  The link graph has one
+    `try_ear_link(cycles[a], cycles[b], a, b)` test per pair a < b.  One
+    test per pair suffices because the link is symmetric: if derived =
+    (base minus arc) plus ear, then base = (derived minus ear) plus arc,
+    and the arc is an ear of derived: its interior leaves the kept part,
+    and derived's other vertices are the ear's interior, which avoids
+    base.  The families are the
+    connected components of the link graph, ordered by their smallest
+    member: growing a family from a seed until no listed cycle links to it
+    reaches exactly the seed's component.  `deadline` is read at the first
+    pair and every 1,024 pairs after it.
     """
-    cycles = list(mod3_cycles(g, deadline=deadline).cycles)
-    if not cycles:
-        return ()
-    pair_link = _pair_link_memo(cycles, link_budget)
-    seen: set[frozenset[int]] = set()
-    families = []
-    for seed in range(len(cycles)):
-        members = {seed}
-        grew = True
-        while grew:
-            grew = False
-            for cand in range(len(cycles)):
-                if cand in members:
-                    continue
-                if any(pair_link(m, cand) for m in sorted(members)):
-                    members.add(cand)
-                    grew = True
-        fam = frozenset(members)
-        if fam not in seen:
-            seen.add(fam)
-            families.append(_collection_from(cycles, sorted(fam), pair_link, KIND_SEAMLESS))
-    return tuple(families)
+    links = []
+    for tested, (a, b) in enumerate(combinations(range(len(cycles)), 2)):
+        if deadline is not None and tested % 1024 == 0 and time.monotonic() > deadline:
+            raise SolverTimeout("link graph exceeded its budget")
+        link = try_ear_link(cycles[a], cycles[b], a, b)
+        if link is not None:
+            links.append(link)
+    return _collections(cycles, links, KIND_SEAMLESS)
 
 
-def prune_nonexclusive(col: CycleCollection, *, link_budget: int | None = None) -> tuple[CycleCollection, ...]:
+def prune_nonexclusive(col: CycleCollection) -> tuple[CycleCollection, ...]:
     """Drop cycles owning no exclusive vertex until a fixpoint.
 
     The lexicographically smallest offender goes first, one at a time,
     recomputing exclusivity after each drop.  Survivors are regrouped by
-    link-graph connectivity, so the result may be several collections.
+    the collection's own links between them: a link between two cycles
+    does not depend on the family, so pruning tests none.  The result may
+    be several collections.
     """
     if col.kind != KIND_SEAMLESS:
         raise ValueError("pruning expects a seamless collection")
-    survivors = list(col.cycles)
-    while len(survivors) > 1:
-        lacking = []
-        for c in survivors:
-            others: set[int] = set()
-            for d in survivors:
-                if d is not c:
-                    others.update(d.vertices)
-            if not set(c.vertices) - others:
-                lacking.append(c)
+    kept = list(range(len(col.cycles)))
+    while len(kept) > 1:
+        lacking = _without_exclusive([col.cycles[i] for i in kept])
         if not lacking:
             break
-        survivors.remove(min(lacking, key=lambda c: c.vertices))
-    pair_link = _pair_link_memo(survivors, link_budget)
-    k = len(survivors)
-    nbrs: dict[int, set[int]] = {i: set() for i in range(k)}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pair_link(i, j) is not None:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    out = []
-    seen: set[int] = set()
-    for start in range(k):
-        if start in seen:
-            continue
-        group = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            i = queue.popleft()
-            for j in nbrs[i]:
-                if j not in seen:
-                    seen.add(j)
-                    group.add(j)
-                    queue.append(j)
-        out.append(_collection_from(survivors, sorted(group), pair_link, KIND_EXCLUSIVE))
-    return tuple(out)
+        del kept[min(lacking, key=lambda li: col.cycles[kept[li]].vertices)]
+    survivors = [col.cycles[i] for i in kept]
+    return _collections(survivors, _restricted(col.links, kept), KIND_EXCLUSIVE)
 
 
 def has_mark_every_third(cycle: Cycle, marks: Iterable[int]) -> bool:
@@ -383,37 +355,14 @@ def has_mark_every_third(cycle: Cycle, marks: Iterable[int]) -> bool:
     return len(hit) == size // 3 and len(set(hit)) == 1
 
 
-def _link_bfs_order(col: CycleCollection) -> list[int]:
-    k = len(col.cycles)
-    nbrs: dict[int, set[int]] = {i: set() for i in range(k)}
-    for link in col.links:
-        nbrs[link.base].add(link.derived)
-        nbrs[link.derived].add(link.base)
-    order = []
-    seen: set[int] = set()
-    for start in range(k):
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            order.append(i)
-            for j in sorted(nbrs[i]):
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-    return order
-
-
-def spaced_assignments(col: CycleCollection, *, cap: int = 200_000) -> tuple[frozenset[int], ...]:
+def spaced_assignments(col: CycleCollection) -> tuple[frozenset[int], ...]:
     """Every mark set spaced on all cycles of the collection, sorted.
 
     Backtracking over one residue-class choice per cycle; a vertex shared
     by two cycles must be marked consistently, which prunes hard.  Cycles
     are visited in link-graph BFS order so shared vertices bind early.
     """
-    order = _link_bfs_order(col)
+    order = [i for comp in _link_components(len(col.cycles), col.links) for i in comp]
     decided: dict[int, bool] = {}
     found: set[frozenset[int]] = set()
     spent = 0
@@ -421,7 +370,7 @@ def spaced_assignments(col: CycleCollection, *, cap: int = 200_000) -> tuple[fro
     def place(idx: int) -> None:
         nonlocal spent
         spent += 1
-        if spent > cap:
+        if spent > ASSIGNMENT_CAP:
             raise BudgetExceeded("assignment search budget exhausted")
         if idx == len(order):
             found.add(frozenset(v for v, inside in decided.items() if inside))
@@ -449,9 +398,9 @@ def spaced_assignments(col: CycleCollection, *, cap: int = 200_000) -> tuple[fro
     return tuple(sorted(found, key=sorted))
 
 
-def assign_marks(col: CycleCollection, *, cap: int = 200_000) -> frozenset[int] | None:
+def assign_marks(col: CycleCollection) -> frozenset[int] | None:
     """Lexicographically smallest spaced mark set, or None."""
-    all_sets = spaced_assignments(col, cap=cap)
+    all_sets = spaced_assignments(col)
     return all_sets[0] if all_sets else None
 
 
@@ -512,8 +461,6 @@ def find_seam_extension(
     col: CycleCollection,
     marks: Iterable[int],
     component: Iterable[int],
-    *,
-    cap: int = 1_000_000,
 ) -> SeamExtension | None:
     """First path through the component matching an extension-table row.
 
@@ -543,7 +490,7 @@ def find_seam_extension(
         def walk(x: int) -> tuple[int, ...] | None:
             nonlocal spent
             spent += 1
-            if spent > cap:
+            if spent > EXTENSION_CAP:
                 raise BudgetExceeded("seam-extension search budget exhausted")
             for w in sorted(g.adj[x]):
                 if w == o2 and len(path) >= 2:
@@ -578,8 +525,6 @@ def classify_attachments(
     col: CycleCollection,
     marks: Iterable[int],
     confined: Iterable[int] | None = None,
-    *,
-    cap: int = 1_000_000,
 ) -> tuple[AttachmentReport, ...]:
     """One report per leftover component: typed attachments plus any
     seam-extension path found through it."""
@@ -591,7 +536,7 @@ def classify_attachments(
     for comp in components(g, banned=blocked):
         attach = sorted({w for v in comp for w in g.adj[v] if w in blocked})
         typed = tuple((o, _attachment_type(g, union, chosen, o)) for o in attach)
-        ext = find_seam_extension(g, col, chosen, comp, cap=cap)
+        ext = find_seam_extension(g, col, chosen, comp)
         out.append(
             AttachmentReport(
                 component_vertices=frozenset(comp), attachments=typed, extension=ext
@@ -615,9 +560,7 @@ def _spaced_on_path(path: tuple[int, ...], marks: frozenset[int]) -> bool:
     return any(hits == set(range(c, k + 1, 3)) for c in range(3))
 
 
-def audit_two_spaced_paths(
-    g: Graph, col: CycleCollection, marks: Iterable[int], *, cap: int = 500_000
-) -> AuditVerdict:
+def audit_two_spaced_paths(g: Graph, col: CycleCollection, marks: Iterable[int]) -> AuditVerdict:
     """Between every two family vertices there should be two spaced paths
     within the family whose second and second-to-last vertices differ.
 
@@ -640,7 +583,7 @@ def audit_two_spaced_paths(
         def walk(x: int) -> bool:
             nonlocal spent
             spent += 1
-            if spent > cap:
+            if spent > SPACED_PATH_CAP:
                 raise BudgetExceeded("spaced-path search budget exhausted")
             for w in nbrs[x]:
                 if w == v:
@@ -700,28 +643,21 @@ def audit_leftover_single(g: Graph, col: CycleCollection, marks: Iterable[int]) 
 
 
 def family_dset_audit(
-    g: Graph,
-    *,
-    assignment_cap: int = 200_000,
-    link_budget: int | None = None,
-    deadline: float | None = None,
-    gamma: int | None = None,
+    g: Graph, cycles: Sequence[Cycle], gamma: int, *, deadline: float | None = None
 ) -> AuditVerdict:
     """Do the exclusive families yield a minimum dominating set?
 
-    Pipeline: grow all seamless families, prune each to its exclusive
-    collections, enumerate spaced mark sets, extend each by the leftover
-    singleton vertices it fails to dominate, and keep the best dominating
-    candidate.  Holds iff some candidate dominates with exactly gamma
-    vertices; either way the verdict reports candidate size against gamma.
-    `gamma` is gamma(g) when the caller already knows it.
+    Pipeline: link the listed 0-mod-3 cycles of g (`mod3_cycles(g)`) into
+    seamless families, prune each to its exclusive collections, enumerate
+    spaced mark sets, extend each by the leftover singleton vertices it
+    fails to dominate, and keep the best dominating candidate.  Holds iff
+    some candidate dominates with exactly `gamma` = gamma(g) vertices;
+    either way the verdict reports candidate size against gamma.
 
     The claim is stated for 3-connected graphs; the `family_dset` check
     gates on that, and the pipeline itself runs on any graph.
     """
-    if gamma is None:
-        gamma = gamma_exact(g, deadline=deadline).size
-    families = seamless_families(g, link_budget=link_budget, deadline=deadline)
+    families = seamless_families(cycles, deadline=deadline)
     best: tuple[int, list[int]] | None = None
     tried = 0
     truncated = False
@@ -729,10 +665,10 @@ def family_dset_audit(
     for fam in families:
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("family audit exceeded its budget")
-        for dsg in prune_nonexclusive(fam, link_budget=link_budget):
+        for dsg in prune_nonexclusive(fam):
             collections += 1
             try:
-                assignments = spaced_assignments(dsg, cap=assignment_cap)
+                assignments = spaced_assignments(dsg)
             except BudgetExceeded:
                 truncated = True
                 continue

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
-The last section keeps earlier, slower implementations of the exact
-kernels verbatim, as differential oracles for the fast ones.
+The last sections keep earlier, slower implementations of the exact
+kernels and of the seamless families verbatim, as differential oracles
+for the code that replaced them.
 """
 
 from collections import deque
@@ -11,6 +12,7 @@ from domlab import Graph, is_connected
 # `domlab verify` needs this oracle at run time, so its one copy lives there
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
 from domlab.domination import KIND_GAMMA, KIND_IDOM, _certificate, closed_masks
+from domlab.seams import KIND_EXCLUSIVE, KIND_SEAMLESS, CycleCollection, EarLink, try_ear_link
 
 
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
@@ -226,3 +228,112 @@ def idom_exact_packing(g: Graph):
     search([], 0, 0)
     return _certificate(g, best, KIND_IDOM)
 
+
+
+# --- earlier seamless families ---------------------------------------------
+
+
+def _collection_from(cycles, indexes, pair_link, kind):
+    local = [cycles[i] for i in indexes]
+    pos = {gi: li for li, gi in enumerate(indexes)}
+    links = []
+    for a in range(len(indexes)):
+        for b in range(a + 1, len(indexes)):
+            link = pair_link(indexes[a], indexes[b])
+            if link is not None:
+                links.append(
+                    EarLink(
+                        base=pos[link.base],
+                        derived=pos[link.derived],
+                        ear=link.ear,
+                        replaced_arc=link.replaced_arc,
+                    )
+                )
+    union = frozenset(v for c in local for v in c.vertices)
+    return CycleCollection(tuple(local), tuple(links), kind, union)
+
+
+def _pair_link_memo(cycles):
+    """Link of an unordered pair, testing both directions, memoized."""
+    memo = {}
+
+    def pair_link(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in memo:
+            a, b = key
+            memo[key] = try_ear_link(cycles[a], cycles[b], a, b) or try_ear_link(
+                cycles[b], cycles[a], b, a
+            )
+        return memo[key]
+
+    return pair_link
+
+
+def seamless_families_greedy(cycles):
+    """Families grown greedily from every seed to a fixpoint, deduplicated."""
+    cycles = list(cycles)
+    if not cycles:
+        return ()
+    pair_link = _pair_link_memo(cycles)
+    seen = set()
+    families = []
+    for seed in range(len(cycles)):
+        members = {seed}
+        grew = True
+        while grew:
+            grew = False
+            for cand in range(len(cycles)):
+                if cand in members:
+                    continue
+                if any(pair_link(m, cand) for m in sorted(members)):
+                    members.add(cand)
+                    grew = True
+        fam = frozenset(members)
+        if fam not in seen:
+            seen.add(fam)
+            families.append(_collection_from(cycles, sorted(fam), pair_link, KIND_SEAMLESS))
+    return tuple(families)
+
+
+def prune_nonexclusive_relinking(col):
+    """Pruning that tests the links between the survivors again."""
+    if col.kind != KIND_SEAMLESS:
+        raise ValueError("pruning expects a seamless collection")
+    survivors = list(col.cycles)
+    while len(survivors) > 1:
+        lacking = []
+        for c in survivors:
+            others = set()
+            for d in survivors:
+                if d is not c:
+                    others.update(d.vertices)
+            if not set(c.vertices) - others:
+                lacking.append(c)
+        if not lacking:
+            break
+        survivors.remove(min(lacking, key=lambda c: c.vertices))
+    pair_link = _pair_link_memo(survivors)
+    k = len(survivors)
+    nbrs = {i: set() for i in range(k)}
+    for i in range(k):
+        for j in range(i + 1, k):
+            if pair_link(i, j) is not None:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    out = []
+    seen = set()
+    for start in range(k):
+        if start in seen:
+            continue
+        group = {start}
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            i = queue.popleft()
+            for j in nbrs[i]:
+                if j not in seen:
+                    seen.add(j)
+                    group.add(j)
+                    queue.append(j)
+        out.append(_collection_from(survivors, sorted(group), pair_link, KIND_EXCLUSIVE))
+    return tuple(out)

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from domlab import Graph, SolverTimeout, checks, domination, named_graph, random_cubic, seams
+from domlab import Graph, SolverTimeout, checks, cycles, domination, named_graph, random_cubic, seams
 from domlab.checks import CHECKS, ENUM_GUARD, Facts
 
 
@@ -69,6 +69,10 @@ def test_third_bound_evaluator():
     two_k4 = Graph.from_edges(8, [(u + s, v + s) for s in (0, 4)
                                   for u in range(4) for v in range(u + 1, 4)])
     assert gate_of("third_bound", two_k4) == "not a connected cubic graph"
+    # the 0-vertex graph is cubic and connected only vacuously
+    empty = Graph.from_edges(0, [])
+    assert gate_of("third_bound", empty) == "not a connected cubic graph"
+    assert gate_of("excess_gamma_independent", empty) == "not a connected cubic graph"
 
 
 def test_mod3_cycle_exists_gate():
@@ -114,9 +118,21 @@ def test_min_edge_dsets_keep_the_fewest_induced_edges():
 
 
 def test_facts_computed_once_per_graph(monkeypatch):
-    gammas = counting(monkeypatch, "gamma_exact", (checks, domination, seams))
+    gammas = counting(monkeypatch, "gamma_exact", (checks, domination))
     enums = counting(monkeypatch, "enumerate_min_dsets")
     conns = counting(monkeypatch, "vertex_connectivity")
+    listings = counting(monkeypatch, "all_simple_cycles", (cycles,))
+    links = counting(monkeypatch, "try_ear_link", (seams,))
+    prune = seams.prune_nonexclusive
+    links_in_prune = []
+
+    def counted_prune(col):
+        before = len(links)
+        out = prune(col)
+        links_in_prune.append(len(links) - before)
+        return out
+
+    monkeypatch.setattr(seams, "prune_nonexclusive", counted_prune)
     facts = Facts(named_graph("petersen"))
     for name, entry in CHECKS.items():
         assert entry.gate(facts) is None, name
@@ -125,6 +141,9 @@ def test_facts_computed_once_per_graph(monkeypatch):
     assert len(gammas) == 1
     assert len(enums) == 1  # shared by the three enumeration checks
     assert len(conns) == 1
+    assert len(listings) == 1  # shared by mod3_cycle_exists and family_dset
+    assert len(links) == 30 * 29 // 2  # one test per pair of 0-mod-3 cycles
+    assert links_in_prune == [0]  # pruning reuses the family's links
 
 
 def test_facts_keep_a_timeout(monkeypatch):

@@ -8,7 +8,6 @@ from domlab import (
     SolverTimeout,
     ear_decomposition,
     fan_paths,
-    first_mod3_cycle,
     gnp_random,
     mod3_cycles,
     named_graph,
@@ -43,21 +42,19 @@ def test_enumeration_matches_permutation_oracle():
 
 def test_mod3_fixtures():
     k4 = mod3_cycles(named_graph("k4"))
-    assert len(k4.cycles) == 4
-    assert all(len(c) == 3 for c in k4.cycles)
-    assert not mod3_cycles(named_graph("c4")).cycles
+    assert len(k4) == 4
+    assert all(len(c) == 3 for c in k4)
+    assert mod3_cycles(named_graph("c4")) == ()
     c6 = mod3_cycles(named_graph("c6"))
-    assert [c.vertices for c in c6.cycles] == [(0, 1, 2, 3, 4, 5)]
+    assert [c.vertices for c in c6] == [(0, 1, 2, 3, 4, 5)]
     assert len(all_simple_cycles(named_graph("k4"))) == 7  # 4 triangles + 3 squares
 
 
-def test_mod3_ordering_and_limit():
+def test_mod3_ordering():
     pete = mod3_cycles(named_graph("petersen"))
-    lengths = [len(c) for c in pete.cycles]
-    assert lengths == sorted(lengths)
+    assert list(pete) == sorted(pete, key=lambda c: (len(c), c.vertices))
+    lengths = [len(c) for c in pete]
     assert lengths.count(6) == 10 and lengths.count(9) == 20
-    clipped = mod3_cycles(named_graph("petersen"), limit=3)
-    assert clipped.truncated and len(clipped.cycles) == 3
 
 
 def test_cycle_listing_stops_at_its_deadline():
@@ -66,16 +63,16 @@ def test_cycle_listing_stops_at_its_deadline():
     with pytest.raises(SolverTimeout):
         all_simple_cycles(big, deadline=passed)
     with pytest.raises(SolverTimeout):
-        first_mod3_cycle(big, deadline=passed)
+        mod3_cycles(big, deadline=passed)
     # a listing that ends before the first deadline read is unaffected
     k4 = named_graph("k4")
     assert mod3_cycles(k4, deadline=passed) == mod3_cycles(k4)
 
 
 def test_first_mod3_cycle():
-    assert first_mod3_cycle(named_graph("c4")) is None
-    assert len(first_mod3_cycle(named_graph("k4"))) == 3
-    pete = first_mod3_cycle(named_graph("petersen"))
+    # the listing's first entry is the shortest 0-mod-3 cycle
+    assert len(mod3_cycles(named_graph("k4"))[0]) == 3
+    pete = mod3_cycles(named_graph("petersen"))[0]
     assert len(pete) == 6  # girth 5, nothing shorter qualifies
     assert pete.is_cycle_of(named_graph("petersen"))
 

@@ -15,9 +15,9 @@ from domlab import (
     gamma_exact,
     has_mark_every_third,
     is_dominating,
+    mod3_cycles,
     named_graph,
     prune_nonexclusive,
-    random_cubic,
     seamless_families,
     spaced_assignments,
 )
@@ -29,6 +29,14 @@ from domlab.seams import (
     replay_link,
     try_ear_link,
 )
+
+
+def families_of(g: Graph):
+    return seamless_families(mod3_cycles(g))
+
+
+def audit_of(g: Graph):
+    return family_dset_audit(g, mod3_cycles(g), gamma_exact(g).size)
 
 
 def pocket_fixture() -> Graph:
@@ -84,18 +92,18 @@ def test_earlink_validation():
 
 
 def test_seamless_families_fixtures():
-    assert seamless_families(named_graph("c4")) == ()
-    fams = seamless_families(named_graph("c6"))
+    assert families_of(named_graph("c4")) == ()
+    fams = families_of(named_graph("c6"))
     assert len(fams) == 1 and len(fams[0].cycles) == 1 and not fams[0].links
-    fams = seamless_families(named_graph("k4"))
+    fams = families_of(named_graph("k4"))
     assert len(fams) == 1 and len(fams[0].cycles) == 4
-    fams = seamless_families(named_graph("prism"))
+    fams = families_of(named_graph("prism"))
     assert len(fams) == 1 and len(fams[0].cycles) == 5
 
 
 def test_collection_links_replay():
     for name in ("k4", "prism", "petersen"):
-        for fam in seamless_families(named_graph(name)):
+        for fam in families_of(named_graph(name)):
             assert fam.links or len(fam.cycles) == 1
             for link in fam.links:
                 assert replay_link(fam.cycles[link.base], link) == fam.cycles[link.derived]
@@ -104,7 +112,7 @@ def test_collection_links_replay():
 
 
 def test_prune_nonexclusive_k4():
-    fam = seamless_families(named_graph("k4"))[0]
+    fam = families_of(named_graph("k4"))[0]
     dsgs = prune_nonexclusive(fam)
     assert len(dsgs) == 1
     survivors = [c.vertices for c in dsgs[0].cycles]
@@ -113,14 +121,14 @@ def test_prune_nonexclusive_k4():
 
 
 def test_prune_nonexclusive_prism():
-    fam = seamless_families(named_graph("prism"))[0]
+    fam = families_of(named_graph("prism"))[0]
     dsgs = prune_nonexclusive(fam)
     assert len(dsgs) == 1 and len(dsgs[0].cycles) == 1
     assert len(dsgs[0].cycles[0]) == 6
 
 
 def test_prune_requires_seamless_kind():
-    fam = seamless_families(named_graph("k4"))[0]
+    fam = families_of(named_graph("k4"))[0]
     dsg = prune_nonexclusive(fam)[0]
     with pytest.raises(ValueError):
         prune_nonexclusive(dsg)
@@ -136,12 +144,12 @@ def test_has_mark_every_third():
 
 
 def test_assignments():
-    c6_fam = seamless_families(named_graph("c6"))[0]
+    c6_fam = families_of(named_graph("c6"))[0]
     assert assign_marks(c6_fam) == frozenset({0, 3})
     assert spaced_assignments(c6_fam) == (
         frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5}),
     )
-    k4_d = prune_nonexclusive(seamless_families(named_graph("k4"))[0])[0]
+    k4_d = prune_nonexclusive(families_of(named_graph("k4"))[0])[0]
     # shared vertices force agreement between the two triangles
     assert spaced_assignments(k4_d) == (
         frozenset({0, 1}), frozenset({2}), frozenset({3}),
@@ -151,14 +159,14 @@ def test_assignments():
 
 def test_confined_vertices():
     g = pocket_fixture()
-    fam = seamless_families(g)[0]
+    fam = families_of(g)[0]
     assert fam.vertex_union == frozenset(range(6))
     assert confined_vertices(g, fam) == frozenset({7, 8})
 
 
 def test_classify_attachments_and_extension():
     g = pocket_fixture()
-    fam = seamless_families(g)[0]
+    fam = families_of(g)[0]
     marks = {0, 3}
     reports = classify_attachments(g, fam, marks)
     assert len(reports) == 1
@@ -175,7 +183,7 @@ def test_classify_attachment_type_c():
     # same pocket, but marks {1, 4} turn the confined tips' union
     # neighbors into marks: types become (d, c, c)
     g = pocket_fixture()
-    fam = seamless_families(g)[0]
+    fam = families_of(g)[0]
     reports = classify_attachments(g, fam, {1, 4})
     rep = reports[0]
     assert rep.attachments == ((0, "d"), (7, "c"), (8, "c"))
@@ -183,7 +191,7 @@ def test_classify_attachment_type_c():
 
 def test_find_seam_extension_validates_component():
     g = pocket_fixture()
-    fam = seamless_families(g)[0]
+    fam = families_of(g)[0]
     with pytest.raises(ValueError):
         find_seam_extension(g, fam, {0, 3}, {7, 8})
     with pytest.raises(ValueError):
@@ -191,14 +199,14 @@ def test_find_seam_extension_validates_component():
 
 
 def test_audit_two_spaced_paths_c6():
-    fam = seamless_families(named_graph("c6"))[0]
+    fam = families_of(named_graph("c6"))[0]
     verdict = audit_two_spaced_paths(named_graph("c6"), fam, {0, 3})
     assert verdict.holds and verdict.info["pairs"] == 15
 
 
 def test_audit_two_spaced_paths_triangle():
     tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    fam = seamless_families(tri)[0]
+    fam = families_of(tri)[0]
     verdict = audit_two_spaced_paths(tri, fam, {0})
     assert verdict.holds
     with pytest.raises(ValueError):
@@ -207,18 +215,18 @@ def test_audit_two_spaced_paths_triangle():
 
 def test_audit_leftover_single():
     c6 = named_graph("c6")
-    fam = seamless_families(c6)[0]
+    fam = families_of(c6)[0]
     verdict = audit_leftover_single(c6, fam, {0, 3})
     assert verdict.holds and verdict.info["leftover"] == 0
     g = pocket_fixture()
-    fam = seamless_families(g)[0]
+    fam = families_of(g)[0]
     verdict = audit_leftover_single(g, fam, {0, 3})
     assert not verdict.holds and verdict.witness["component"] == [6, 7, 8]
 
 
 def test_family_dset_audit_fixtures():
     for name, expected_size in (("k4", 1), ("prism", 2), ("petersen", 3)):
-        verdict = family_dset_audit(named_graph(name))
+        verdict = audit_of(named_graph(name))
         assert verdict.holds, name
         assert verdict.info["candidate_size"] == expected_size
         assert verdict.info["gamma"] == expected_size
@@ -229,19 +237,28 @@ def test_family_dset_audit_fixtures():
 
 
 def test_family_dset_pipeline_candidates_dominate():
-    verdict = family_dset_audit(named_graph("c6"))
+    verdict = audit_of(named_graph("c6"))
     assert verdict.info["candidate_size"] == gamma_exact(named_graph("c6")).size
 
 
 def test_family_dset_audit_stops_at_its_deadline():
-    # gamma is known, so only the cycle listing can read the deadline
+    # listing and gamma are given, so only the link graph and the
+    # families can read the deadline
+    pete = named_graph("petersen")
     with pytest.raises(SolverTimeout):
-        family_dset_audit(random_cubic(60, seed=1), gamma=17, deadline=time.monotonic() - 1)
+        family_dset_audit(pete, mod3_cycles(pete), 3, deadline=time.monotonic() - 1)
+
+
+def test_link_graph_stops_at_its_deadline():
+    cycles = mod3_cycles(named_graph("petersen"))  # 435 pairs: one deadline read
+    with pytest.raises(SolverTimeout):
+        seamless_families(cycles, deadline=time.monotonic() - 1)
+    assert seamless_families(cycles, deadline=time.monotonic() + 3600) == seamless_families(cycles)
 
 
 def test_spaced_assignments_are_valid_everywhere():
     for name in ("k4", "prism", "petersen", "c9"):
-        for fam in seamless_families(named_graph(name)):
+        for fam in families_of(named_graph(name)):
             for col in (fam, *prune_nonexclusive(fam)):
                 for marks in spaced_assignments(col):
                     assert all(has_mark_every_third(c, marks) for c in col.cycles)
@@ -249,7 +266,7 @@ def test_spaced_assignments_are_valid_everywhere():
 
 def test_theta_family_forces_unique_assignment():
     # three hexagons pairwise share hub-to-hub arcs; only the hub pair works
-    fam = seamless_families(named_graph("theta(2,2,2)"))[0]
+    fam = families_of(named_graph("theta(2,2,2)"))[0]
     assert len(fam.cycles) == 3
     assert spaced_assignments(fam) == (frozenset({0, 1}),)
 
@@ -260,7 +277,7 @@ def test_family_dset_reports_candidate_gap():
     octa = Graph.from_edges(
         6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
     )
-    verdict = family_dset_audit(octa)
+    verdict = audit_of(octa)
     assert not verdict.holds
     assert verdict.info["candidate_size"] is None
     assert verdict.info["gamma"] == 2
@@ -272,7 +289,7 @@ def test_prune_splits_severed_collections():
     octa = Graph.from_edges(
         6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
     )
-    fams = seamless_families(octa)
+    fams = families_of(octa)
     assert len(fams) == 1 and len(fams[0].cycles) == 24
     dsgs = prune_nonexclusive(fams[0])
     assert len(dsgs) == 3
@@ -282,7 +299,7 @@ def test_prune_splits_severed_collections():
 def test_petersen_full_family_has_no_assignment():
     # thirty heavily overlapping cycles admit no consistent mark classes;
     # only the pruned exclusive collections do
-    fam = seamless_families(named_graph("petersen"))[0]
+    fam = families_of(named_graph("petersen"))[0]
     assert spaced_assignments(fam) == ()
     assert assign_marks(fam) is None
     for dsg in prune_nonexclusive(fam):
@@ -291,7 +308,7 @@ def test_petersen_full_family_has_no_assignment():
 
 def test_petersen_dsg_audits_record_verdicts():
     pete = named_graph("petersen")
-    fam = seamless_families(pete)[0]
+    fam = families_of(pete)[0]
     dsgs = prune_nonexclusive(fam)
     assert [len(d.cycles[0]) for d in dsgs] == [6, 9]
     hexagon, nonagon = dsgs
@@ -318,7 +335,7 @@ def dangling_triangle() -> Graph:
 
 def test_single_attachment_component_has_no_extension():
     g = dangling_triangle()
-    fams = seamless_families(g)
+    fams = families_of(g)
     assert len(fams) == 2
     hexagon = next(f for f in fams if len(f.cycles[0]) == 6)
     reports = classify_attachments(g, hexagon, {0, 3})
