@@ -27,7 +27,6 @@ from .domination import (
     enumerate_min_dsets,
     gamma_bruteforce,
     gamma_exact,
-    gamma_min_edges,
     idom_exact,
     is_dominating,
 )
@@ -36,32 +35,18 @@ from .reduction import (
     check_detach_fact,
     check_pair_separation,
     check_removal_fact,
-    detach_transform,
     detachable_vertices,
     find_forbidden_core,
     find_induced_claw,
-    greedy_removable_subset,
     removable_edges,
 )
-from .cycles import (
-    BudgetExceeded,
-    Cycle,
-    EarDecomposition,
-    ear_decomposition,
-    fan_paths,
-    mod3_cycles,
-    path_with_residue,
-)
+from .cycles import Cycle, mod3_cycles
 from .seams import (
+    BudgetExceeded,
     CycleCollection,
     EarLink,
     assign_marks,
-    audit_leftover_single,
-    audit_two_spaced_paths,
-    classify_attachments,
     family_dset_audit,
-    find_seam_extension,
-    has_mark_every_third,
     prune_nonexclusive,
     seamless_families,
     spaced_assignments,
@@ -88,35 +73,23 @@ __all__ = [
     "enumerate_min_dsets",
     "gamma_bruteforce",
     "gamma_exact",
-    "gamma_min_edges",
     "idom_exact",
     "is_dominating",
     "AuditVerdict",
     "check_detach_fact",
     "check_pair_separation",
     "check_removal_fact",
-    "detach_transform",
     "detachable_vertices",
     "find_forbidden_core",
     "find_induced_claw",
-    "greedy_removable_subset",
     "removable_edges",
-    "BudgetExceeded",
     "Cycle",
-    "EarDecomposition",
-    "ear_decomposition",
-    "fan_paths",
     "mod3_cycles",
-    "path_with_residue",
+    "BudgetExceeded",
     "CycleCollection",
     "EarLink",
     "assign_marks",
-    "audit_leftover_single",
-    "audit_two_spaced_paths",
-    "classify_attachments",
     "family_dset_audit",
-    "find_seam_extension",
-    "has_mark_every_third",
     "prune_nonexclusive",
     "seamless_families",
     "spaced_assignments",

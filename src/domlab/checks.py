@@ -43,7 +43,7 @@ from .reduction import (
     find_induced_claw,
     removable_edges,
 )
-from .seams import CHECK_FAMILY_DSET, family_dset_audit
+from .seams import CHECK_FAMILY_DSET, family_dset_audit, seamless_families
 
 CHECK_CLAW_FREE = "claw_free_equal"
 CHECK_CORE_FREE = "core_free_equal"
@@ -271,7 +271,8 @@ def _mod3_nonempty(f: Facts) -> AuditVerdict:
 
 def _family_dset(f: Facts) -> AuditVerdict:
     gamma = f.gamma  # before the listing, so a gamma timeout skips it
-    return family_dset_audit(f.g, f.mod3_cycles, gamma, deadline=f.deadline)
+    families = seamless_families(f.mod3_cycles, deadline=f.deadline)
+    return family_dset_audit(f.g, families, gamma, deadline=f.deadline)
 
 
 CHECKS: dict[str, Check] = {

@@ -67,8 +67,7 @@ def cmd_idom(args: argparse.Namespace) -> int:
 
 def cmd_csg(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
-    cycles = mod3_cycles(g)
-    families = seamless_families(cycles)
+    families = seamless_families(mod3_cycles(g))
     if not families:
         print("no mod-3 cycles")
         return 0
@@ -85,7 +84,7 @@ def cmd_csg(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
     try:
         gamma = gamma_exact(g, deadline=deadline).size
-        verdict = family_dset_audit(g, cycles, gamma, deadline=deadline)
+        verdict = family_dset_audit(g, families, gamma, deadline=deadline)
     except SolverTimeout:
         print(f"verdict: timeout after {args.budget_ms} ms")
         return 0
@@ -184,12 +183,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="domlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget-ms", type=int, default=None, help="time budget in ms")
+        p.add_argument("--budget-ms", type=_positive_int, default=None, help="time budget in ms")
 
     p = sub.add_parser("gamma", help="domination number of one graph")
     p.add_argument("graph", help="graph6 line or fixture name (e.g. petersen)")
@@ -214,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="audit a corpus, one JSONL record per graph")
     p.add_argument("--corpus", required=True, help="graph6 file or generator spec")
     p.add_argument("--checks", default="all", help="comma list or 'all'")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--cache", default=os.environ.get(CACHE_ENV))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="JSONL/CSV destination (default stdout)")
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
-    p.add_argument("--budget-ms", type=int, default=60000,
+    p.add_argument("--budget-ms", type=_positive_int, default=60000,
                    help="budget for the optional external-graph criterion")
     p.set_defaults(func=cmd_verify)
 

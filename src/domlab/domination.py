@@ -24,7 +24,6 @@ from .graphs import Graph
 
 KIND_GAMMA = "gamma"
 KIND_IDOM = "idom"
-KIND_GAMMA_MIN_EDGES = "gamma-min-edges"
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -286,35 +285,6 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
 
     search([], 0, 0)
     return _certificate(g, best, KIND_IDOM)
-
-
-def gamma_min_edges(g: Graph) -> DominationCertificate:
-    """Among minimum dominating sets, one with fewest induced edges.
-
-    Enumeration-based, guarded to n <= 24.  Ties break lexicographically on
-    the sorted member list (the first minimum found in subset order).
-    """
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"min-edge search is guarded to n <= {BRUTE_FORCE_LIMIT}")
-    if g.n == 0:
-        return _certificate(g, (), KIND_GAMMA_MIN_EDGES)
-    k = gamma_exact(g).size
-    masks = closed_masks(g)
-    full = (1 << g.n) - 1
-    best: tuple[int, tuple[int, ...]] | None = None
-    for combo in combinations(range(g.n), k):
-        cover = 0
-        for v in combo:
-            cover |= masks[v]
-        if cover != full:
-            continue
-        edges = induced_edge_count(g, combo)
-        if best is None or edges < best[0]:
-            best = (edges, combo)
-            if edges == 0:
-                break
-    assert best is not None
-    return _certificate(g, best[1], KIND_GAMMA_MIN_EDGES)
 
 
 @dataclass(frozen=True)

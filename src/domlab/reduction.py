@@ -8,9 +8,9 @@ The two surgery tools work relative to a dominating set X:
   domination; removing several at once may not, which is exactly what
   `check_removal_fact` audits.
 * `detachable_vertices(g, y)` lists the vertices b whose closed
-  neighborhood meets Y in exactly one anchor t1; `detach_transform` cuts
-  each chosen b from its anchor and splices a fresh buffer vertex into
-  every other edge at b.
+  neighborhood meets Y in exactly one anchor t1; the detach transform
+  cuts each chosen b from its anchor and splices a fresh buffer vertex
+  into every other edge at b, which `check_detach_fact` audits.
 
 Audit results are uniform `AuditVerdict` values with a stable check name,
 so the sweep harness can serialize them without knowing the details.
@@ -141,25 +141,6 @@ def check_removal_fact(g: Graph, members: Iterable[int], removed: Iterable[Edge]
     return AuditVerdict(check=CHECK_EDGE_REMOVAL, holds=True, info={"removed": len(chosen)})
 
 
-def greedy_removable_subset(g: Graph, members: Iterable[int]) -> frozenset[Edge]:
-    """Largest-by-greed batch of removable edges that stays safe together.
-
-    Walks removable_edges in lexicographic order and keeps a deletion only
-    if the set still dominates after everything kept so far.
-    """
-    x = frozenset(members)
-    if not is_dominating(g, x):
-        raise ValueError("the given set does not dominate the graph")
-    kept: list[Edge] = []
-    current = g
-    for e in sorted(removable_edges(g, x)):
-        trial = delete_edges(current, [e])
-        if is_dominating(trial, x):
-            kept.append(e)
-            current = trial
-    return frozenset(kept)
-
-
 def detachable_vertices(g: Graph, anchors: Iterable[int]) -> frozenset[int]:
     """Vertices whose closed neighborhood meets `anchors` in exactly one vertex.
 
@@ -178,51 +159,20 @@ def detachable_vertices(g: Graph, anchors: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class DetachResult:
-    """Graph after detaching the chosen vertices from their anchors.
+def _detach(g: Graph, y: frozenset[int], picked: frozenset[int]) -> Graph:
+    """Cut each picked vertex from its anchor; buffer its other edges.
 
-    `new_vertices` maps each subdivided edge (b, other endpoint at the time
-    of processing) to the buffer vertex spliced into it; ids are assigned
+    For every b in `picked` (ascending order, each detachable for `y`): the
+    anchor t1 is the smallest Y-neighbor of b; the edge b-t1 is deleted and
+    every other edge at b is subdivided once by a fresh vertex, numbered
     past the original n in processing order.
     """
-
-    graph: Graph
-    new_vertices: dict[tuple[int, int], int]
-    deleted_edges: frozenset[Edge]
-
-
-def detach_transform(g: Graph, anchors: Iterable[int], chosen: Iterable[int]) -> DetachResult:
-    """Cut each chosen vertex from its anchor; buffer its other edges.
-
-    For every b in `chosen` (ascending order): the anchor t1 is the
-    smallest Y-neighbor of b; the edge b-t1 is deleted and every other
-    edge at b is subdivided once by a fresh vertex.
-    """
-    y = frozenset(anchors)
-    picked = frozenset(chosen)
-    _require_detachable(g, y, picked)
-    return _detach(g, y, picked)
-
-
-def _require_detachable(g: Graph, y: frozenset[int], picked: frozenset[int]) -> None:
-    allowed = detachable_vertices(g, y)
-    if not picked <= allowed:
-        bad = sorted(picked - allowed)[0]
-        raise ValueError(f"vertex {bad} is not detachable for this anchor set")
-
-
-def _detach(g: Graph, y: frozenset[int], picked: frozenset[int]) -> DetachResult:
-    """`detach_transform` on a `picked` set already known to be detachable."""
     nbrs: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
     nxt = g.n
-    new_vertices: dict[tuple[int, int], int] = {}
-    deleted: set[Edge] = set()
     for b in sorted(picked):
         t1 = min(v for v in nbrs[b] if v in y)
         nbrs[b].discard(t1)
         nbrs[t1].discard(b)
-        deleted.add(edge_key(b, t1))
         for t2 in sorted(nbrs[b]):
             nbrs[b].discard(t2)
             nbrs[t2].discard(b)
@@ -231,9 +181,8 @@ def _detach(g: Graph, y: frozenset[int], picked: frozenset[int]) -> DetachResult
             nbrs[w] = {b, t2}
             nbrs[b].add(w)
             nbrs[t2].add(w)
-            new_vertices[(b, t2)] = w
     adj = tuple(tuple(sorted(nbrs[v])) for v in range(nxt))
-    return DetachResult(Graph(nxt, adj), new_vertices, frozenset(deleted))
+    return Graph(nxt, adj)
 
 
 def check_detach_fact(g: Graph, anchors: Iterable[int], chosen: Iterable[int]) -> AuditVerdict:
@@ -245,7 +194,10 @@ def check_detach_fact(g: Graph, anchors: Iterable[int], chosen: Iterable[int]) -
     """
     y = frozenset(anchors)
     picked = frozenset(chosen)
-    _require_detachable(g, y, picked)
+    allowed = detachable_vertices(g, y)
+    if not picked <= allowed:
+        bad = sorted(picked - allowed)[0]
+        raise ValueError(f"vertex {bad} is not detachable for this anchor set")
     reduced, remap = delete_vertices(g, picked)
     index = {old: new for new, old in enumerate(remap)}
     if not is_dominating(reduced, {index[v] for v in y}):
@@ -255,9 +207,8 @@ def check_detach_fact(g: Graph, anchors: Iterable[int], chosen: Iterable[int]) -
             vacuous=True,
             info={"reason": "anchors do not dominate the vertex-deleted graph"},
         )
-    result = _detach(g, y, picked)
+    h = _detach(g, y, picked)
     combined = y | picked
-    h = result.graph
     for v in range(h.n):
         if v not in combined and not any(w in combined for w in h.adj[v]):
             return AuditVerdict(
@@ -272,7 +223,7 @@ def check_pair_separation(g: Graph, members: Iterable[int]) -> AuditVerdict:
     """For a minimum dominating set with minimal induced edges, every
     induced edge's closed neighborhood must avoid every other member's.
 
-    Callers supply a set from gamma_min_edges or a filtered enumeration;
+    Callers supply a set from the minimum-edge minimum dominating sets;
     only domination and the degree bound are re-validated here.  Vacuous
     when the set induces no edge or has fewer than three members.
     """

@@ -1,4 +1,4 @@
-"""Seamlessly linked families of 0-mod-3 cycles and their audits.
+"""Seamlessly linked families of 0-mod-3 cycles and the family audit.
 
 Two 0-mod-3 cycles connect without seam when one equals the other with a
 single arc swapped for a single ear: the derived cycle is (base minus the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .cycles import BudgetExceeded, Cycle
+from .cycles import Cycle
 from .domination import SolverTimeout, is_dominating
 from .graphs import Edge, Graph, components, edge_key
 from .reduction import AuditVerdict
@@ -30,42 +30,15 @@ from .reduction import AuditVerdict
 KIND_SEAMLESS = "CSG"
 KIND_EXCLUSIVE = "DSG"
 
-CHECK_TWO_SPACED = "two_spaced_paths"
-CHECK_LEFTOVER = "leftover_at_most_one"
 CHECK_FAMILY_DSET = "family_dset"
 
-# search-node caps of the per-collection searches; a search that reaches
-# its cap raises BudgetExceeded
+# search-node cap of the mark-assignment search, which raises
+# BudgetExceeded on reaching it
 ASSIGNMENT_CAP = 200_000
-EXTENSION_CAP = 1_000_000
-SPACED_PATH_CAP = 500_000
 
-# Seam-extension case table: (row, path length mod 3, endpoint type pair).
-# A path of the listed residue between attachment vertices of the listed
-# types would extend the family, contradicting its maximality.
-EXTENSION_TABLE: tuple[tuple[int, int, tuple[str, str]], ...] = (
-    (1, 2, ("a", "a")),
-    (2, 0, ("a", "b")),
-    (3, 2, ("a", "b")),
-    (4, 1, ("a", "c")),
-    (5, 0, ("a", "d")),
-    (6, 1, ("a", "d")),
-    (7, 1, ("b", "b")),
-    (8, 2, ("b", "b")),
-    (9, 0, ("b", "b")),
-    (10, 1, ("b", "c")),
-    (11, 2, ("b", "c")),
-    (12, 0, ("b", "d")),
-    (13, 2, ("b", "d")),
-    (14, 1, ("b", "d")),
-    (15, 0, ("c", "c")),
-    (16, 0, ("c", "d")),
-    (17, 2, ("c", "d")),
-    (18, 2, ("d", "d")),
-    (19, 0, ("d", "d")),
-    (20, 1, ("d", "d")),
-)
-_EXTENSION_LOOKUP = {(residue, pair): row for row, residue, pair in EXTENSION_TABLE}
+
+class BudgetExceeded(Exception):
+    """A bounded search ran out of its expansion budget."""
 
 
 @dataclass(frozen=True)
@@ -256,22 +229,6 @@ class CycleCollection:
             if lacking:
                 raise ValueError(f"cycle {lacking[0]} has no exclusive vertex")
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "cycles": [list(c.vertices) for c in self.cycles],
-            "links": [
-                {
-                    "base": l.base,
-                    "derived": l.derived,
-                    "ear": list(l.ear),
-                    "replaced_arc": list(l.replaced_arc),
-                }
-                for l in self.links
-            ],
-            "vertex_union": sorted(self.vertex_union),
-        }
-
 
 def _restricted(links: Iterable[EarLink], members: list[int]) -> list[EarLink]:
     """The links between `members`, renumbered by position in `members`."""
@@ -344,17 +301,6 @@ def prune_nonexclusive(col: CycleCollection) -> tuple[CycleCollection, ...]:
     return _collections(survivors, _restricted(col.links, kept), KIND_EXCLUSIVE)
 
 
-def has_mark_every_third(cycle: Cycle, marks: Iterable[int]) -> bool:
-    """True iff marked vertices occupy exactly one residue class of the
-    cycle's positions mod 3 (one mark per three consecutive vertices)."""
-    size = len(cycle)
-    if size % 3:
-        raise ValueError("cycle length must be divisible by 3")
-    chosen = set(marks)
-    hit = [i % 3 for i, v in enumerate(cycle.vertices) if v in chosen]
-    return len(hit) == size // 3 and len(set(hit)) == 1
-
-
 def spaced_assignments(col: CycleCollection) -> tuple[frozenset[int], ...]:
     """Every mark set spaced on all cycles of the collection, sorted.
 
@@ -404,260 +350,26 @@ def assign_marks(col: CycleCollection) -> frozenset[int] | None:
     return all_sets[0] if all_sets else None
 
 
-def _validate_assignment(col: CycleCollection, marks: Iterable[int]) -> frozenset[int]:
-    chosen = frozenset(marks)
-    for c in col.cycles:
-        if not has_mark_every_third(c, chosen):
-            raise ValueError("marks are not spaced on every cycle of the collection")
-    return chosen
-
-
-def confined_vertices(g: Graph, col: CycleCollection) -> frozenset[int]:
-    """Leftover vertices with at most one neighbor inside their own
-    leftover component (the rest of their neighbors sit on the family)."""
-    union = col.vertex_union
-    out = set()
-    for comp in components(g, banned=union):
-        inside = set(comp)
-        for r in comp:
-            if sum(1 for w in g.adj[r] if w in inside) <= 1:
-                out.add(r)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class SeamExtension:
-    """Path through a leftover component matching an extension-table row."""
-
-    path: tuple[int, ...]
-    table_row: int
-
-
-@dataclass(frozen=True)
-class AttachmentReport:
-    """Typed attachment vertices of one leftover component.
-
-    Types: (a) on the family and marked, (b) confined with no marked
-    family neighbor, (c) confined with a marked family neighbor, (d) on
-    the family and unmarked.
-    """
-
-    component_vertices: frozenset[int]
-    attachments: tuple[tuple[int, str], ...]
-    extension: SeamExtension | None
-
-
-def _attachment_type(
-    g: Graph, union: frozenset[int], marks: frozenset[int], o: int
-) -> str:
-    if o in union:
-        return "a" if o in marks else "d"
-    marked_union_nbrs = any(w in union and w in marks for w in g.adj[o])
-    return "c" if marked_union_nbrs else "b"
-
-
-def find_seam_extension(
-    g: Graph,
-    col: CycleCollection,
-    marks: Iterable[int],
-    component: Iterable[int],
-) -> SeamExtension | None:
-    """First path through the component matching an extension-table row.
-
-    The component must be exactly one component of the graph minus the
-    family union and the confined vertices.  Paths run between two
-    attachment vertices with all interior vertices in the component;
-    pairs, then paths, are scanned in lexicographic order.
-    """
-    chosen = _validate_assignment(col, marks)
-    union = col.vertex_union
-    confined = confined_vertices(g, col)
-    blocked = union | confined
-    comp = tuple(sorted(set(component)))
-    if comp not in components(g, banned=blocked):
-        raise ValueError("not a component of the graph minus family and confined vertices")
-    inside = set(comp)
-    attach = sorted({w for v in comp for w in g.adj[v] if w in blocked})
-    types = {o: _attachment_type(g, union, chosen, o) for o in attach}
-    spent = 0
-
-    def search(o1: int, o2: int) -> tuple[int, ...] | None:
-        nonlocal spent
-        pair = tuple(sorted((types[o1], types[o2])))
-        path = [o1]
-        on_path: set[int] = set()
-
-        def walk(x: int) -> tuple[int, ...] | None:
-            nonlocal spent
-            spent += 1
-            if spent > EXTENSION_CAP:
-                raise BudgetExceeded("seam-extension search budget exhausted")
-            for w in sorted(g.adj[x]):
-                if w == o2 and len(path) >= 2:
-                    row = _EXTENSION_LOOKUP.get((len(path) % 3, pair))
-                    if row is not None:
-                        return tuple(path) + (o2,)
-                elif w in inside and w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    hit = walk(w)
-                    path.pop()
-                    on_path.remove(w)
-                    if hit is not None:
-                        return hit
-            return None
-
-        return walk(o1)
-
-    for a in range(len(attach)):
-        for b in range(a + 1, len(attach)):
-            hit = search(attach[a], attach[b])
-            if hit is not None:
-                row = _EXTENSION_LOOKUP[
-                    ((len(hit) - 1) % 3, tuple(sorted((types[hit[0]], types[hit[-1]]))))
-                ]
-                return SeamExtension(path=hit, table_row=row)
-    return None
-
-
-def classify_attachments(
-    g: Graph,
-    col: CycleCollection,
-    marks: Iterable[int],
-    confined: Iterable[int] | None = None,
-) -> tuple[AttachmentReport, ...]:
-    """One report per leftover component: typed attachments plus any
-    seam-extension path found through it."""
-    chosen = _validate_assignment(col, marks)
-    union = col.vertex_union
-    pocket = frozenset(confined) if confined is not None else confined_vertices(g, col)
-    blocked = union | pocket
-    out = []
-    for comp in components(g, banned=blocked):
-        attach = sorted({w for v in comp for w in g.adj[v] if w in blocked})
-        typed = tuple((o, _attachment_type(g, union, chosen, o)) for o in attach)
-        ext = find_seam_extension(g, col, chosen, comp)
-        out.append(
-            AttachmentReport(
-                component_vertices=frozenset(comp), attachments=typed, extension=ext
-            )
-        )
-    return tuple(out)
-
-
-def _union_adjacency(col: CycleCollection) -> dict[int, tuple[int, ...]]:
-    nbrs: dict[int, set[int]] = {v: set() for v in col.vertex_union}
-    for c in col.cycles:
-        for u, v in c.edges():
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    return {v: tuple(sorted(s)) for v, s in nbrs.items()}
-
-
-def _spaced_on_path(path: tuple[int, ...], marks: frozenset[int]) -> bool:
-    k = len(path) - 1
-    hits = {i for i, v in enumerate(path) if v in marks}
-    return any(hits == set(range(c, k + 1, 3)) for c in range(3))
-
-
-def audit_two_spaced_paths(g: Graph, col: CycleCollection, marks: Iterable[int]) -> AuditVerdict:
-    """Between every two family vertices there should be two spaced paths
-    within the family whose second and second-to-last vertices differ.
-
-    Paths live on the union of the family's cycle edges; spaced means the
-    marks occupy exactly one residue class of path positions.
-    """
-    chosen = _validate_assignment(col, marks)
-    nbrs = _union_adjacency(col)
-    vertices = sorted(col.vertex_union)
-    if len(vertices) < 2:
-        return AuditVerdict(check=CHECK_TWO_SPACED, holds=True, vacuous=True)
-    spent = 0
-
-    def pair_ok(u: int, v: int) -> bool:
-        nonlocal spent
-        good: list[tuple[int, ...]] = []
-        path = [u]
-        on_path = {u}
-
-        def walk(x: int) -> bool:
-            nonlocal spent
-            spent += 1
-            if spent > SPACED_PATH_CAP:
-                raise BudgetExceeded("spaced-path search budget exhausted")
-            for w in nbrs[x]:
-                if w == v:
-                    full = tuple(path) + (v,)
-                    if _spaced_on_path(full, chosen):
-                        for old in good:
-                            if old[1] != full[1] and old[-2] != full[-2]:
-                                return True
-                        good.append(full)
-                elif w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    if walk(w):
-                        path.pop()
-                        on_path.remove(w)
-                        return True
-                    path.pop()
-                    on_path.remove(w)
-            return False
-
-        return walk(u)
-
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1:]:
-            if not pair_ok(u, v):
-                return AuditVerdict(
-                    check=CHECK_TWO_SPACED, holds=False, witness={"pair": [u, v]}
-                )
-    return AuditVerdict(
-        check=CHECK_TWO_SPACED, holds=True, info={"pairs": len(vertices) * (len(vertices) - 1) // 2}
-    )
-
-
-def audit_leftover_single(g: Graph, col: CycleCollection, marks: Iterable[int]) -> AuditVerdict:
-    """Each component left after removing the family union should be a
-    single vertex whose neighbors are all marked.
-
-    Connectivity gating is the caller's business (the sweep applies it);
-    the check itself runs on any host graph.
-    """
-    chosen = _validate_assignment(col, marks)
-    comps = components(g, banned=col.vertex_union)
-    for comp in comps:
-        if len(comp) > 1:
-            return AuditVerdict(
-                check=CHECK_LEFTOVER, holds=False, witness={"component": list(comp)}
-            )
-    for comp in comps:
-        r = comp[0]
-        if not all(w in chosen for w in g.adj[r]):
-            return AuditVerdict(
-                check=CHECK_LEFTOVER,
-                holds=False,
-                witness={"vertex": r, "neighbors": list(g.adj[r])},
-            )
-    return AuditVerdict(check=CHECK_LEFTOVER, holds=True, info={"leftover": len(comps)})
-
-
 def family_dset_audit(
-    g: Graph, cycles: Sequence[Cycle], gamma: int, *, deadline: float | None = None
+    g: Graph,
+    families: Sequence[CycleCollection],
+    gamma: int,
+    *,
+    deadline: float | None = None,
 ) -> AuditVerdict:
     """Do the exclusive families yield a minimum dominating set?
 
-    Pipeline: link the listed 0-mod-3 cycles of g (`mod3_cycles(g)`) into
-    seamless families, prune each to its exclusive collections, enumerate
-    spaced mark sets, extend each by the leftover singleton vertices it
-    fails to dominate, and keep the best dominating candidate.  Holds iff
-    some candidate dominates with exactly `gamma` = gamma(g) vertices;
-    either way the verdict reports candidate size against gamma.
+    `families` are the seamless families of g's 0-mod-3 cycles
+    (`seamless_families(mod3_cycles(g))`).  Pipeline: prune each to its
+    exclusive collections, enumerate spaced mark sets, extend each by the
+    leftover singleton vertices it fails to dominate, and keep the best
+    dominating candidate.  Holds iff some candidate dominates with exactly
+    `gamma` = gamma(g) vertices; either way the verdict reports candidate
+    size against gamma.
 
     The claim is stated for 3-connected graphs; the `family_dset` check
     gates on that, and the pipeline itself runs on any graph.
     """
-    families = seamless_families(cycles, deadline=deadline)
     best: tuple[int, list[int]] | None = None
     tried = 0
     truncated = False

@@ -19,9 +19,9 @@ from math import ceil
 
 from . import __version__
 from .checks import CHECKS, Check, Facts
-from .cycles import BudgetExceeded
 from .domination import SolverTimeout
 from .graph6 import parse_graph6
+from .seams import BudgetExceeded
 
 CACHE_ENV = "DOMLAB_CACHE"
 BASE_KEY = "base"

@@ -8,7 +8,7 @@ for the code that replaced them.
 from collections import deque
 from itertools import combinations, permutations
 
-from domlab import Graph, is_connected
+from domlab import Cycle, Graph, is_connected
 # `domlab verify` needs this oracle at run time, so its one copy lives there
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
 from domlab.domination import KIND_GAMMA, KIND_IDOM, _certificate, closed_masks
@@ -32,24 +32,15 @@ def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
     return out
 
 
-def paths_by_enumeration(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
-    """Every simple u-v path."""
-    out = []
-
-    def walk(path, seen):
-        if path[-1] == v:
-            out.append(tuple(path))
-            return
-        for w in g.adj[path[-1]]:
-            if w not in seen:
-                path.append(w)
-                seen.add(w)
-                walk(path, seen)
-                path.pop()
-                seen.remove(w)
-
-    walk([u], {u})
-    return out
+def has_mark_every_third(cycle: Cycle, marks) -> bool:
+    """True iff marked vertices occupy exactly one residue class of the
+    cycle's positions mod 3 (one mark per three consecutive vertices)."""
+    size = len(cycle)
+    if size % 3:
+        raise ValueError("cycle length must be divisible by 3")
+    chosen = set(marks)
+    hit = [i % 3 for i, v in enumerate(cycle.vertices) if v in chosen]
+    return len(hit) == size // 3 and len(set(hit)) == 1
 
 
 def dominating_sets_of_size(g: Graph, k: int) -> list[frozenset[int]]:

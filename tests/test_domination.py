@@ -8,7 +8,6 @@ from domlab import (
     enumerate_min_dsets,
     gamma_bruteforce,
     gamma_exact,
-    gamma_min_edges,
     gnp_random,
     idom_exact,
     is_dominating,
@@ -17,11 +16,6 @@ from domlab import (
 from domlab.domination import induced_edge_count
 
 from _oracles import dominating_sets_of_size
-
-
-def double_star() -> Graph:
-    # centers 0-1; leaves 2,3 on 0 and 4,5 on 1
-    return Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
 
 
 def test_is_dominating():
@@ -79,16 +73,6 @@ def test_idom_certificates_are_maximal_independent():
         for v in range(g.n):  # adding any outside vertex breaks independence
             if v not in cert.members:
                 assert any(u in cert.members for u in g.adj[v])
-
-
-def test_gamma_min_edges():
-    cert = gamma_min_edges(named_graph("p4"))
-    assert sorted(cert.members) == [0, 2] and cert.induced_edges == 0
-    cert = gamma_min_edges(named_graph("c6"))
-    assert cert.induced_edges == 0 and cert.size == 2
-    cert = gamma_min_edges(double_star())
-    assert sorted(cert.members) == [0, 1] and cert.induced_edges == 1
-    assert cert.kind == "gamma-min-edges"
 
 
 def test_enumerate_min_dsets():

@@ -6,18 +6,17 @@ from domlab import (
     check_pair_separation,
     check_removal_fact,
     delete_edges,
-    detach_transform,
     detachable_vertices,
     enumerate_min_dsets,
     find_forbidden_core,
     find_induced_claw,
     gamma_exact,
     gnp_random,
-    greedy_removable_subset,
     is_dominating,
     named_graph,
     removable_edges,
 )
+from domlab.reduction import _detach
 
 
 def triangle() -> Graph:
@@ -61,6 +60,8 @@ def test_check_removal_fact():
     c4 = named_graph("c4")
     assert check_removal_fact(c4, {0, 2}, []).holds
     assert check_removal_fact(c4, {0, 2}, [(0, 1)]).holds
+    # 1 keeps its edge to 2 and 3 its edge to 0, so this batch is safe
+    assert check_removal_fact(c4, {0, 2}, [(0, 1), (2, 3)]).holds
     batch = check_removal_fact(c4, {0, 2}, removable_edges(c4, {0, 2}))
     assert not batch.holds and batch.witness["undominated"] in (1, 3)
     with pytest.raises(ValueError):
@@ -72,21 +73,6 @@ def test_single_edge_removal_always_safe():
         for dset in enumerate_min_dsets(g, gamma_exact(g).size).dsets:
             for e in removable_edges(g, dset):
                 assert is_dominating(delete_edges(g, [e]), dset)
-
-
-def test_greedy_removable_subset():
-    assert greedy_removable_subset(named_graph("p3"), {1}) == frozenset()
-    c4 = named_graph("c4")
-    assert greedy_removable_subset(c4, {0, 2}) == frozenset({(0, 1), (0, 3)})
-    # vertex 2 must keep one anchor into {0,1}, so only two deletions survive
-    assert greedy_removable_subset(triangle(), {0, 1}) == frozenset({(0, 1), (0, 2)})
-
-
-def test_greedy_subset_passes_removal_fact():
-    for g in subcubic_corpus(15):
-        for dset in enumerate_min_dsets(g, gamma_exact(g).size, limit=5).dsets:
-            kept = greedy_removable_subset(g, dset)
-            assert check_removal_fact(g, dset, kept).holds
 
 
 def test_detachable_vertices():
@@ -108,44 +94,42 @@ def test_detachable_avoids_anchor_set():
                 assert not hood & dset
 
 
+def detached(g: Graph, anchors, chosen) -> Graph:
+    return _detach(g, frozenset(anchors), frozenset(chosen))
+
+
 def test_detach_transform_p4():
-    p4 = named_graph("p4")
-    result = detach_transform(p4, {1, 3}, {0})
-    assert result.graph.n == 4
-    assert result.graph.degree(0) == 0
-    assert result.graph.edges() == [(1, 2), (2, 3)]
-    assert result.deleted_edges == frozenset({(0, 1)})
-    assert result.new_vertices == {}
+    h = detached(named_graph("p4"), {1, 3}, {0})
+    assert h.n == 4  # 0 has no edge left to buffer
+    assert h.degree(0) == 0
+    assert h.edges() == [(1, 2), (2, 3)]
 
 
 def test_detach_transform_c6():
-    c6 = named_graph("c6")
-    result = detach_transform(c6, {0, 3}, {1})
-    g = result.graph
-    assert g.n == 7
-    assert result.new_vertices == {(1, 2): 6}
-    assert result.deleted_edges == frozenset({(0, 1)})
-    assert sorted(g.adj[6]) == [1, 2]
-    assert g.degree(1) == 1  # only the buffer vertex remains
+    h = detached(named_graph("c6"), {0, 3}, {1})
+    assert h.n == 7
+    assert not h.has_edge(0, 1) and not h.has_edge(1, 2)
+    assert h.adj[6] == (1, 2)  # the buffer spliced into 1-2
+    assert h.adj[1] == (6,)  # only the buffer vertex remains
 
 
 def test_detach_transform_identity():
     c6 = named_graph("c6")
-    result = detach_transform(c6, {0, 3}, set())
-    assert result.graph == c6
-    assert not result.new_vertices and not result.deleted_edges
+    assert detached(c6, {0, 3}, set()) == c6
 
 
 def test_detach_transform_counts():
     for g in subcubic_corpus(20):
         for dset in enumerate_min_dsets(g, gamma_exact(g).size, limit=2).dsets:
             pool = sorted(detachable_vertices(g, dset))[:2]
-            result = detach_transform(g, dset, pool)
+            h = detached(g, dset, pool)
             grown = sum(g.degree(b) - 1 for b in pool)
-            assert result.graph.n == g.n + grown
-            assert result.graph.m == g.m - len(pool) + grown
-            for (b, other), w in result.new_vertices.items():
-                assert result.graph.neighbors(w) == tuple(sorted((b, other)))
+            assert h.n == g.n + grown
+            assert h.m == g.m - len(pool) + grown
+            for b in pool:
+                assert all(w >= g.n for w in h.adj[b])  # buffers only
+            for w in range(g.n, h.n):
+                assert h.degree(w) == 2 and set(h.adj[w]) & set(pool)
 
 
 def test_check_detach_fact_examples():
@@ -172,8 +156,6 @@ def test_check_detach_fact_validates_once(monkeypatch):
     verdict = check_detach_fact(named_graph("c6"), {0, 3}, {1})
     assert verdict.holds and not verdict.vacuous  # the transform ran
     assert len(calls) == 1
-    detach_transform(named_graph("c6"), {0, 3}, {1})
-    assert len(calls) == 2  # outside callers are still validated
 
 
 def test_check_detach_fact_vacuous_for_non_dominating_anchors():

@@ -7,13 +7,8 @@ from domlab import (
     Graph,
     SolverTimeout,
     assign_marks,
-    audit_leftover_single,
-    audit_two_spaced_paths,
-    classify_attachments,
     family_dset_audit,
-    find_seam_extension,
     gamma_exact,
-    has_mark_every_third,
     is_dominating,
     mod3_cycles,
     named_graph,
@@ -22,13 +17,9 @@ from domlab import (
     spaced_assignments,
 )
 from domlab.checks import CHECKS, Facts
-from domlab.seams import (
-    EXTENSION_TABLE,
-    EarLink,
-    confined_vertices,
-    replay_link,
-    try_ear_link,
-)
+from domlab.seams import EarLink, replay_link, try_ear_link
+
+from _oracles import has_mark_every_third
 
 
 def families_of(g: Graph):
@@ -36,31 +27,7 @@ def families_of(g: Graph):
 
 
 def audit_of(g: Graph):
-    return family_dset_audit(g, mod3_cycles(g), gamma_exact(g).size)
-
-
-def pocket_fixture() -> Graph:
-    """C6 plus a branch vertex 6 hanging off 0, with confined tips 7, 8.
-
-    Chosen so the only 0-mod-3 cycle is the hexagon itself: the extra
-    edges 6-7, 6-8, 7-4, 8-1 close cycles of lengths 4, 5, 7 and 8 only.
-    """
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
-             (0, 6), (6, 7), (6, 8), (7, 4), (8, 1)]
-    return Graph.from_edges(9, edges)
-
-
-def test_extension_table_shape():
-    assert len(EXTENSION_TABLE) == 20
-    assert [row for row, _, _ in EXTENSION_TABLE] == list(range(1, 21))
-    pairs = {}
-    for row, residue, types in EXTENSION_TABLE:
-        key = (residue, types)
-        assert key not in pairs
-        pairs[key] = row
-    assert pairs[(2, ("a", "a"))] == 1
-    assert pairs[(1, ("a", "c"))] == 4
-    assert pairs[(1, ("d", "d"))] == 20
+    return family_dset_audit(g, families_of(g), gamma_exact(g).size)
 
 
 def test_try_ear_link_triangle_pair():
@@ -157,73 +124,6 @@ def test_assignments():
     assert assign_marks(k4_d) == frozenset({0, 1})
 
 
-def test_confined_vertices():
-    g = pocket_fixture()
-    fam = families_of(g)[0]
-    assert fam.vertex_union == frozenset(range(6))
-    assert confined_vertices(g, fam) == frozenset({7, 8})
-
-
-def test_classify_attachments_and_extension():
-    g = pocket_fixture()
-    fam = families_of(g)[0]
-    marks = {0, 3}
-    reports = classify_attachments(g, fam, marks)
-    assert len(reports) == 1
-    rep = reports[0]
-    assert rep.component_vertices == frozenset({6})
-    assert rep.attachments == ((0, "a"), (7, "b"), (8, "b"))
-    assert rep.extension is not None
-    # path 0-6-7 has length 2 mod 3 between types (a) and (b): row 3
-    assert rep.extension.path == (0, 6, 7)
-    assert rep.extension.table_row == 3
-
-
-def test_classify_attachment_type_c():
-    # same pocket, but marks {1, 4} turn the confined tips' union
-    # neighbors into marks: types become (d, c, c)
-    g = pocket_fixture()
-    fam = families_of(g)[0]
-    reports = classify_attachments(g, fam, {1, 4})
-    rep = reports[0]
-    assert rep.attachments == ((0, "d"), (7, "c"), (8, "c"))
-
-
-def test_find_seam_extension_validates_component():
-    g = pocket_fixture()
-    fam = families_of(g)[0]
-    with pytest.raises(ValueError):
-        find_seam_extension(g, fam, {0, 3}, {7, 8})
-    with pytest.raises(ValueError):
-        find_seam_extension(g, fam, {0, 1}, {6})  # marks not spaced
-
-
-def test_audit_two_spaced_paths_c6():
-    fam = families_of(named_graph("c6"))[0]
-    verdict = audit_two_spaced_paths(named_graph("c6"), fam, {0, 3})
-    assert verdict.holds and verdict.info["pairs"] == 15
-
-
-def test_audit_two_spaced_paths_triangle():
-    tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    fam = families_of(tri)[0]
-    verdict = audit_two_spaced_paths(tri, fam, {0})
-    assert verdict.holds
-    with pytest.raises(ValueError):
-        audit_two_spaced_paths(tri, fam, {0, 1})  # marks not spaced
-
-
-def test_audit_leftover_single():
-    c6 = named_graph("c6")
-    fam = families_of(c6)[0]
-    verdict = audit_leftover_single(c6, fam, {0, 3})
-    assert verdict.holds and verdict.info["leftover"] == 0
-    g = pocket_fixture()
-    fam = families_of(g)[0]
-    verdict = audit_leftover_single(g, fam, {0, 3})
-    assert not verdict.holds and verdict.witness["component"] == [6, 7, 8]
-
-
 def test_family_dset_audit_fixtures():
     for name, expected_size in (("k4", 1), ("prism", 2), ("petersen", 3)):
         verdict = audit_of(named_graph(name))
@@ -242,11 +142,11 @@ def test_family_dset_pipeline_candidates_dominate():
 
 
 def test_family_dset_audit_stops_at_its_deadline():
-    # listing and gamma are given, so only the link graph and the
-    # families can read the deadline
+    # families and gamma are given, so only the family loop can read the
+    # deadline
     pete = named_graph("petersen")
     with pytest.raises(SolverTimeout):
-        family_dset_audit(pete, mod3_cycles(pete), 3, deadline=time.monotonic() - 1)
+        family_dset_audit(pete, families_of(pete), 3, deadline=time.monotonic() - 1)
 
 
 def test_link_graph_stops_at_its_deadline():
@@ -304,47 +204,3 @@ def test_petersen_full_family_has_no_assignment():
     assert assign_marks(fam) is None
     for dsg in prune_nonexclusive(fam):
         assert assign_marks(dsg) is not None
-
-
-def test_petersen_dsg_audits_record_verdicts():
-    pete = named_graph("petersen")
-    fam = families_of(pete)[0]
-    dsgs = prune_nonexclusive(fam)
-    assert [len(d.cycles[0]) for d in dsgs] == [6, 9]
-    hexagon, nonagon = dsgs
-    marks = assign_marks(hexagon)
-    assert audit_two_spaced_paths(pete, hexagon, marks).holds
-    verdict = audit_leftover_single(pete, hexagon, marks)
-    assert not verdict.holds and len(verdict.witness["component"]) == 4
-    marks = assign_marks(nonagon)
-    assert audit_two_spaced_paths(pete, nonagon, marks).holds
-    # the nonagon leaves a lone vertex, but one with unmarked neighbors
-    verdict = audit_leftover_single(pete, nonagon, marks)
-    assert not verdict.holds and verdict.witness["vertex"] == 3
-
-
-def dangling_triangle() -> Graph:
-    # C6 plus a pendant triangle reachable only through vertex 0: the two
-    # mod-3 families are vertex-disjoint, so neither can absorb the other
-    return Graph.from_edges(
-        9,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5),
-         (6, 7), (6, 8), (7, 8), (0, 6)],
-    )
-
-
-def test_single_attachment_component_has_no_extension():
-    g = dangling_triangle()
-    fams = families_of(g)
-    assert len(fams) == 2
-    hexagon = next(f for f in fams if len(f.cycles[0]) == 6)
-    reports = classify_attachments(g, hexagon, {0, 3})
-    assert len(reports) == 1
-    rep = reports[0]
-    assert rep.component_vertices == frozenset({6, 7, 8})
-    assert rep.attachments == ((0, "a"),)
-    assert rep.extension is None
-    triangle = next(f for f in fams if len(f.cycles[0]) == 3)
-    reports = classify_attachments(g, triangle, {6})
-    assert reports[0].attachments == ((6, "a"),)
-    assert reports[0].extension is None

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from domlab import Graph, cli, encode_graph6, named_graph
+from domlab import Graph, cli, encode_graph6, named_graph, seams
 from domlab.cli import generate_corpus
 from domlab.sweep import DEFAULT_CHECKS, piece_status, record_to_jsonl, run_sweep, summary_to_csv
 
@@ -139,6 +139,45 @@ def test_cli_csg_c6(capsys):
     out = capsys.readouterr().out
     assert "assignment={0,3}" in out
     assert "candidate_size=2" in out
+
+
+def test_cli_csg_builds_the_link_graph_once(monkeypatch, capsys):
+    calls = []
+    original = seams.try_ear_link
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(seams, "try_ear_link", counted)
+    assert cli.main(["csg", "petersen"]) == 0
+    assert "verdict: holds=True" in capsys.readouterr().out
+    assert len(calls) == 30 * 29 // 2  # one test per pair of 0-mod-3 cycles
+
+
+def exit_code_and_stderr(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    return stop.value.code, capsys.readouterr().err
+
+
+def test_cli_rejects_jobs_below_one(capsys):
+    for value in ("0", "-2"):
+        code, err = exit_code_and_stderr(
+            ["sweep", "--corpus", "gnp n=4 p=0.5 count=1", "--jobs", value], capsys
+        )
+        assert code == 2
+        assert "usage:" in err and f"argument --jobs: must be at least 1, got {value}" in err
+
+
+def test_cli_rejects_budget_below_one(capsys):
+    commands = (["gamma", "k4"], ["idom", "k4"], ["csg", "k4"],
+                ["sweep", "--corpus", "gnp n=4 p=0.5 count=1"], ["verify"])
+    for command in commands:
+        for value in ("0", "-1"):
+            code, err = exit_code_and_stderr(command + ["--budget-ms", value], capsys)
+            assert code == 2, command
+            assert "usage:" in err and "argument --budget-ms: must be at least 1" in err
 
 
 def test_cli_sweep_jobs_deterministic(tmp_path):
