@@ -12,7 +12,6 @@ from .graphs import (
     Graph,
     components,
     delete_edges,
-    delete_vertices,
     gnp_random,
     is_connected,
     is_cubic,
@@ -57,7 +56,6 @@ __all__ = [
     "Graph",
     "components",
     "delete_edges",
-    "delete_vertices",
     "gnp_random",
     "is_connected",
     "is_cubic",

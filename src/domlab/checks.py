@@ -16,7 +16,6 @@ claim is written down here and nowhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil
 from typing import Callable
 
@@ -38,7 +37,6 @@ from .reduction import (
     AuditVerdict,
     check_detach_fact,
     check_pair_separation,
-    detachable_vertices,
     find_forbidden_core,
     find_induced_claw,
     removable_edges,
@@ -219,16 +217,12 @@ def _detach(f: Facts) -> AuditVerdict:
     checked = 0
     vacuous = 0
     for dset in enum.dsets:
-        pool = sorted(detachable_vertices(g, dset))
-        for chosen in sorted(c for k in range(3) for c in combinations(pool, k)):
-            verdict = check_detach_fact(g, dset, chosen)
-            checked += 1
-            if not verdict.holds:
-                return AuditVerdict(
-                    CHECK_DETACH, False, witness={"set": sorted(dset), "chosen": list(chosen)}
-                )
-            if verdict.vacuous:
-                vacuous += 1
+        verdict = check_detach_fact(g, dset)
+        if not verdict.holds:
+            witness = {"set": sorted(dset), "chosen": verdict.witness["chosen"]}
+            return AuditVerdict(CHECK_DETACH, False, witness=witness)
+        checked += verdict.info["transforms"]
+        vacuous += verdict.info["vacuous"]
     info = {
         "dsets": len(enum.dsets),
         "transforms": checked,

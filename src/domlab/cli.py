@@ -67,22 +67,23 @@ def cmd_idom(args: argparse.Namespace) -> int:
 
 def cmd_csg(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
-    families = seamless_families(mod3_cycles(g))
-    if not families:
-        print("no mod-3 cycles")
-        return 0
-    print(f"collections: {len(families)}")
-    for i, fam in enumerate(families):
-        print(f"collection {i}: kind={fam.kind} cycles={len(fam.cycles)} "
-              f"vertices={len(fam.vertex_union)} links={len(fam.links)}")
-        for c in fam.cycles:
-            print(f"  cycle {'-'.join(map(str, c.vertices))}")
-        for j, dsg in enumerate(prune_nonexclusive(fam)):
-            marks = assign_marks(dsg)
-            shown = _fmt_set(marks) if marks is not None else "none"
-            print(f"  exclusive {j}: cycles={len(dsg.cycles)} assignment={shown}")
+    # one deadline for the cycle listing, the link graph, gamma and the audit
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
     try:
+        families = seamless_families(mod3_cycles(g, deadline=deadline), deadline=deadline)
+        if not families:
+            print("no mod-3 cycles")
+            return 0
+        print(f"collections: {len(families)}")
+        for i, fam in enumerate(families):
+            print(f"collection {i}: kind={fam.kind} cycles={len(fam.cycles)} "
+                  f"vertices={len(fam.vertex_union)} links={len(fam.links)}")
+            for c in fam.cycles:
+                print(f"  cycle {'-'.join(map(str, c.vertices))}")
+            for j, dsg in enumerate(prune_nonexclusive(fam)):
+                marks = assign_marks(dsg)
+                shown = _fmt_set(marks) if marks is not None else "none"
+                print(f"  exclusive {j}: cycles={len(dsg.cycles)} assignment={shown}")
         gamma = gamma_exact(g, deadline=deadline).size
         verdict = family_dset_audit(g, families, gamma, deadline=deadline)
     except SolverTimeout:

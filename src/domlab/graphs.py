@@ -244,24 +244,6 @@ def delete_edges(g: Graph, edges: Iterable[Edge]) -> Graph:
     return Graph(g.n, adj)
 
 
-def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the surviving vertices.
-
-    Returns (graph, remap) where remap[new_id] = original_id; surviving
-    vertices are renumbered densely in increasing original order.
-    """
-    doomed = set(vertices)
-    for v in doomed:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    remap = tuple(v for v in range(g.n) if v not in doomed)
-    index = {old: new for new, old in enumerate(remap)}
-    adj = tuple(
-        tuple(index[u] for u in g.adj[old] if u not in doomed) for old in remap
-    )
-    return Graph(len(remap), adj), remap
-
-
 def random_cubic(n: int, seed: int) -> Graph:
     """Connected random 3-regular graph via the pairing model.
 

@@ -1,17 +1,18 @@
 """Independent brute-force oracles used only by the tests.
 
 The last sections keep earlier, slower implementations of the exact
-kernels and of the seamless families verbatim, as differential oracles
-for the code that replaced them.
+kernels, of the seamless families and of the detach audit verbatim, as
+differential oracles for the code that replaced them.
 """
 
 from collections import deque
 from itertools import combinations, permutations
 
-from domlab import Cycle, Graph, is_connected
+from domlab import Cycle, Graph, detachable_vertices, is_connected, is_dominating
 # `domlab verify` needs this oracle at run time, so its one copy lives there
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
 from domlab.domination import KIND_GAMMA, KIND_IDOM, _certificate, closed_masks
+from domlab.reduction import CHECK_DETACH, AuditVerdict
 from domlab.seams import KIND_EXCLUSIVE, KIND_SEAMLESS, CycleCollection, EarLink, try_ear_link
 
 
@@ -328,3 +329,101 @@ def prune_nonexclusive_relinking(col):
                     queue.append(j)
         out.append(_collection_from(survivors, sorted(group), pair_link, KIND_EXCLUSIVE))
     return tuple(out)
+
+
+# --- earlier detach audit: both graphs built per choice -------------------
+
+
+def delete_vertices(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on the surviving vertices.
+
+    Returns (graph, remap) where remap[new_id] = original_id; surviving
+    vertices are renumbered densely in increasing original order.
+    """
+    doomed = set(vertices)
+    for v in doomed:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    remap = tuple(v for v in range(g.n) if v not in doomed)
+    index = {old: new for new, old in enumerate(remap)}
+    adj = tuple(
+        tuple(index[u] for u in g.adj[old] if u not in doomed) for old in remap
+    )
+    return Graph(len(remap), adj), remap
+
+
+def detach_transform(g: Graph, y: frozenset[int], picked: frozenset[int]) -> Graph:
+    """Cut each picked vertex from its anchor; buffer its other edges.
+
+    For every b in `picked` (ascending order, each detachable for `y`): the
+    anchor t1 is the smallest Y-neighbor of b; the edge b-t1 is deleted and
+    every other edge at b is subdivided once by a fresh vertex, numbered
+    past the original n in processing order.
+    """
+    nbrs: dict[int, set[int]] = {v: set(g.adj[v]) for v in range(g.n)}
+    nxt = g.n
+    for b in sorted(picked):
+        t1 = min(v for v in nbrs[b] if v in y)
+        nbrs[b].discard(t1)
+        nbrs[t1].discard(b)
+        for t2 in sorted(nbrs[b]):
+            nbrs[b].discard(t2)
+            nbrs[t2].discard(b)
+            w = nxt
+            nxt += 1
+            nbrs[w] = {b, t2}
+            nbrs[b].add(w)
+            nbrs[t2].add(w)
+    adj = tuple(tuple(sorted(nbrs[v])) for v in range(nxt))
+    return Graph(nxt, adj)
+
+
+def check_detach_choice(g: Graph, anchors, chosen) -> AuditVerdict:
+    """If Y dominates g minus the chosen vertices, does Y plus the chosen
+    dominate the detached transform?
+
+    Vacuous when the hypothesis (domination of the vertex-deleted graph)
+    fails.
+    """
+    y = frozenset(anchors)
+    picked = frozenset(chosen)
+    allowed = detachable_vertices(g, y)
+    if not picked <= allowed:
+        bad = sorted(picked - allowed)[0]
+        raise ValueError(f"vertex {bad} is not detachable for this anchor set")
+    reduced, remap = delete_vertices(g, picked)
+    index = {old: new for new, old in enumerate(remap)}
+    if not is_dominating(reduced, {index[v] for v in y}):
+        return AuditVerdict(
+            check=CHECK_DETACH,
+            holds=True,
+            vacuous=True,
+            info={"reason": "anchors do not dominate the vertex-deleted graph"},
+        )
+    h = detach_transform(g, y, picked)
+    combined = y | picked
+    for v in range(h.n):
+        if v not in combined and not any(w in combined for w in h.adj[v]):
+            return AuditVerdict(
+                check=CHECK_DETACH,
+                holds=False,
+                witness={"undominated": v, "chosen": sorted(picked)},
+            )
+    return AuditVerdict(check=CHECK_DETACH, holds=True, info={"chosen": len(picked)})
+
+
+def detach_audit_by_transforms(g: Graph, anchors) -> AuditVerdict:
+    """`check_detach_choice` over the sorted choices of at most two
+    detachable vertices, summed in the form of `check_detach_fact`."""
+    y = frozenset(anchors)
+    pool = sorted(detachable_vertices(g, y))
+    transforms = vacuous = 0
+    for chosen in sorted(c for k in range(3) for c in combinations(pool, k)):
+        verdict = check_detach_choice(g, y, chosen)
+        transforms += 1
+        if not verdict.holds:
+            info = {"transforms": transforms, "vacuous": vacuous}
+            return AuditVerdict(CHECK_DETACH, False, witness=verdict.witness, info=info)
+        vacuous += verdict.vacuous
+    info = {"transforms": transforms, "vacuous": vacuous}
+    return AuditVerdict(CHECK_DETACH, True, vacuous=vacuous == transforms, info=info)

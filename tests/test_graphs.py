@@ -4,7 +4,6 @@ from domlab import (
     Graph,
     components,
     delete_edges,
-    delete_vertices,
     gnp_random,
     is_connected,
     is_cubic,
@@ -13,7 +12,7 @@ from domlab import (
     vertex_connectivity,
 )
 
-from _oracles import connectivity_by_cut_enumeration
+from _oracles import connectivity_by_cut_enumeration, delete_vertices
 
 
 def test_graph_invariants_enforced():

@@ -16,7 +16,8 @@ from domlab import (
     named_graph,
     removable_edges,
 )
-from domlab.reduction import _detach
+
+from _oracles import check_detach_choice, detach_transform
 
 
 def triangle() -> Graph:
@@ -95,7 +96,7 @@ def test_detachable_avoids_anchor_set():
 
 
 def detached(g: Graph, anchors, chosen) -> Graph:
-    return _detach(g, frozenset(anchors), frozenset(chosen))
+    return detach_transform(g, frozenset(anchors), frozenset(chosen))
 
 
 def test_detach_transform_p4():
@@ -133,35 +134,67 @@ def test_detach_transform_counts():
 
 
 def test_check_detach_fact_examples():
-    assert check_detach_fact(named_graph("p4"), {1, 3}, {0}).holds
-    verdict = check_detach_fact(named_graph("c6"), {0, 3}, {1})
+    assert check_detach_choice(named_graph("p4"), {1, 3}, {0}).holds
+    verdict = check_detach_choice(named_graph("c6"), {0, 3}, {1})
     assert verdict.holds and not verdict.vacuous
-    empty = check_detach_fact(named_graph("c6"), {0, 3}, set())
+    empty = check_detach_choice(named_graph("c6"), {0, 3}, set())
     assert empty.holds
     with pytest.raises(ValueError):
-        check_detach_fact(named_graph("p4"), {1, 3}, {2})
+        check_detach_choice(named_graph("p4"), {1, 3}, {2})
 
 
-def test_check_detach_fact_validates_once(monkeypatch):
-    from domlab import reduction
-
+def counting_pool_calls(monkeypatch, module) -> list:
+    """Record each `detachable_vertices` call that `module` makes."""
     calls = []
-    original = reduction.detachable_vertices
+    original = module.detachable_vertices
 
     def counted(g, anchors):
         calls.append(anchors)
         return original(g, anchors)
 
-    monkeypatch.setattr(reduction, "detachable_vertices", counted)
-    verdict = check_detach_fact(named_graph("c6"), {0, 3}, {1})
+    monkeypatch.setattr(module, "detachable_vertices", counted)
+    return calls
+
+
+def test_check_detach_fact_validates_once(monkeypatch):
+    import _oracles
+
+    calls = counting_pool_calls(monkeypatch, _oracles)
+    verdict = check_detach_choice(named_graph("c6"), {0, 3}, {1})
     assert verdict.holds and not verdict.vacuous  # the transform ran
     assert len(calls) == 1
 
 
 def test_check_detach_fact_vacuous_for_non_dominating_anchors():
     # {0} leaves 2 and 3 of P4 undominated once vertex 1 is cut away
-    verdict = check_detach_fact(named_graph("p4"), {0}, {1})
+    verdict = check_detach_choice(named_graph("p4"), {0}, {1})
     assert verdict.vacuous and verdict.holds
+
+
+def test_detach_audit_counts():
+    # pool {1, 2, 4, 5}: the empty choice, four singles and six pairs
+    c6 = check_detach_fact(named_graph("c6"), {0, 3})
+    assert c6.holds and not c6.vacuous
+    assert c6.info == {"transforms": 11, "vacuous": 0}
+    p4 = check_detach_fact(named_graph("p4"), {1, 3})
+    assert p4.holds and not p4.vacuous
+    assert p4.info == {"transforms": 2, "vacuous": 0}
+
+
+def test_detach_audit_vacuous_for_non_dominating_anchors():
+    # pool {1}; {0} dominates neither P4 nor P4 - 1
+    verdict = check_detach_fact(named_graph("p4"), {0})
+    assert verdict.holds and verdict.vacuous
+    assert verdict.info == {"transforms": 2, "vacuous": 2}
+
+
+def test_detach_audit_lists_the_pool_once(monkeypatch):
+    from domlab import reduction
+
+    calls = counting_pool_calls(monkeypatch, reduction)
+    verdict = reduction.check_detach_fact(named_graph("c6"), {0, 3})
+    assert verdict.info["transforms"] == 11
+    assert len(calls) == 1
 
 
 def test_check_pair_separation():

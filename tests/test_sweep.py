@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from domlab import Graph, cli, encode_graph6, named_graph, seams
+from domlab import Graph, cli, encode_graph6, named_graph, random_cubic, seams
 from domlab.cli import generate_corpus
 from domlab.sweep import DEFAULT_CHECKS, piece_status, record_to_jsonl, run_sweep, summary_to_csv
 
@@ -153,6 +155,17 @@ def test_cli_csg_builds_the_link_graph_once(monkeypatch, capsys):
     assert cli.main(["csg", "petersen"]) == 0
     assert "verdict: holds=True" in capsys.readouterr().out
     assert len(calls) == 30 * 29 // 2  # one test per pair of 0-mod-3 cycles
+
+
+def test_cli_csg_budget_bounds_the_cycle_listing():
+    # unbounded, listing and linking the cycles of this graph takes over
+    # 30 s; in a child process the test fails on time instead of hanging
+    line = encode_graph6(random_cubic(24, 1))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "domlab.cli", "csg", line, "--budget-ms", "100"],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert done.returncode == 0
+    assert done.stdout == "verdict: timeout after 100 ms\n"
 
 
 def exit_code_and_stderr(argv, capsys):
