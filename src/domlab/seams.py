@@ -2,10 +2,13 @@
 
 Two 0-mod-3 cycles connect without seam when one equals the other with a
 single arc swapped for a single ear: the derived cycle is (base minus the
-replaced arc) plus the ear, whose interior avoids the base entirely.  A
-`CycleCollection` is a family of such cycles whose link graph is
-connected; the "exclusive" variant additionally requires every cycle to
-own at least one vertex no other cycle of the family touches.
+replaced arc) plus the ear, whose interior avoids the base entirely.
+Such an ear is unique when it exists: it holds every derived edge that
+is not a base edge, so `try_ear_link` finds it in one pass over the
+derived cycle, and `replay_link` checks a link by splicing the ear into
+the base.  A `CycleCollection` is a family of such cycles whose link
+graph is connected; the "exclusive" variant additionally requires every
+cycle to own at least one vertex no other cycle of the family touches.
 
 A mark set is "spaced" on a collection when, on every cycle, the marked
 vertices occupy exactly one residue class of cyclic positions mod 3 --
@@ -24,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .cycles import Cycle
 from .domination import SolverTimeout, is_dominating
-from .graphs import Edge, Graph, components, edge_key
+from .graphs import Graph, components
 from .reduction import AuditVerdict
 
 KIND_SEAMLESS = "CSG"
@@ -63,104 +66,76 @@ class EarLink:
             raise ValueError("ear and replaced arc must share their endpoints")
 
 
-def _path_edges(path: tuple[int, ...]) -> list[Edge]:
-    return [edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
-def _cycle_from_edge_set(edges: set[Edge]) -> Cycle | None:
-    nbrs: dict[int, list[int]] = {}
-    for u, v in edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    if any(len(row) != 2 for row in nbrs.values()):
-        return None
-    start = min(nbrs)
-    walk = [start]
-    prev = None
-    while True:
-        a, b = nbrs[walk[-1]]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        prev = walk[-1]
-        walk.append(nxt)
-    if len(walk) != len(nbrs):
-        return None
-    return Cycle.from_sequence(walk)
+def _walks_from(cyc: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cycle's vertices read from position p in direction +1, then -1."""
+    ahead = cyc[p:] + cyc[:p]
+    return ahead, ahead[:1] + ahead[:0:-1]
 
 
 def replay_link(base: Cycle, link: EarLink) -> Cycle | None:
-    """Rebuild the derived cycle from base, ear and replaced arc."""
-    edges = set(base.edges())
-    swapped = set(_path_edges(link.replaced_arc))
-    if not swapped <= edges:
-        return None
-    edges -= swapped
-    edges |= set(_path_edges(link.ear))
-    return _cycle_from_edge_set(edges)
+    """Rebuild the derived cycle by splicing the ear into base.
 
-
-def _arc(cyc: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    # forward arc i..j inclusive, wrapping
-    out = [cyc[i]]
-    p = i
-    while p != j:
-        p = (p + 1) % len(cyc)
-        out.append(cyc[p])
-    return tuple(out)
-
-
-def _base_complement(base: Cycle, kept: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Complement of a kept arc on the base cycle.
-
-    If `kept` traces a contiguous arc of `base` (either direction), return
-    the complementary arc oriented from kept[-1] around to kept[0]; else
-    None.
+    The replaced arc must be a simple contiguous arc of base, walked in
+    direction +1 or -1 of base's vertex order, and the ear's interior must
+    be distinct vertices off base; the derived sequence is then the ear
+    followed by the rest of base in that direction.  None unless both hold.
     """
-    bv = base.vertices
-    size = len(bv)
-    if not 2 <= len(kept) <= size:
+    arc, bv, ear = link.replaced_arc, base.vertices, link.ear
+    if arc[0] not in bv:
         return None
-    if kept[0] not in bv:
-        return None
-    p = bv.index(kept[0])
-    for step in (1, -1):
-        if all(bv[(p + step * t) % size] == kept[t] for t in range(len(kept))):
-            q = (p + step * (len(kept) - 1)) % size
-            out = [bv[q]]
-            while q != p:
-                q = (q + step) % size
-                out.append(bv[q])
-            return tuple(out)
+    for walk in _walks_from(bv, bv.index(arc[0])):
+        if walk[: len(arc)] == arc:
+            if len(set(ear + walk)) != len(ear) + len(walk) - 2:
+                return None
+            return Cycle.from_sequence(ear + walk[len(arc) :])
     return None
 
 
 def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: int) -> EarLink | None:
-    """Seamless link from base to derived, or None.
+    """Seamless link from base to derived, or None, in one pass over derived.
 
-    Scans the derived cycle for a split into a kept arc (a contiguous arc
-    of the base) and an ear whose interior avoids the base.  Deterministic:
-    the first split in position order wins.
+    The ear runs from an on-base position i of derived to the next
+    on-base position j, and the kept arc from j round to i must be a
+    contiguous arc of base.  Call the non-base derived vertices between
+    two consecutive on-base ones a gap.  With two or more gaps there is
+    no link, because the kept arc lies wholly on base; with exactly one,
+    the ear spans it.  With no gap the ear is a single edge, a chord of
+    base: it is not a base edge, else every derived edge would be one and
+    derived = base, while every kept edge is.  So in both cases the ear
+    holds exactly the derived edges that are not base edges, and it
+    starts at the only on-base derived vertex whose next derived edge is
+    not a base edge.  The first such vertex is the one candidate; the
+    kept-arc test rejects it when a second gap or a second chord exists.
+    That test reads base from the kept arc's first vertex in direction
+    +1, then -1 (at most one can match on three or more vertices), and
+    the replaced arc continues in the matching direction from the ear's
+    first vertex round to its last.  Trying every pair of on-base
+    positions in order finds this same split first, since no other pair
+    succeeds.
     """
-    if base.vertices == derived.vertices:
+    bv, dv = base.vertices, derived.vertices
+    if bv == dv:
         return None
-    on_base = set(base.vertices)
-    dv = derived.vertices
-    anchors = [i for i, v in enumerate(dv) if v in on_base]
-    if len(anchors) < 2:
+    size, n = len(bv), len(dv)
+    where = {v: p for p, v in enumerate(bv)}
+    for i, v in enumerate(dv):
+        p = where.get(v)
+        if p is not None and dv[(i + 1) % n] not in (bv[p - 1], bv[(p + 1) % size]):
+            break
+    else:
         return None
-    for i in anchors:
-        for j in anchors:
-            if i == j:
-                continue
-            ear = _arc(dv, i, j)
-            if any(v in on_base for v in ear[1:-1]):
-                continue
-            kept = _arc(dv, j, i)
-            replaced = _base_complement(base, kept)
-            if replaced is None:
-                continue
-            return EarLink(base=base_index, derived=derived_index, ear=ear, replaced_arc=replaced)
+    j = (i + 1) % n
+    while dv[j] not in where:
+        j = (j + 1) % n
+    if j == i:  # derived meets base in this one vertex
+        return None
+    turned = dv[j:] + dv[:j]  # derived from j: the kept arc, then the ear
+    cut = (i - j) % n + 1
+    kept = turned[:cut]
+    for walk in _walks_from(bv, where[dv[j]]):
+        if walk[:cut] == kept:
+            ear = turned[cut - 1 :] + turned[:1]
+            return EarLink(base_index, derived_index, ear, walk[cut - 1 :] + walk[:1])
     return None
 
 
@@ -210,6 +185,8 @@ class CycleCollection:
             raise ValueError(f"unknown collection kind {self.kind!r}")
         if not self.cycles:
             raise ValueError("a collection needs at least one cycle")
+        if len(set(self.cycles)) != len(self.cycles):
+            raise ValueError("a collection lists a cycle twice")
         for c in self.cycles:
             if len(c) % 3:
                 raise ValueError("every cycle length must be divisible by 3")

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used only by the tests.
 
 The last sections keep earlier, slower implementations of the exact
-kernels, of the seamless families and of the detach audit verbatim, as
-differential oracles for the code that replaced them.
+kernels, of the seamless link test and link replay, of the seamless
+families and of the detach audit verbatim, as differential oracles for
+the code that replaced them.
 """
 
 from collections import deque
@@ -12,8 +13,9 @@ from domlab import Cycle, Graph, detachable_vertices, is_connected, is_dominatin
 # `domlab verify` needs this oracle at run time, so its one copy lives there
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
 from domlab.domination import KIND_GAMMA, KIND_IDOM, _certificate, closed_masks
+from domlab.graphs import Edge, edge_key
 from domlab.reduction import CHECK_DETACH, AuditVerdict
-from domlab.seams import KIND_EXCLUSIVE, KIND_SEAMLESS, CycleCollection, EarLink, try_ear_link
+from domlab.seams import KIND_EXCLUSIVE, KIND_SEAMLESS, CycleCollection, EarLink
 
 
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
@@ -222,6 +224,110 @@ def idom_exact_packing(g: Graph):
 
 
 
+# --- earlier link test and link replay -------------------------------------
+
+
+def _path_edges(path: tuple[int, ...]) -> list[Edge]:
+    return [edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)]
+
+
+def _cycle_from_edge_set(edges: set[Edge]) -> Cycle | None:
+    nbrs: dict[int, list[int]] = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    if any(len(row) != 2 for row in nbrs.values()):
+        return None
+    start = min(nbrs)
+    walk = [start]
+    prev = None
+    while True:
+        a, b = nbrs[walk[-1]]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        prev = walk[-1]
+        walk.append(nxt)
+    if len(walk) != len(nbrs):
+        return None
+    return Cycle.from_sequence(walk)
+
+
+def replay_link_by_edge_sets(base: Cycle, link: EarLink) -> Cycle | None:
+    """Rebuild the derived cycle from base, ear and replaced arc."""
+    edges = set(base.edges())
+    swapped = set(_path_edges(link.replaced_arc))
+    if not swapped <= edges:
+        return None
+    edges -= swapped
+    edges |= set(_path_edges(link.ear))
+    return _cycle_from_edge_set(edges)
+
+
+def _arc(cyc: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    # forward arc i..j inclusive, wrapping
+    out = [cyc[i]]
+    p = i
+    while p != j:
+        p = (p + 1) % len(cyc)
+        out.append(cyc[p])
+    return tuple(out)
+
+
+def _base_complement(base: Cycle, kept: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Complement of a kept arc on the base cycle.
+
+    If `kept` traces a contiguous arc of `base` (either direction), return
+    the complementary arc oriented from kept[-1] around to kept[0]; else
+    None.
+    """
+    bv = base.vertices
+    size = len(bv)
+    if not 2 <= len(kept) <= size:
+        return None
+    if kept[0] not in bv:
+        return None
+    p = bv.index(kept[0])
+    for step in (1, -1):
+        if all(bv[(p + step * t) % size] == kept[t] for t in range(len(kept))):
+            q = (p + step * (len(kept) - 1)) % size
+            out = [bv[q]]
+            while q != p:
+                q = (q + step) % size
+                out.append(bv[q])
+            return tuple(out)
+    return None
+
+
+def try_ear_link_by_splits(base: Cycle, derived: Cycle, base_index: int, derived_index: int) -> EarLink | None:
+    """Seamless link from base to derived, or None.
+
+    Scans the derived cycle for a split into a kept arc (a contiguous arc
+    of the base) and an ear whose interior avoids the base.  Deterministic:
+    the first split in position order wins.
+    """
+    if base.vertices == derived.vertices:
+        return None
+    on_base = set(base.vertices)
+    dv = derived.vertices
+    anchors = [i for i, v in enumerate(dv) if v in on_base]
+    if len(anchors) < 2:
+        return None
+    for i in anchors:
+        for j in anchors:
+            if i == j:
+                continue
+            ear = _arc(dv, i, j)
+            if any(v in on_base for v in ear[1:-1]):
+                continue
+            kept = _arc(dv, j, i)
+            replaced = _base_complement(base, kept)
+            if replaced is None:
+                continue
+            return EarLink(base=base_index, derived=derived_index, ear=ear, replaced_arc=replaced)
+    return None
+
+
 # --- earlier seamless families ---------------------------------------------
 
 
@@ -253,9 +359,9 @@ def _pair_link_memo(cycles):
         key = (i, j) if i < j else (j, i)
         if key not in memo:
             a, b = key
-            memo[key] = try_ear_link(cycles[a], cycles[b], a, b) or try_ear_link(
-                cycles[b], cycles[a], b, a
-            )
+            memo[key] = try_ear_link_by_splits(
+                cycles[a], cycles[b], a, b
+            ) or try_ear_link_by_splits(cycles[b], cycles[a], b, a)
         return memo[key]
 
     return pair_link

@@ -17,7 +17,7 @@ from domlab import (
     spaced_assignments,
 )
 from domlab.checks import CHECKS, Facts
-from domlab.seams import EarLink, replay_link, try_ear_link
+from domlab.seams import CycleCollection, EarLink, replay_link, try_ear_link
 
 from _oracles import has_mark_every_third
 
@@ -56,6 +56,35 @@ def test_earlink_validation():
         EarLink(0, 1, (2, 2), (2, 3))  # ear closes on itself
     with pytest.raises(ValueError):
         EarLink(0, 1, (2, 5, 3), (2, 4))  # endpoint mismatch
+
+
+def test_replay_rejects_an_ear_that_revisits_a_vertex():
+    # as edge sets the ear's repeated edge 1-5 collapses, and swapping
+    # 1-6-2 for the ear gives back c itself
+    c = Cycle((0, 5, 1, 6, 2, 7))
+    link = EarLink(0, 1, (1, 5, 1, 6, 2), (1, 6, 2))
+    assert replay_link(c, link) is None
+    with pytest.raises(ValueError):
+        CycleCollection((c, c), (link,), "CSG", frozenset(c.vertices))
+
+
+def test_replay_checks_the_arc_and_the_ear():
+    c = Cycle((0, 1, 2, 3, 4, 5))
+    assert replay_link(c, EarLink(0, 1, (0, 6, 2), (0, 2))) is None  # no base edge 0-2
+    assert replay_link(c, EarLink(0, 1, (0, 6, 2), (0, 1, 0, 1, 2))) is None  # not simple
+    assert replay_link(c, EarLink(0, 1, (7, 6, 2), (7, 1, 2))) is None  # 7 is off base
+    # an ear through the arc's interior: as edge sets it rebuilds the
+    # 6-cycle 0-6-2-7-4-5, which meets base at 2 and is no seamless link
+    assert replay_link(c, EarLink(0, 1, (0, 6, 2, 7, 4), (0, 1, 2, 3, 4))) is None
+    spliced = Cycle.from_sequence((0, 6, 2, 3, 4, 5))
+    assert replay_link(c, EarLink(0, 1, (0, 6, 2), (0, 1, 2))) == spliced
+    assert replay_link(c, EarLink(0, 1, (2, 6, 0), (2, 1, 0))) == spliced
+
+
+def test_collection_rejects_a_repeated_cycle():
+    c = Cycle((0, 1, 2))
+    with pytest.raises(ValueError):
+        CycleCollection((c, c), (), "CSG", frozenset(c.vertices))
 
 
 def test_seamless_families_fixtures():
