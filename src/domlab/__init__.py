@@ -44,7 +44,6 @@ from .seams import (
     BudgetExceeded,
     CycleCollection,
     EarLink,
-    assign_marks,
     family_dset_audit,
     prune_nonexclusive,
     seamless_families,
@@ -86,7 +85,6 @@ __all__ = [
     "BudgetExceeded",
     "CycleCollection",
     "EarLink",
-    "assign_marks",
     "family_dset_audit",
     "prune_nonexclusive",
     "seamless_families",

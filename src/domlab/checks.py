@@ -2,9 +2,9 @@
 
 `Facts` holds one graph and a deadline.  Each fact the checks read
 (connectivity, gamma, i, the minimum dominating sets, the 0-mod-3 cycle
-listing) is computed on first read and kept; a `SolverTimeout` is kept as
-well, so a later read raises it again without running the solver a second
-time.
+listing and its seamless families) is computed on first read and kept; a
+`SolverTimeout` is kept as well, so a later read raises it again without
+running the solver a second time.
 
 `CHECKS` maps each check name to a `Check`: a gate that returns a skip
 reason (or None) from the cheap structural facts, and an evaluator that
@@ -41,7 +41,7 @@ from .reduction import (
     find_induced_claw,
     removable_edges,
 )
-from .seams import CHECK_FAMILY_DSET, family_dset_audit, seamless_families
+from .seams import CHECK_FAMILY_DSET, CycleCollection, family_dset_audit, seamless_families
 
 CHECK_CLAW_FREE = "claw_free_equal"
 CHECK_CORE_FREE = "core_free_equal"
@@ -117,6 +117,11 @@ class Facts:
         return mod3_cycles(self.g, deadline=self.deadline)
 
     @_fact
+    def families(self) -> tuple[CycleCollection, ...]:
+        """The seamless families of `mod3_cycles`, by smallest cycle."""
+        return seamless_families(self.mod3_cycles, deadline=self.deadline)
+
+    @_fact
     def min_edge_dsets(self) -> tuple[list[frozenset[int]], int]:
         """The sets of `min_dsets` inducing the fewest edges, and that count."""
         counts = [(induced_edge_count(self.g, d), d) for d in self.min_dsets.dsets]
@@ -172,7 +177,7 @@ def _core_free_equal(f: Facts) -> AuditVerdict:
     """Graphs with no adjacent pair of degree >= 3 have gamma = i."""
     core = find_forbidden_core(f.g)
     if core is not None:
-        return AuditVerdict(CHECK_CORE_FREE, True, vacuous=True, info={"core": [core.v1, core.v2]})
+        return AuditVerdict(CHECK_CORE_FREE, True, vacuous=True, info={"core": list(core)})
     return _gamma_equals_idom(CHECK_CORE_FREE, f)
 
 
@@ -265,8 +270,7 @@ def _mod3_nonempty(f: Facts) -> AuditVerdict:
 
 def _family_dset(f: Facts) -> AuditVerdict:
     gamma = f.gamma  # before the listing, so a gamma timeout skips it
-    families = seamless_families(f.mod3_cycles, deadline=f.deadline)
-    return family_dset_audit(f.g, families, gamma, deadline=f.deadline)
+    return family_dset_audit(f.g, f.families, gamma, deadline=f.deadline)
 
 
 CHECKS: dict[str, Check] = {

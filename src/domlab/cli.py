@@ -12,12 +12,11 @@ import sys
 import time
 
 from . import acceptance
-from .checks import CHECKS
-from .cycles import mod3_cycles
+from .checks import CHECKS, Facts
 from .domination import SolverTimeout, gamma_exact, idom_exact
 from .graph6 import Graph6ParseError, encode_graph6, parse_graph6, read_graph6_lines
 from .graphs import Graph, gnp_random, is_graph_name, named_graph, random_cubic
-from .seams import assign_marks, family_dset_audit, prune_nonexclusive, seamless_families
+from .seams import CHECK_FAMILY_DSET, prune_nonexclusive, spaced_assignments
 from .sweep import (
     CACHE_ENV,
     DEFAULT_CHECKS,
@@ -69,23 +68,23 @@ def cmd_csg(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
     # one deadline for the cycle listing, the link graph, gamma and the audit
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
+    facts = Facts(g, deadline)
     try:
-        families = seamless_families(mod3_cycles(g, deadline=deadline), deadline=deadline)
+        families = facts.families
         if not families:
             print("no mod-3 cycles")
             return 0
         print(f"collections: {len(families)}")
         for i, fam in enumerate(families):
-            print(f"collection {i}: kind={fam.kind} cycles={len(fam.cycles)} "
+            print(f"collection {i}: kind=CSG cycles={len(fam.cycles)} "
                   f"vertices={len(fam.vertex_union)} links={len(fam.links)}")
             for c in fam.cycles:
                 print(f"  cycle {'-'.join(map(str, c.vertices))}")
-            for j, dsg in enumerate(prune_nonexclusive(fam)):
-                marks = assign_marks(dsg)
-                shown = _fmt_set(marks) if marks is not None else "none"
-                print(f"  exclusive {j}: cycles={len(dsg.cycles)} assignment={shown}")
-        gamma = gamma_exact(g, deadline=deadline).size
-        verdict = family_dset_audit(g, families, gamma, deadline=deadline)
+            for j, group in enumerate(prune_nonexclusive(fam)):
+                marks = spaced_assignments(group)
+                shown = _fmt_set(marks[0]) if marks else "none"
+                print(f"  exclusive {j}: cycles={len(group)} assignment={shown}")
+        verdict = CHECKS[CHECK_FAMILY_DSET].evaluate(facts)
     except SolverTimeout:
         print(f"verdict: timeout after {args.budget_ms} ms")
         return 0
@@ -140,10 +139,6 @@ def _load_corpus(corpus: str, default_seed: int) -> list[str]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     lines = _load_corpus(args.corpus, args.seed)
     checks = DEFAULT_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
-    for name in checks:
-        if name not in CHECKS:
-            print(f"unknown check {name!r}; known: {', '.join(CHECKS)}", file=sys.stderr)
-            return USAGE_ERROR
     result = run_sweep(
         lines,
         checks=checks,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .domination import SolverTimeout
-from .graphs import Edge, Graph, edge_key
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ class Cycle:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def edges(self) -> list[Edge]:
-        v = self.vertices
-        return [edge_key(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
 
 
 def all_simple_cycles(g: Graph, *, deadline: float | None = None) -> list[Cycle]:

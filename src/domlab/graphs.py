@@ -75,9 +75,6 @@ class Graph:
             nbrs[v].add(u)
         return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -98,13 +95,13 @@ class Graph:
         return frozenset(self.adj[v]) | {v}
 
 
-def components(g: Graph, banned: Iterable[int] = ()) -> tuple[tuple[int, ...], ...]:
-    """Connected components of g minus `banned`.
+def components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Connected components of g.
 
     Each component is a sorted vertex tuple; components are ordered by
     their smallest member.
     """
-    seen = set(banned)
+    seen: set[int] = set()
     out = []
     for start in range(g.n):
         if start in seen:

@@ -75,24 +75,14 @@ def find_induced_claw(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ForbiddenCore:
-    """Adjacent pair of degree->=3 vertices plus their joint neighborhood."""
-
-    v1: int
-    v2: int
-    region: frozenset[int]
-
-
-def find_forbidden_core(g: Graph) -> ForbiddenCore | None:
+def find_forbidden_core(g: Graph) -> tuple[int, int] | None:
     """Lexicographically first adjacent pair with both degrees >= 3."""
     for v1 in range(g.n):
         if g.degree(v1) < 3:
             continue
         for v2 in g.adj[v1]:
             if v2 > v1 and g.degree(v2) >= 3:
-                region = g.closed_neighborhood(v1) | g.closed_neighborhood(v2)
-                return ForbiddenCore(v1, v2, region)
+                return (v1, v2)
     return None
 
 

@@ -7,10 +7,11 @@ Such an ear is unique when it exists: it holds every derived edge that
 is not a base edge, so `try_ear_link` finds it in one pass over the
 derived cycle, and `replay_link` checks a link by splicing the ear into
 the base.  A `CycleCollection` is a family of such cycles whose link
-graph is connected; the "exclusive" variant additionally requires every
-cycle to own at least one vertex no other cycle of the family touches.
+graph is connected.  Pruning splits a family into exclusive groups: tuples
+of its cycles in which every cycle owns at least one vertex no other cycle
+of the group touches.
 
-A mark set is "spaced" on a collection when, on every cycle, the marked
+A mark set is "spaced" on a set of cycles when, on every cycle, the marked
 vertices occupy exactly one residue class of cyclic positions mod 3 --
 one mark in every window of three consecutive cycle vertices.  Spaced
 marks on a family come within reach of dominating the whole graph, which
@@ -27,11 +28,8 @@ from typing import Iterable, Sequence
 
 from .cycles import Cycle
 from .domination import SolverTimeout, is_dominating
-from .graphs import Graph, components
+from .graphs import Graph
 from .reduction import AuditVerdict
-
-KIND_SEAMLESS = "CSG"
-KIND_EXCLUSIVE = "DSG"
 
 CHECK_FAMILY_DSET = "family_dset"
 
@@ -139,27 +137,29 @@ def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: in
     return None
 
 
-def _link_components(k: int, links: Iterable[EarLink]) -> list[list[int]]:
-    """Connected components of the link graph on cycles 0..k-1.
+def _link_components(members: Iterable[int], links: Iterable[EarLink]) -> list[list[int]]:
+    """Connected components of the link graph on the member cycles.
 
-    Components come in order of their smallest cycle, each listed in BFS
-    order from it with neighbours taken in increasing order.
+    `members` are increasing cycle indexes; links that touch a non-member
+    are ignored.  Components come in order of their smallest member, each
+    listed in BFS order from it with neighbours in increasing order.
     """
-    nbrs: list[set[int]] = [set() for _ in range(k)]
+    nbrs: dict[int, set[int]] = {i: set() for i in members}
     for link in links:
-        nbrs[link.base].add(link.derived)
-        nbrs[link.derived].add(link.base)
-    seen = [False] * k
+        if link.base in nbrs and link.derived in nbrs:
+            nbrs[link.base].add(link.derived)
+            nbrs[link.derived].add(link.base)
+    seen: set[int] = set()
     out = []
-    for start in range(k):
-        if seen[start]:
+    for start in nbrs:
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         order = [start]
         for i in order:  # the list grows while it is read: a FIFO queue
             for j in sorted(nbrs[i]):
-                if not seen[j]:
-                    seen[j] = True
+                if j not in seen:
+                    seen.add(j)
                     order.append(j)
         out.append(order)
     return out
@@ -173,16 +173,12 @@ def _without_exclusive(cycles: Sequence[Cycle]) -> list[int]:
 
 @dataclass(frozen=True)
 class CycleCollection:
-    """Family of 0-mod-3 cycles with a connected seamless link graph."""
+    """Seamless family: 0-mod-3 cycles with a connected link graph."""
 
     cycles: tuple[Cycle, ...]
     links: tuple[EarLink, ...]
-    kind: str
-    vertex_union: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_SEAMLESS, KIND_EXCLUSIVE):
-            raise ValueError(f"unknown collection kind {self.kind!r}")
         if not self.cycles:
             raise ValueError("a collection needs at least one cycle")
         if len(set(self.cycles)) != len(self.cycles):
@@ -190,44 +186,18 @@ class CycleCollection:
         for c in self.cycles:
             if len(c) % 3:
                 raise ValueError("every cycle length must be divisible by 3")
-        union = frozenset(v for c in self.cycles for v in c.vertices)
-        if union != self.vertex_union:
-            raise ValueError("vertex_union does not match the cycles")
         k = len(self.cycles)
         for link in self.links:
             if not (0 <= link.base < k and 0 <= link.derived < k):
                 raise ValueError("link refers to a cycle outside the collection")
             if replay_link(self.cycles[link.base], link) != self.cycles[link.derived]:
                 raise ValueError("link replay does not rebuild the derived cycle")
-        if len(_link_components(k, self.links)) != 1:
+        if len(_link_components(range(k), self.links)) != 1:
             raise ValueError("link graph is not connected")
-        if self.kind == KIND_EXCLUSIVE:
-            lacking = _without_exclusive(self.cycles)
-            if lacking:
-                raise ValueError(f"cycle {lacking[0]} has no exclusive vertex")
 
-
-def _restricted(links: Iterable[EarLink], members: list[int]) -> list[EarLink]:
-    """The links between `members`, renumbered by position in `members`."""
-    pos = {i: li for li, i in enumerate(members)}
-    return [
-        EarLink(pos[l.base], pos[l.derived], l.ear, l.replaced_arc)
-        for l in links
-        if l.base in pos and l.derived in pos
-    ]
-
-
-def _collections(
-    cycles: Sequence[Cycle], links: list[EarLink], kind: str
-) -> tuple[CycleCollection, ...]:
-    """One collection per component of the link graph, by smallest cycle."""
-    out = []
-    for order in _link_components(len(cycles), links):
-        members = sorted(order)
-        local = tuple(cycles[i] for i in members)
-        union = frozenset(v for c in local for v in c.vertices)
-        out.append(CycleCollection(local, tuple(_restricted(links, members)), kind, union))
-    return tuple(out)
+    @property
+    def vertex_union(self) -> frozenset[int]:
+        return frozenset(v for c in self.cycles for v in c.vertices)
 
 
 def seamless_families(
@@ -241,11 +211,11 @@ def seamless_families(
     (base minus arc) plus ear, then base = (derived minus ear) plus arc,
     and the arc is an ear of derived: its interior leaves the kept part,
     and derived's other vertices are the ear's interior, which avoids
-    base.  The families are the
-    connected components of the link graph, ordered by their smallest
-    member: growing a family from a seed until no listed cycle links to it
-    reaches exactly the seed's component.  `deadline` is read at the first
-    pair and every 1,024 pairs after it.
+    base.  The families are the connected components of the link graph,
+    ordered by their smallest member: growing a family from a seed until
+    no listed cycle links to it reaches exactly the seed's component.  A
+    family's links are renumbered by cycle position in the family.
+    `deadline` is read at the first pair and every 1,024 pairs after it.
     """
     links = []
     for tested, (a, b) in enumerate(combinations(range(len(cycles)), 2)):
@@ -254,38 +224,53 @@ def seamless_families(
         link = try_ear_link(cycles[a], cycles[b], a, b)
         if link is not None:
             links.append(link)
-    return _collections(cycles, links, KIND_SEAMLESS)
+    families = []
+    for order in _link_components(range(len(cycles)), links):
+        members = sorted(order)
+        pos = {i: li for li, i in enumerate(members)}
+        own = [EarLink(pos[l.base], pos[l.derived], l.ear, l.replaced_arc)
+               for l in links if l.base in pos]
+        families.append(CycleCollection(tuple(cycles[i] for i in members), tuple(own)))
+    return tuple(families)
 
 
-def prune_nonexclusive(col: CycleCollection) -> tuple[CycleCollection, ...]:
-    """Drop cycles owning no exclusive vertex until a fixpoint.
+def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
+    """The exclusive groups of a family: cycles of it, in link-graph BFS order.
 
-    The lexicographically smallest offender goes first, one at a time,
+    Cycles owning no exclusive vertex are dropped until a fixpoint: the
+    lexicographically smallest offender goes first, one at a time,
     recomputing exclusivity after each drop.  Survivors are regrouped by
-    the collection's own links between them: a link between two cycles
-    does not depend on the family, so pruning tests none.  The result may
-    be several collections.
+    the family's own links between them: a link between two cycles does
+    not depend on the family, so pruning tests none.  Groups come in
+    order of their smallest survivor, each listed in BFS order from it.
+
+    A group needs no check of its own.  Every survivor owns a vertex no
+    other survivor touches, since that is the loop's exit condition, so
+    it owns one within its group too.  A group's links are family links,
+    which the family already replayed, and a group is a component of the
+    survivors' link graph, so it is connected.
     """
-    if col.kind != KIND_SEAMLESS:
-        raise ValueError("pruning expects a seamless collection")
-    kept = list(range(len(col.cycles)))
+    kept = list(range(len(fam.cycles)))
     while len(kept) > 1:
-        lacking = _without_exclusive([col.cycles[i] for i in kept])
+        lacking = _without_exclusive([fam.cycles[i] for i in kept])
         if not lacking:
             break
-        del kept[min(lacking, key=lambda li: col.cycles[kept[li]].vertices)]
-    survivors = [col.cycles[i] for i in kept]
-    return _collections(survivors, _restricted(col.links, kept), KIND_EXCLUSIVE)
+        del kept[min(lacking, key=lambda li: fam.cycles[kept[li]].vertices)]
+    return tuple(
+        tuple(fam.cycles[i] for i in order) for order in _link_components(kept, fam.links)
+    )
 
 
-def spaced_assignments(col: CycleCollection) -> tuple[frozenset[int], ...]:
-    """Every mark set spaced on all cycles of the collection, sorted.
+def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...]:
+    """Every mark set spaced on all the given cycles, sorted.
 
-    Backtracking over one residue-class choice per cycle; a vertex shared
-    by two cycles must be marked consistently, which prunes hard.  Cycles
-    are visited in link-graph BFS order so shared vertices bind early.
+    Backtracking over one residue-class choice per cycle, in the given
+    order; a vertex shared by two cycles must be marked consistently,
+    which prunes hard.  Groups from `prune_nonexclusive` come in
+    link-graph BFS order, so shared vertices bind early.  The result does
+    not depend on the order, but the node count that reaches
+    ASSIGNMENT_CAP does.
     """
-    order = [i for comp in _link_components(len(col.cycles), col.links) for i in comp]
     decided: dict[int, bool] = {}
     found: set[frozenset[int]] = set()
     spent = 0
@@ -295,10 +280,10 @@ def spaced_assignments(col: CycleCollection) -> tuple[frozenset[int], ...]:
         spent += 1
         if spent > ASSIGNMENT_CAP:
             raise BudgetExceeded("assignment search budget exhausted")
-        if idx == len(order):
+        if idx == len(cycles):
             found.add(frozenset(v for v, inside in decided.items() if inside))
             return
-        cyc = col.cycles[order[idx]].vertices
+        cyc = cycles[idx].vertices
         for offset in range(3):
             claim: dict[int, bool] = {}
             ok = True
@@ -321,12 +306,6 @@ def spaced_assignments(col: CycleCollection) -> tuple[frozenset[int], ...]:
     return tuple(sorted(found, key=sorted))
 
 
-def assign_marks(col: CycleCollection) -> frozenset[int] | None:
-    """Lexicographically smallest spaced mark set, or None."""
-    all_sets = spaced_assignments(col)
-    return all_sets[0] if all_sets else None
-
-
 def family_dset_audit(
     g: Graph,
     families: Sequence[CycleCollection],
@@ -338,7 +317,7 @@ def family_dset_audit(
 
     `families` are the seamless families of g's 0-mod-3 cycles
     (`seamless_families(mod3_cycles(g))`).  Pipeline: prune each to its
-    exclusive collections, enumerate spaced mark sets, extend each by the
+    exclusive groups, enumerate spaced mark sets, extend each by the
     leftover singleton vertices it fails to dominate, and keep the best
     dominating candidate.  Holds iff some candidate dominates with exactly
     `gamma` = gamma(g) vertices; either way the verdict reports candidate
@@ -354,24 +333,24 @@ def family_dset_audit(
     for fam in families:
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("family audit exceeded its budget")
-        for dsg in prune_nonexclusive(fam):
+        for group in prune_nonexclusive(fam):
             collections += 1
             try:
-                assignments = spaced_assignments(dsg)
+                assignments = spaced_assignments(group)
             except BudgetExceeded:
                 truncated = True
                 continue
-            leftover = components(g, banned=dsg.vertex_union)
+            # the singleton components of g minus the group's union
+            union = {v for c in group for v in c.vertices}
+            lone = [r for r in range(g.n) if r not in union and all(w in union for w in g.adj[r])]
             for chosen in assignments:
                 tried += 1
                 if deadline is not None and tried % 64 == 0 and time.monotonic() > deadline:
                     raise SolverTimeout("family audit exceeded its budget")
                 candidate = set(chosen)
-                for comp in leftover:
-                    if len(comp) == 1:
-                        r = comp[0]
-                        if r not in candidate and not any(w in candidate for w in g.adj[r]):
-                            candidate.add(r)
+                for r in lone:
+                    if not any(w in candidate for w in g.adj[r]):
+                        candidate.add(r)
                 if is_dominating(g, candidate):
                     key = (len(candidate), sorted(candidate))
                     if best is None or key < best:

@@ -4,7 +4,8 @@ One JSONL record per input graph, in input order regardless of
 parallelism.  Records are byte-stable: keys sorted, compact separators,
 and no timing fields unless explicitly requested, so two runs of the same
 sweep diff clean.  The cache is an append-only JSONL file keyed by
-(graph6, check, code version); corrupt lines are skipped with a warning.
+(graph6, check, code version); corrupt lines, which do not parse or lack
+a key that records read, are skipped with a warning.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import __version__
 from .checks import CHECKS, Check, Facts
 from .domination import SolverTimeout
 from .graph6 import parse_graph6
-from .seams import BudgetExceeded
 
 CACHE_ENV = "DOMLAB_CACHE"
 BASE_KEY = "base"
@@ -54,7 +54,7 @@ def _check_piece(check: Check, facts: Facts) -> dict:
         return {"skipped": reason}
     try:
         piece = check.evaluate(facts).to_json()
-    except (SolverTimeout, BudgetExceeded):
+    except SolverTimeout:
         return {"timeout": True}
     del piece["check"]  # the record's checks map already carries the name
     return piece
@@ -80,6 +80,16 @@ def compute_pieces(line: str, needed: tuple[str, ...], budget_ms: int | None) ->
     return out
 
 
+def _readable(check: str, piece) -> bool:
+    """True iff a cached piece has every key its readers index."""
+    if not isinstance(piece, dict):
+        return False
+    if check == BASE_KEY:
+        return piece.keys() >= {"n", "m", "connectivity", "cubic", "gamma", "idom", "reed_bound"}
+    verdict = "holds" in piece and "vacuous" in piece and "witness" in piece and "info" in piece
+    return verdict or "skipped" in piece or piece.get("timeout") is True
+
+
 class VerdictCache:
     """Append-only JSONL cache keyed by (graph6, check, version)."""
 
@@ -96,9 +106,12 @@ class VerdictCache:
                     try:
                         row = json.loads(raw)
                         key = (row["g"], row["c"], row["v"])
-                        self.entries[key] = row["r"]
+                        if _readable(row["c"], row["r"]):
+                            self.entries[key] = row["r"]
+                            continue
                     except (json.JSONDecodeError, KeyError, TypeError):
-                        self.corrupt += 1
+                        pass
+                    self.corrupt += 1
         if self.corrupt:
             print(
                 f"warning: ignored {self.corrupt} corrupt cache lines in {path}",

@@ -15,7 +15,7 @@ from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_c
 from domlab.domination import KIND_GAMMA, KIND_IDOM, _certificate, closed_masks
 from domlab.graphs import Edge, edge_key
 from domlab.reduction import CHECK_DETACH, AuditVerdict
-from domlab.seams import KIND_EXCLUSIVE, KIND_SEAMLESS, CycleCollection, EarLink
+from domlab.seams import CycleCollection, EarLink
 
 
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
@@ -253,9 +253,13 @@ def _cycle_from_edge_set(edges: set[Edge]) -> Cycle | None:
     return Cycle.from_sequence(walk)
 
 
+def _cycle_edges(c: Cycle) -> list[Edge]:
+    return _path_edges(c.vertices + c.vertices[:1])
+
+
 def replay_link_by_edge_sets(base: Cycle, link: EarLink) -> Cycle | None:
     """Rebuild the derived cycle from base, ear and replaced arc."""
-    edges = set(base.edges())
+    edges = set(_cycle_edges(base))
     swapped = set(_path_edges(link.replaced_arc))
     if not swapped <= edges:
         return None
@@ -331,7 +335,7 @@ def try_ear_link_by_splits(base: Cycle, derived: Cycle, base_index: int, derived
 # --- earlier seamless families ---------------------------------------------
 
 
-def _collection_from(cycles, indexes, pair_link, kind):
+def _collection_from(cycles, indexes, pair_link):
     local = [cycles[i] for i in indexes]
     pos = {gi: li for li, gi in enumerate(indexes)}
     links = []
@@ -347,8 +351,7 @@ def _collection_from(cycles, indexes, pair_link, kind):
                         replaced_arc=link.replaced_arc,
                     )
                 )
-    union = frozenset(v for c in local for v in c.vertices)
-    return CycleCollection(tuple(local), tuple(links), kind, union)
+    return CycleCollection(tuple(local), tuple(links))
 
 
 def _pair_link_memo(cycles):
@@ -389,14 +392,16 @@ def seamless_families_greedy(cycles):
         fam = frozenset(members)
         if fam not in seen:
             seen.add(fam)
-            families.append(_collection_from(cycles, sorted(fam), pair_link, KIND_SEAMLESS))
+            families.append(_collection_from(cycles, sorted(fam), pair_link))
     return tuple(families)
 
 
 def prune_nonexclusive_relinking(col):
-    """Pruning that tests the links between the survivors again."""
-    if col.kind != KIND_SEAMLESS:
-        raise ValueError("pruning expects a seamless collection")
+    """Pruning that tests the links between the survivors again.
+
+    Groups are tuples of cycles, each in BFS order from its smallest
+    cycle with neighbours taken in ascending order.
+    """
     survivors = list(col.cycles)
     while len(survivors) > 1:
         lacking = []
@@ -423,17 +428,17 @@ def prune_nonexclusive_relinking(col):
     for start in range(k):
         if start in seen:
             continue
-        group = {start}
+        order = [start]
         queue = deque([start])
         seen.add(start)
         while queue:
             i = queue.popleft()
-            for j in nbrs[i]:
+            for j in sorted(nbrs[i]):
                 if j not in seen:
                     seen.add(j)
-                    group.add(j)
+                    order.append(j)
                     queue.append(j)
-        out.append(_collection_from(survivors, sorted(group), pair_link, KIND_EXCLUSIVE))
+        out.append(tuple(survivors[i] for i in order))
     return tuple(out)
 
 

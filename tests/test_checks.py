@@ -123,6 +123,7 @@ def test_facts_computed_once_per_graph(monkeypatch):
     conns = counting(monkeypatch, "vertex_connectivity")
     listings = counting(monkeypatch, "all_simple_cycles", (cycles,))
     links = counting(monkeypatch, "try_ear_link", (seams,))
+    families = counting(monkeypatch, "seamless_families")
     prune = seams.prune_nonexclusive
     links_in_prune = []
 
@@ -143,6 +144,7 @@ def test_facts_computed_once_per_graph(monkeypatch):
     assert len(conns) == 1
     assert len(listings) == 1  # shared by mod3_cycle_exists and family_dset
     assert len(links) == 30 * 29 // 2  # one test per pair of 0-mod-3 cycles
+    assert len(families) == 1 and facts.families == seams.seamless_families(facts.mod3_cycles)
     assert links_in_prune == [0]  # pruning reuses the family's links
 
 

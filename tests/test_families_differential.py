@@ -2,9 +2,12 @@
 
 `seamless_families` takes the components of a link graph built with one
 link test per cycle pair, and `prune_nonexclusive` regroups survivors by
-the family's own links.  Both must return the very collections, links
-included, of the implementations they replaced: families grown from every
-seed with both link directions tested, and pruning that tests links again.
+the family's own links.  Both must return the very families, links
+included, and the very groups, in the same order, of the implementations
+they replaced: families grown from every seed with both link directions
+tested, and pruning that tests links again.  Each group must also meet
+what makes it exclusive: every cycle owns a vertex no other survivor
+touches, and the family's links among its cycles connect it.
 """
 
 from itertools import combinations
@@ -32,11 +35,33 @@ from _oracles import prune_nonexclusive_relinking, seamless_families_greedy
 seeds = st.integers(min_value=0, max_value=10**6)
 
 
+def assert_group_is_exclusive(fam, group, survivors) -> None:
+    for c in group:
+        others = {v for d in survivors if d != c for v in d.vertices}
+        assert set(c.vertices) - others, c
+    index = {c: i for i, c in enumerate(fam.cycles)}
+    inside = {index[c] for c in group}
+    reached = {index[group[0]]}
+    frontier = [index[group[0]]]
+    while frontier:
+        i = frontier.pop()
+        for link in fam.links:
+            for a, b in ((link.base, link.derived), (link.derived, link.base)):
+                if a == i and b in inside and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    assert reached == inside
+
+
 def assert_matches_greedy(cycles) -> None:
     families = seamless_families(cycles)
     assert families == seamless_families_greedy(cycles)
     for fam in families:
-        assert prune_nonexclusive(fam) == prune_nonexclusive_relinking(fam)
+        groups = prune_nonexclusive(fam)
+        assert groups == prune_nonexclusive_relinking(fam)
+        survivors = [c for group in groups for c in group]
+        for group in groups:
+            assert_group_is_exclusive(fam, group, survivors)
     # the link relation is symmetric, so one direction per pair suffices
     for a, b in combinations(range(len(cycles)), 2):
         forward = try_ear_link(cycles[a], cycles[b], a, b)

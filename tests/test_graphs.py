@@ -115,7 +115,6 @@ def test_delete_vertices():
 def test_components():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)])
     assert components(g) == ((0, 1), (2, 3, 4), (5,))
-    assert components(g, banned={3}) == ((0, 1), (2,), (4,), (5,))
 
 
 def test_random_cubic_contract():

@@ -6,7 +6,6 @@ from domlab import (
     Cycle,
     Graph,
     SolverTimeout,
-    assign_marks,
     family_dset_audit,
     gamma_exact,
     is_dominating,
@@ -17,7 +16,7 @@ from domlab import (
     spaced_assignments,
 )
 from domlab.checks import CHECKS, Facts
-from domlab.seams import CycleCollection, EarLink, replay_link, try_ear_link
+from domlab.seams import CycleCollection, EarLink, _link_components, replay_link, try_ear_link
 
 from _oracles import has_mark_every_third
 
@@ -65,7 +64,7 @@ def test_replay_rejects_an_ear_that_revisits_a_vertex():
     link = EarLink(0, 1, (1, 5, 1, 6, 2), (1, 6, 2))
     assert replay_link(c, link) is None
     with pytest.raises(ValueError):
-        CycleCollection((c, c), (link,), "CSG", frozenset(c.vertices))
+        CycleCollection((c, c), (link,))
 
 
 def test_replay_checks_the_arc_and_the_ear():
@@ -84,13 +83,14 @@ def test_replay_checks_the_arc_and_the_ear():
 def test_collection_rejects_a_repeated_cycle():
     c = Cycle((0, 1, 2))
     with pytest.raises(ValueError):
-        CycleCollection((c, c), (), "CSG", frozenset(c.vertices))
+        CycleCollection((c, c), ())
 
 
 def test_seamless_families_fixtures():
     assert families_of(named_graph("c4")) == ()
     fams = families_of(named_graph("c6"))
     assert len(fams) == 1 and len(fams[0].cycles) == 1 and not fams[0].links
+    assert fams[0].vertex_union == frozenset(range(6))
     fams = families_of(named_graph("k4"))
     assert len(fams) == 1 and len(fams[0].cycles) == 4
     fams = families_of(named_graph("prism"))
@@ -109,25 +109,25 @@ def test_collection_links_replay():
 
 def test_prune_nonexclusive_k4():
     fam = families_of(named_graph("k4"))[0]
-    dsgs = prune_nonexclusive(fam)
-    assert len(dsgs) == 1
-    survivors = [c.vertices for c in dsgs[0].cycles]
+    groups = prune_nonexclusive(fam)
+    assert len(groups) == 1
+    survivors = [c.vertices for c in groups[0]]
     assert survivors == [(0, 2, 3), (1, 2, 3)]
-    assert dsgs[0].kind == "DSG"
 
 
 def test_prune_nonexclusive_prism():
     fam = families_of(named_graph("prism"))[0]
-    dsgs = prune_nonexclusive(fam)
-    assert len(dsgs) == 1 and len(dsgs[0].cycles) == 1
-    assert len(dsgs[0].cycles[0]) == 6
+    groups = prune_nonexclusive(fam)
+    assert len(groups) == 1 and len(groups[0]) == 1
+    assert len(groups[0][0]) == 6
 
 
-def test_prune_requires_seamless_kind():
-    fam = families_of(named_graph("k4"))[0]
-    dsg = prune_nonexclusive(fam)[0]
-    with pytest.raises(ValueError):
-        prune_nonexclusive(dsg)
+def test_link_components_list_each_component_in_bfs_order():
+    # the link path 0-2-1 is walked from 0, so 2 comes before 1
+    links = [EarLink(0, 2, (5, 6, 7), (5, 7)), EarLink(2, 1, (5, 8, 7), (5, 7))]
+    assert _link_components(range(3), links) == [[0, 2, 1]]
+    # links touching a non-member are ignored
+    assert _link_components([0, 1], links) == [[0], [1]]
 
 
 def test_has_mark_every_third():
@@ -141,16 +141,14 @@ def test_has_mark_every_third():
 
 def test_assignments():
     c6_fam = families_of(named_graph("c6"))[0]
-    assert assign_marks(c6_fam) == frozenset({0, 3})
-    assert spaced_assignments(c6_fam) == (
+    assert spaced_assignments(c6_fam.cycles) == (
         frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5}),
     )
-    k4_d = prune_nonexclusive(families_of(named_graph("k4"))[0])[0]
+    k4_group = prune_nonexclusive(families_of(named_graph("k4"))[0])[0]
     # shared vertices force agreement between the two triangles
-    assert spaced_assignments(k4_d) == (
+    assert spaced_assignments(k4_group) == (
         frozenset({0, 1}), frozenset({2}), frozenset({3}),
     )
-    assert assign_marks(k4_d) == frozenset({0, 1})
 
 
 def test_family_dset_audit_fixtures():
@@ -188,20 +186,20 @@ def test_link_graph_stops_at_its_deadline():
 def test_spaced_assignments_are_valid_everywhere():
     for name in ("k4", "prism", "petersen", "c9"):
         for fam in families_of(named_graph(name)):
-            for col in (fam, *prune_nonexclusive(fam)):
-                for marks in spaced_assignments(col):
-                    assert all(has_mark_every_third(c, marks) for c in col.cycles)
+            for cycles in (fam.cycles, *prune_nonexclusive(fam)):
+                for marks in spaced_assignments(cycles):
+                    assert all(has_mark_every_third(c, marks) for c in cycles)
 
 
 def test_theta_family_forces_unique_assignment():
     # three hexagons pairwise share hub-to-hub arcs; only the hub pair works
     fam = families_of(named_graph("theta(2,2,2)"))[0]
     assert len(fam.cycles) == 3
-    assert spaced_assignments(fam) == (frozenset({0, 1}),)
+    assert spaced_assignments(fam.cycles) == (frozenset({0, 1}),)
 
 
 def test_family_dset_reports_candidate_gap():
-    # the octahedron's exclusive collections shrink to lone triangles whose
+    # the octahedron's exclusive groups shrink to lone triangles whose
     # single marks cannot dominate; the audit records the gap honestly
     octa = Graph.from_edges(
         6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
@@ -214,22 +212,21 @@ def test_family_dset_reports_candidate_gap():
 
 def test_prune_splits_severed_collections():
     # pruning the octahedron's single seamless family leaves three cycles
-    # whose link graph falls apart, so three exclusive collections emerge
+    # whose link graph falls apart, so three exclusive groups emerge
     octa = Graph.from_edges(
         6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
     )
     fams = families_of(octa)
     assert len(fams) == 1 and len(fams[0].cycles) == 24
-    dsgs = prune_nonexclusive(fams[0])
-    assert len(dsgs) == 3
-    assert all(len(d.cycles) == 1 and len(d.cycles[0]) == 3 for d in dsgs)
+    groups = prune_nonexclusive(fams[0])
+    assert len(groups) == 3
+    assert all(len(group) == 1 and len(group[0]) == 3 for group in groups)
 
 
 def test_petersen_full_family_has_no_assignment():
     # thirty heavily overlapping cycles admit no consistent mark classes;
-    # only the pruned exclusive collections do
+    # only the pruned exclusive groups do
     fam = families_of(named_graph("petersen"))[0]
-    assert spaced_assignments(fam) == ()
-    assert assign_marks(fam) is None
-    for dsg in prune_nonexclusive(fam):
-        assert assign_marks(dsg) is not None
+    assert spaced_assignments(fam.cycles) == ()
+    for group in prune_nonexclusive(fam):
+        assert spaced_assignments(group) != ()

@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from domlab import Graph, cli, encode_graph6, named_graph, random_cubic, seams
+from domlab import Graph, __version__, cli, encode_graph6, named_graph, random_cubic, seams
+from domlab.checks import CHECKS, Facts
 from domlab.cli import generate_corpus
 from domlab.sweep import DEFAULT_CHECKS, piece_status, record_to_jsonl, run_sweep, summary_to_csv
 
@@ -82,6 +84,21 @@ def test_cache_survives_corruption(tmp_path, capsys):
     assert "corrupt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check, piece", [("claw_free_equal", 1), ("base", {})])
+def test_cache_row_missing_what_its_readers_index_is_corrupt(tmp_path, capsys, check, piece):
+    line = encode_graph6(named_graph("k4"))
+    assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1"]) == 0
+    plain = capsys.readouterr().out
+    cache = tmp_path / "cache.jsonl"
+    row = {"g": line, "c": check, "v": __version__, "r": piece}
+    cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1", "--cache", str(cache)]) == 0
+    out, err = capsys.readouterr()
+    assert "warning: ignored 1 corrupt cache lines" in err
+    assert "cache_hits=0" in err  # the piece was recomputed
+    assert out == plain
+
+
 def test_jsonl_is_sorted_and_compact():
     result = run_sweep(FIXTURE_LINES, checks=("third_bound",))
     line = record_to_jsonl(result.records[0])
@@ -143,6 +160,16 @@ def test_cli_csg_c6(capsys):
     assert "candidate_size=2" in out
 
 
+def test_cli_csg_matches_golden_output(capsys):
+    golden = (Path(__file__).parent / "data" / "csg_golden.txt").read_text(encoding="utf-8")
+    sections = golden.split("== ")[1:]
+    assert len(sections) == 8
+    for section in sections:
+        graph, expected = section.split("\n", 1)
+        assert cli.main(["csg", graph]) == 0
+        assert capsys.readouterr().out == expected, graph
+
+
 def test_cli_csg_builds_the_link_graph_once(monkeypatch, capsys):
     calls = []
     original = seams.try_ear_link
@@ -166,6 +193,22 @@ def test_cli_csg_budget_bounds_the_cycle_listing():
                           capture_output=True, text=True, timeout=5, env=env)
     assert done.returncode == 0
     assert done.stdout == "verdict: timeout after 100 ms\n"
+
+
+def test_cli_sweep_rejects_an_unknown_check(capsys):
+    assert cli.main(["sweep", "--corpus", "gnp n=4 p=0.5 count=1", "--checks", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert "'nope'" in captured.err and captured.out == ""
+
+
+def test_assignment_cap_truncates_the_family_verdict(monkeypatch):
+    monkeypatch.setattr(seams, "ASSIGNMENT_CAP", 1)
+    verdict = CHECKS["family_dset"].evaluate(Facts(named_graph("petersen")))
+    assert not verdict.holds
+    assert verdict.info["truncated"] is True and verdict.info["candidate"] is None
+    line = encode_graph6(named_graph("petersen"))
+    piece = run_sweep([line], checks=("family_dset",), jobs=1).records[0]["checks"]["family_dset"]
+    assert piece == {k: v for k, v in verdict.to_json().items() if k != "check"}
 
 
 def exit_code_and_stderr(argv, capsys):
