@@ -16,7 +16,7 @@ from .checks import CHECKS, Facts
 from .domination import SolverTimeout, gamma_exact, idom_exact
 from .graph6 import Graph6ParseError, encode_graph6, parse_graph6, read_graph6_lines
 from .graphs import Graph, gnp_random, is_graph_name, named_graph, random_cubic
-from .seams import CHECK_FAMILY_DSET, prune_nonexclusive, spaced_assignments
+from .seams import CHECK_FAMILY_DSET, BudgetExceeded, prune_nonexclusive, spaced_assignments
 from .sweep import (
     CACHE_ENV,
     DEFAULT_CHECKS,
@@ -81,8 +81,12 @@ def cmd_csg(args: argparse.Namespace) -> int:
             for c in fam.cycles:
                 print(f"  cycle {'-'.join(map(str, c.vertices))}")
             for j, group in enumerate(prune_nonexclusive(fam)):
-                marks = spaced_assignments(group)
-                shown = _fmt_set(marks[0]) if marks else "none"
+                try:
+                    marks = spaced_assignments(group)
+                except BudgetExceeded:  # the audit records this group as truncated too
+                    shown = "truncated"
+                else:
+                    shown = _fmt_set(marks[0]) if marks else "none"
                 print(f"  exclusive {j}: cycles={len(group)} assignment={shown}")
         verdict = CHECKS[CHECK_FAMILY_DSET].evaluate(facts)
     except SolverTimeout:

@@ -229,16 +229,17 @@ def vertex_connectivity(g: Graph) -> int:
 
 def delete_edges(g: Graph, edges: Iterable[Edge]) -> Graph:
     """Same vertices, edges minus `edges`; non-edges are rejected."""
-    doomed = set()
+    doomed: dict[int, set[int]] = {}
     for u, v in edges:
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
             raise ValueError(f"{u}-{v} is not an edge")
-        doomed.add(edge_key(u, v))
-    adj = tuple(
-        tuple(u for u in row if edge_key(v, u) not in doomed)
-        for v, row in enumerate(g.adj)
-    )
-    return Graph(g.n, adj)
+        doomed.setdefault(u, set()).add(v)
+        doomed.setdefault(v, set()).add(u)
+    # only the endpoints' rows change; every other row is shared with g
+    adj = list(g.adj)
+    for v, gone in doomed.items():
+        adj[v] = tuple(u for u in adj[v] if u not in gone)
+    return Graph(g.n, tuple(adj))
 
 
 def random_cubic(n: int, seed: int) -> Graph:

@@ -11,10 +11,11 @@ a key that records read, are skipped with a warning.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from math import ceil
 
@@ -65,7 +66,7 @@ def compute_pieces(line: str, needed: tuple[str, ...], budget_ms: int | None) ->
 
     Every piece reads one shared `Facts`, so each fact is computed at most
     once per graph, and only a check that reads an exhausted solver times
-    out.  Pure per-line work, safe to run in worker processes; timing lives
+    out.  Pure per-line work, safe to run in helper processes; timing lives
     in a separate '_elapsed' piece so default records stay byte-stable.
     """
     deadline = time.monotonic() + budget_ms / 1000 if budget_ms else None
@@ -81,11 +82,14 @@ def compute_pieces(line: str, needed: tuple[str, ...], budget_ms: int | None) ->
 
 
 def _readable(check: str, piece) -> bool:
-    """True iff a cached piece has every key its readers index."""
+    """True iff a cached piece has every key its readers index, and a base
+    piece holding both γ and i has γ ≤ i."""
     if not isinstance(piece, dict):
         return False
     if check == BASE_KEY:
-        return piece.keys() >= {"n", "m", "connectivity", "cubic", "gamma", "idom", "reed_bound"}
+        if not piece.keys() >= {"n", "m", "connectivity", "cubic", "gamma", "idom", "reed_bound"}:
+            return False
+        return None in (piece["gamma"], piece["idom"]) or piece["gamma"] <= piece["idom"]
     verdict = "holds" in piece and "vacuous" in piece and "witness" in piece and "info" in piece
     return verdict or "skipped" in piece or piece.get("timeout") is True
 
@@ -129,9 +133,71 @@ class VerdictCache:
         fh.write(json.dumps({"g": line, "c": check, "v": __version__, "r": value}) + "\n")
 
 
-def _pool_worker(payload: tuple[str, tuple[str, ...], int | None]) -> dict[str, dict]:
-    line, needed, budget_ms = payload
-    return compute_pieces(line, needed, budget_ms)
+Payload = tuple[str, tuple[str, ...], int | None]
+
+
+def _pull(cursor, payloads: list[Payload]) -> list[tuple[int, dict[str, dict]]]:
+    """Compute payloads by index off the shared cursor until none is left."""
+    done = []
+    while True:
+        with cursor.get_lock():
+            idx = cursor.value
+            cursor.value = idx + 1
+        if idx >= len(payloads):
+            return done
+        done.append((idx, compute_pieces(*payloads[idx])))
+
+
+def _helper(conn, cursor, payloads: list[Payload]) -> None:
+    """Body of a helper process: send back its pieces, or what it raised
+    with the traceback text."""
+    try:
+        conn.send(_pull(cursor, payloads))
+    except Exception as exc:
+        conn.send((exc, traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+def _compute_all(payloads: list[Payload], jobs: int) -> list[dict[str, dict]]:
+    """Pieces of every payload, in payload order, from `jobs` processes.
+
+    The calling process is one of them: it starts one helper fewer than
+    `jobs` or than there are payloads, then pulls payload indexes off the
+    cursor the helpers share, so a slow graph holds up only the process
+    computing it; with one job no process is started.  An exception a
+    helper raised is raised here again, caused by a RuntimeError that
+    carries the helper's traceback; a helper that dies without a reply
+    raises RuntimeError.
+    """
+    cursor = multiprocessing.Value("i", 0)
+    helpers: list[tuple[multiprocessing.Process, object]] = []
+    try:
+        for _ in range(min(jobs, len(payloads)) - 1):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_helper, args=(send, cursor, payloads), daemon=True)
+            proc.start()
+            send.close()  # the helper's copy alone keeps the pipe open, so its death reads as EOF
+            helpers.append((proc, receive))
+        done = _pull(cursor, payloads)
+        for k, (_, receive) in enumerate(helpers):
+            try:
+                got = receive.recv()
+            except EOFError:
+                raise RuntimeError(f"sweep helper {k} died") from None
+            if isinstance(got, tuple):
+                exc, trace = got
+                raise exc from RuntimeError(f"in sweep helper {k}:\n{trace}")
+            done += got
+    except BaseException:
+        for proc, _ in helpers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receive in helpers:
+            proc.join()
+            receive.close()
+    return [pieces for _, pieces in sorted(done, key=lambda pair: pair[0])]
 
 
 @dataclass
@@ -181,12 +247,7 @@ def run_sweep(
     computed: dict[int, dict[str, dict]] = {}
     if plans:
         payloads = [(line, needed, budget_ms) for _, line, needed in plans]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_pool_worker, payloads))
-        else:
-            results = [compute_pieces(*p) for p in payloads]
-        for (idx, _, _), result in zip(plans, results):
+        for (idx, _, _), result in zip(plans, _compute_all(payloads, jobs)):
             computed[idx] = result
 
     records: list[dict] = []

@@ -2,8 +2,8 @@
 
 The last sections keep earlier, slower implementations of the exact
 kernels, of the seamless link test and link replay, of the seamless
-families and of the detach audit verbatim, as differential oracles for
-the code that replaced them.
+families, of edge deletion and of the detach audit verbatim, as
+differential oracles for the code that replaced them.
 """
 
 from collections import deque
@@ -440,6 +440,23 @@ def prune_nonexclusive_relinking(col):
                     queue.append(j)
         out.append(tuple(survivors[i] for i in order))
     return tuple(out)
+
+
+# --- earlier edge deletion: every row rebuilt --------------------------------
+
+
+def delete_edges_by_full_rebuild(g: Graph, edges) -> Graph:
+    """Same vertices, edges minus `edges`; non-edges are rejected."""
+    doomed = set()
+    for u, v in edges:
+        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+            raise ValueError(f"{u}-{v} is not an edge")
+        doomed.add(edge_key(u, v))
+    adj = tuple(
+        tuple(u for u in row if edge_key(v, u) not in doomed)
+        for v, row in enumerate(g.adj)
+    )
+    return Graph(g.n, adj)
 
 
 # --- earlier detach audit: both graphs built per choice -------------------

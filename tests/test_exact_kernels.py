@@ -2,10 +2,13 @@
 
 Connectivity is checked against networkx and the all-pairs flow it
 replaced; gamma_exact and idom_exact must return the very member sets of
-the packing-bound solvers they replaced, and the sizes of brute force.
+the packing-bound solvers they replaced, and the sizes of brute force;
+delete_edges must return the graph, or raise the error, of the full
+rebuild it replaced.
 """
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from domlab import (
     Graph,
+    delete_edges,
     gamma_bruteforce,
     gamma_exact,
     gnp_random,
@@ -28,6 +32,7 @@ from domlab import (
 from domlab.domination import _lower_bound, _search_tables
 
 from _oracles import (
+    delete_edges_by_full_rebuild,
     gamma_exact_packing,
     idom_by_enumeration,
     idom_exact_packing,
@@ -53,6 +58,23 @@ def test_connectivity_on_gnp(n, p, seed):
     kappa = vertex_connectivity(g)
     assert kappa == nx_connectivity(g)
     assert kappa == vertex_connectivity_all_pairs(g)
+
+
+@settings(max_examples=150)
+@given(n=st.integers(min_value=1, max_value=12), p=edge_prob, seed=seeds, data=st.data())
+def test_delete_edges_matches_full_rebuild(n, p, seed, data):
+    g = gnp_random(n, p, seed)
+    both_ways = g.edges() + [(v, u) for u, v in g.edges()]
+    cut = data.draw(st.lists(st.sampled_from(both_ways), max_size=g.m + 1)) if g.m else []
+    if data.draw(st.booleans()):  # a pair that may be no edge or out of range
+        cut.append(data.draw(st.tuples(st.integers(-1, n), st.integers(-1, n))))
+    try:
+        expected = delete_edges_by_full_rebuild(g, cut)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            delete_edges(g, cut)
+    else:
+        assert delete_edges(g, cut) == expected
 
 
 @pytest.mark.parametrize("n", [20, 40])

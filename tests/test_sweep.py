@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from domlab import Graph, __version__, cli, encode_graph6, named_graph, random_cubic, seams
-from domlab.checks import CHECKS, Facts
+from domlab.checks import CHECKS, Check, Facts
 from domlab.cli import generate_corpus
 from domlab.sweep import DEFAULT_CHECKS, piece_status, record_to_jsonl, run_sweep, summary_to_csv
 
@@ -82,6 +83,20 @@ def test_cache_survives_corruption(tmp_path, capsys):
     result = run_sweep(FIXTURE_LINES, cache_path=str(cache))
     assert result.summary["cache_misses"] == 0
     assert "corrupt" in capsys.readouterr().err
+
+
+def test_cache_base_with_gamma_above_idom_is_corrupt(tmp_path, capsys):
+    assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1"]) == 0
+    plain = capsys.readouterr().out
+    # K4 is `C~`; every key is present, but no graph has gamma above idom
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"g":"C~","c":"base","v":"0.1.0","r":{"n":4,"m":6,"connectivity":3,'
+                     '"cubic":true,"gamma":2,"idom":1,"reed_bound":2}}\n', encoding="utf-8")
+    assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1", "--cache", str(cache)]) == 0
+    out, err = capsys.readouterr()
+    assert "warning: ignored 1 corrupt cache lines" in err
+    assert "cache_hits=0" in err
+    assert out == plain
 
 
 @pytest.mark.parametrize("check, piece", [("claw_free_equal", 1), ("base", {})])
@@ -195,6 +210,14 @@ def test_cli_csg_budget_bounds_the_cycle_listing():
     assert done.stdout == "verdict: timeout after 100 ms\n"
 
 
+def test_cli_csg_prints_a_truncated_mark_search(monkeypatch, capsys):
+    monkeypatch.setattr(seams, "ASSIGNMENT_CAP", 1)
+    assert cli.main(["csg", "petersen"]) == 0
+    out = capsys.readouterr().out
+    assert "  exclusive 0: cycles=1 assignment=truncated\n  exclusive 1: cycles=1 assignment=truncated\n" in out
+    assert out.endswith("verdict: holds=False gamma=3 candidate_size=None candidate=None\n")
+
+
 def test_cli_sweep_rejects_an_unknown_check(capsys):
     assert cli.main(["sweep", "--corpus", "gnp n=4 p=0.5 count=1", "--checks", "nope"]) == 2
     captured = capsys.readouterr()
@@ -246,6 +269,107 @@ def test_cli_sweep_jobs_deterministic(tmp_path):
     assert cli.main(["sweep", "--corpus", str(corpus), "--jobs", "8",
                      "--out", str(out8), "--summary", str(tmp_path / "s8.csv")]) == 0
     assert out1.read_bytes() == out8.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 5])
+def test_jobs_keep_records_byte_identical(tmp_path, jobs):
+    lines = generate_corpus("random-cubic n=8 count=4 seed=3") + FIXTURE_LINES
+    want = [record_to_jsonl(r) for r in run_sweep(lines).records]
+    # more jobs than graphs
+    few = run_sweep(lines[:2], jobs=jobs)
+    assert [record_to_jsonl(r) for r in few.records] == want[:2]
+    # a half-warm cache: only the odd-numbered graphs are computed
+    cache = str(tmp_path / "cache.jsonl")
+    run_sweep(lines[::2], cache_path=cache)
+    warm = run_sweep(lines, jobs=jobs, cache_path=cache)
+    assert warm.summary["cache_misses"] == len(lines[1::2]) * (1 + len(DEFAULT_CHECKS))
+    assert [record_to_jsonl(r) for r in warm.records] == want
+
+
+def test_jobs_count_the_sweep_process(monkeypatch):
+    started = []
+    original = multiprocessing.Process.start
+
+    def counted(proc):
+        started.append(proc)
+        original(proc)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counted)
+    run_sweep(FIXTURE_LINES, checks=("third_bound",), jobs=1)
+    assert started == []
+    run_sweep(FIXTURE_LINES, checks=("third_bound",), jobs=8)
+    assert len(started) == 2
+
+
+class HelperFailure(Exception):
+    pass
+
+
+def in_helper_once(flag: Path) -> bool:
+    """True in a helper process, after it has left `flag` for the sweep
+    process; there it waits until some helper has taken a graph, so that
+    the sweep process cannot compute every graph alone."""
+    if multiprocessing.parent_process() is not None:
+        flag.touch()
+        return True
+    limit = time.monotonic() + 10
+    while not flag.exists() and time.monotonic() < limit:
+        time.sleep(0.005)
+    return False
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="helpers see the monkeypatched check only when forked")
+def test_helper_exception_surfaces_with_its_type(tmp_path, monkeypatch):
+    real = CHECKS["third_bound"]
+
+    def evaluate(facts):
+        if in_helper_once(tmp_path / "flag"):
+            raise HelperFailure(facts.g.n)
+        return real.evaluate(facts)
+
+    monkeypatch.setitem(CHECKS, "third_bound", Check(real.gate, evaluate))
+    lines = generate_corpus("random-cubic n=8 count=4 seed=3")
+    with pytest.raises(HelperFailure) as raised:
+        run_sweep(lines, checks=("third_bound",), jobs=2)
+    # the helper's own traceback comes along as the cause
+    assert "in evaluate" in str(raised.value.__cause__)
+
+
+HELPER_DIES = """
+import multiprocessing, os, sys, time
+from pathlib import Path
+from domlab import sweep
+from domlab.cli import generate_corpus
+
+flag = Path(sys.argv[1])
+real = sweep.compute_pieces
+
+def dying(*payload):
+    if multiprocessing.parent_process() is not None:
+        flag.touch()
+        os._exit(3)
+    while not flag.exists():
+        time.sleep(0.005)
+    return real(*payload)
+
+sweep.compute_pieces = dying
+if __name__ == "__main__":
+    try:
+        sweep.run_sweep(generate_corpus("random-cubic n=8 count=4 seed=3"), jobs=2)
+    except RuntimeError as exc:
+        print(exc)
+"""
+
+
+def test_helper_death_raises_instead_of_hanging(tmp_path):
+    script = tmp_path / "dies.py"
+    script.write_text(HELPER_DIES, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, str(script), str(tmp_path / "flag")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "sweep helper 0 died\n"
 
 
 def test_cli_sweep_csv_format(tmp_path, capsys):
@@ -395,7 +519,7 @@ def _golden_runs() -> list[tuple[tuple[str, ...], list[str]]]:
     return runs
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5])
 def test_sweep_reproduces_golden_records(tmp_path, jobs):
     """Records frozen from an earlier release must come back byte for byte.
 
