@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .graphs import (
     Graph,
-    components,
     delete_edges,
     gnp_random,
     is_connected,
@@ -53,7 +52,6 @@ from .seams import (
 __all__ = [
     "__version__",
     "Graph",
-    "components",
     "delete_edges",
     "gnp_random",
     "is_connected",

@@ -6,11 +6,11 @@ listing and its seamless families) is computed on first read and kept; a
 `SolverTimeout` is kept as well, so a later read raises it again without
 running the solver a second time.
 
-`CHECKS` maps each check name to a `Check`: a gate that returns a skip
-reason (or None) from the cheap structural facts, and an evaluator that
-returns an `AuditVerdict`.  The sweep serializes those verdicts and the
-acceptance criteria run the same evaluators over their corpora, so each
-claim is written down here and nowhere else.
+`CHECKS` maps each check name, written nowhere else, to a `Check`: a gate
+that returns a skip reason (or None) from the cheap structural facts, and
+an evaluator that returns an `AuditVerdict`.  The sweep serializes those
+verdicts and the acceptance criteria run the same evaluators over their
+corpora, so each claim is written down here and nowhere else.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .domination import (
 )
 from .graphs import Graph, delete_edges, is_connected, is_cubic, vertex_connectivity
 from .reduction import (
-    CHECK_DETACH,
-    CHECK_EDGE_REMOVAL,
-    CHECK_PAIR_SEPARATION,
     AuditVerdict,
     check_detach_fact,
     check_pair_separation,
@@ -41,13 +38,7 @@ from .reduction import (
     find_induced_claw,
     removable_edges,
 )
-from .seams import CHECK_FAMILY_DSET, CycleCollection, family_dset_audit, seamless_families
-
-CHECK_CLAW_FREE = "claw_free_equal"
-CHECK_CORE_FREE = "core_free_equal"
-CHECK_THIRD_BOUND = "third_bound"
-CHECK_EXCESS_GAMMA = "excess_gamma_independent"
-CHECK_MOD3_NONEMPTY = "mod3_cycle_exists"
+from .seams import CycleCollection, family_dset_audit, seamless_families
 
 # enumeration caps keeping per-graph audit work bounded
 DSET_CAP = 5000
@@ -158,27 +149,27 @@ def _three_connected_gate(f: Facts) -> str | None:
     return "connectivity < 3" if f.connectivity < 3 else None
 
 
-def _gamma_equals_idom(check: str, f: Facts) -> AuditVerdict:
+def _gamma_equals_idom(f: Facts) -> AuditVerdict:
     numbers = {"gamma": f.gamma, "idom": f.idom}
     if f.gamma != f.idom:
-        return AuditVerdict(check, False, witness=numbers)
-    return AuditVerdict(check, True, info=numbers)
+        return AuditVerdict(False, witness=numbers)
+    return AuditVerdict(True, info=numbers)
 
 
 def _claw_free_equal(f: Facts) -> AuditVerdict:
     """Claw-free graphs have gamma = i."""
     claw = find_induced_claw(f.g)
     if claw is not None:
-        return AuditVerdict(CHECK_CLAW_FREE, True, vacuous=True, info={"claw": list(claw)})
-    return _gamma_equals_idom(CHECK_CLAW_FREE, f)
+        return AuditVerdict(True, vacuous=True, info={"claw": list(claw)})
+    return _gamma_equals_idom(f)
 
 
 def _core_free_equal(f: Facts) -> AuditVerdict:
     """Graphs with no adjacent pair of degree >= 3 have gamma = i."""
     core = find_forbidden_core(f.g)
     if core is not None:
-        return AuditVerdict(CHECK_CORE_FREE, True, vacuous=True, info={"core": list(core)})
-    return _gamma_equals_idom(CHECK_CORE_FREE, f)
+        return AuditVerdict(True, vacuous=True, info={"core": list(core)})
+    return _gamma_equals_idom(f)
 
 
 def _pair_separation(f: Facts) -> AuditVerdict:
@@ -197,7 +188,7 @@ def _pair_separation(f: Facts) -> AuditVerdict:
         "min_induced_edges": floor,
         "truncated": f.min_dsets.truncated,
     }
-    return AuditVerdict(CHECK_PAIR_SEPARATION, True, vacuous=vacuous == len(keepers), info=info)
+    return AuditVerdict(True, vacuous=vacuous == len(keepers), info=info)
 
 
 def _edge_removal(f: Facts) -> AuditVerdict:
@@ -208,11 +199,9 @@ def _edge_removal(f: Facts) -> AuditVerdict:
         for e in sorted(removable_edges(g, dset)):
             checked += 1
             if not is_dominating(delete_edges(g, [e]), dset):
-                return AuditVerdict(
-                    CHECK_EDGE_REMOVAL, False, witness={"set": sorted(dset), "edge": list(e)}
-                )
+                return AuditVerdict(False, witness={"set": sorted(dset), "edge": list(e)})
     info = {"dsets": len(enum.dsets), "edges_checked": checked, "truncated": enum.truncated}
-    return AuditVerdict(CHECK_EDGE_REMOVAL, True, info=info)
+    return AuditVerdict(True, info=info)
 
 
 def _detach(f: Facts) -> AuditVerdict:
@@ -225,7 +214,7 @@ def _detach(f: Facts) -> AuditVerdict:
         verdict = check_detach_fact(g, dset)
         if not verdict.holds:
             witness = {"set": sorted(dset), "chosen": verdict.witness["chosen"]}
-            return AuditVerdict(CHECK_DETACH, False, witness=witness)
+            return AuditVerdict(False, witness=witness)
         checked += verdict.info["transforms"]
         vacuous += verdict.info["vacuous"]
     info = {
@@ -234,15 +223,15 @@ def _detach(f: Facts) -> AuditVerdict:
         "vacuous": vacuous,
         "truncated": enum.truncated,
     }
-    return AuditVerdict(CHECK_DETACH, True, info=info)
+    return AuditVerdict(True, info=info)
 
 
 def _third_bound(f: Facts) -> AuditVerdict:
     """gamma <= ceil(n/3) for a connected cubic graph; never vacuous."""
     numbers = {"gamma": f.gamma, "bound": ceil(f.g.n / 3)}
     if f.gamma > numbers["bound"]:
-        return AuditVerdict(CHECK_THIRD_BOUND, False, witness=numbers)
-    return AuditVerdict(CHECK_THIRD_BOUND, True, info=numbers)
+        return AuditVerdict(False, witness=numbers)
+    return AuditVerdict(True, info=numbers)
 
 
 def _excess_gamma(f: Facts) -> AuditVerdict:
@@ -253,19 +242,19 @@ def _excess_gamma(f: Facts) -> AuditVerdict:
     """
     bound = ceil(f.g.n / 3)
     if f.gamma <= bound:
-        return AuditVerdict(CHECK_EXCESS_GAMMA, True, vacuous=True, info={"gamma": f.gamma, "bound": bound})
+        return AuditVerdict(True, vacuous=True, info={"gamma": f.gamma, "bound": bound})
     numbers = {"gamma": f.gamma, "idom": f.idom, "bound": bound}
     if f.gamma != f.idom:
-        return AuditVerdict(CHECK_EXCESS_GAMMA, False, witness=numbers)
-    return AuditVerdict(CHECK_EXCESS_GAMMA, True, info=numbers)
+        return AuditVerdict(False, witness=numbers)
+    return AuditVerdict(True, info=numbers)
 
 
 def _mod3_nonempty(f: Facts) -> AuditVerdict:
     """A 3-connected graph contains a 0-mod-3 cycle."""
     cycles = f.mod3_cycles
     if not cycles:
-        return AuditVerdict(CHECK_MOD3_NONEMPTY, False, witness={"n": f.g.n, "m": f.g.m})
-    return AuditVerdict(CHECK_MOD3_NONEMPTY, True, info={"cycle": list(cycles[0].vertices)})
+        return AuditVerdict(False, witness={"n": f.g.n, "m": f.g.m})
+    return AuditVerdict(True, info={"cycle": list(cycles[0].vertices)})
 
 
 def _family_dset(f: Facts) -> AuditVerdict:
@@ -274,13 +263,13 @@ def _family_dset(f: Facts) -> AuditVerdict:
 
 
 CHECKS: dict[str, Check] = {
-    CHECK_CLAW_FREE: Check(_no_gate, _claw_free_equal),
-    CHECK_CORE_FREE: Check(_no_gate, _core_free_equal),
-    CHECK_PAIR_SEPARATION: Check(_subcubic_enumeration_gate, _pair_separation),
-    CHECK_EDGE_REMOVAL: Check(_enumeration_gate, _edge_removal),
-    CHECK_DETACH: Check(_enumeration_gate, _detach),
-    CHECK_THIRD_BOUND: Check(_connected_cubic_gate, _third_bound),
-    CHECK_EXCESS_GAMMA: Check(_connected_cubic_gate, _excess_gamma),
-    CHECK_MOD3_NONEMPTY: Check(_three_connected_gate, _mod3_nonempty),
-    CHECK_FAMILY_DSET: Check(_three_connected_gate, _family_dset),
+    "claw_free_equal": Check(_no_gate, _claw_free_equal),
+    "core_free_equal": Check(_no_gate, _core_free_equal),
+    "tight_pair_separation": Check(_subcubic_enumeration_gate, _pair_separation),
+    "edge_removal": Check(_enumeration_gate, _edge_removal),
+    "detach_transform": Check(_enumeration_gate, _detach),
+    "third_bound": Check(_connected_cubic_gate, _third_bound),
+    "excess_gamma_independent": Check(_connected_cubic_gate, _excess_gamma),
+    "mod3_cycle_exists": Check(_three_connected_gate, _mod3_nonempty),
+    "family_dset": Check(_three_connected_gate, _family_dset),
 }

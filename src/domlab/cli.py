@@ -16,7 +16,7 @@ from .checks import CHECKS, Facts
 from .domination import SolverTimeout, gamma_exact, idom_exact
 from .graph6 import Graph6ParseError, encode_graph6, parse_graph6, read_graph6_lines
 from .graphs import Graph, gnp_random, is_graph_name, named_graph, random_cubic
-from .seams import CHECK_FAMILY_DSET, BudgetExceeded, prune_nonexclusive, spaced_assignments
+from .seams import BudgetExceeded, prune_nonexclusive, spaced_assignments
 from .sweep import (
     CACHE_ENV,
     DEFAULT_CHECKS,
@@ -40,27 +40,15 @@ def _fmt_set(members) -> str:
     return "{" + ",".join(str(v) for v in sorted(members)) + "}"
 
 
-def cmd_gamma(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
     try:
-        cert = gamma_exact(g, deadline=deadline)
+        cert = args.solver(g, deadline=deadline)
     except SolverTimeout:
         print(f"timeout after {args.budget_ms} ms")
         return 0
-    print(f"gamma={cert.size} set={_fmt_set(cert.members)}")
-    return 0
-
-
-def cmd_idom(args: argparse.Namespace) -> int:
-    g = _resolve_graph(args.graph)
-    deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
-    try:
-        cert = idom_exact(g, deadline=deadline)
-    except SolverTimeout:
-        print(f"timeout after {args.budget_ms} ms")
-        return 0
-    print(f"idom={cert.size} set={_fmt_set(cert.members)}")
+    print(f"{args.command}={cert.size} set={_fmt_set(cert.members)}")
     return 0
 
 
@@ -88,7 +76,7 @@ def cmd_csg(args: argparse.Namespace) -> int:
                 else:
                     shown = _fmt_set(marks[0]) if marks else "none"
                 print(f"  exclusive {j}: cycles={len(group)} assignment={shown}")
-        verdict = CHECKS[CHECK_FAMILY_DSET].evaluate(facts)
+        verdict = CHECKS["family_dset"].evaluate(facts)
     except SolverTimeout:
         print(f"verdict: timeout after {args.budget_ms} ms")
         return 0
@@ -100,11 +88,11 @@ def cmd_csg(args: argparse.Namespace) -> int:
     return 0
 
 
-def generate_corpus(spec: str, default_seed: int = 0) -> list[str]:
+def generate_corpus(spec: str) -> list[str]:
     """Graph6 lines from a generator spec.
 
     Specs: 'random-cubic n=10 count=50 seed=1' or 'gnp n=9 p=0.3 count=20
-    seed=4'; seed advances by one per graph.
+    seed=4'; seed (default 0) advances by one per graph.
     """
     parts = spec.split()
     if not parts:
@@ -117,7 +105,7 @@ def generate_corpus(spec: str, default_seed: int = 0) -> list[str]:
         key, value = part.split("=", 1)
         kv[key] = value
     count = int(kv.get("count", "1"))
-    seed = int(kv.get("seed", str(default_seed)))
+    seed = int(kv.get("seed", "0"))
     if kind == "random-cubic":
         n = int(kv["n"])
         return [encode_graph6(random_cubic(n, seed + i)) for i in range(count)]
@@ -129,19 +117,19 @@ def generate_corpus(spec: str, default_seed: int = 0) -> list[str]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    for line in generate_corpus(args.spec, default_seed=args.seed):
+    for line in generate_corpus(args.spec):
         print(line)
     return 0
 
 
-def _load_corpus(corpus: str, default_seed: int) -> list[str]:
+def _load_corpus(corpus: str) -> list[str]:
     if os.path.exists(corpus):
         return read_graph6_lines(corpus)
-    return generate_corpus(corpus, default_seed=default_seed)
+    return generate_corpus(corpus)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    lines = _load_corpus(args.corpus, args.seed)
+    lines = _load_corpus(args.corpus)
     checks = DEFAULT_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
     result = run_sweep(
         lines,
@@ -203,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="domination number of one graph")
     p.add_argument("graph", help="graph6 line or fixture name (e.g. petersen)")
     add_budget(p)
-    p.set_defaults(func=cmd_gamma)
+    p.set_defaults(func=cmd_solve, solver=gamma_exact)
 
     p = sub.add_parser("idom", help="independent domination number of one graph")
     p.add_argument("graph")
     add_budget(p)
-    p.set_defaults(func=cmd_idom)
+    p.set_defaults(func=cmd_solve, solver=idom_exact)
 
     p = sub.add_parser("csg", help="seamless cycle collections and the family verdict")
     p.add_argument("graph")
@@ -217,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit graph6 lines from a generator spec")
     p.add_argument("spec", help="e.g. 'random-cubic n=10 count=50 seed=1'")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sweep", help="audit a corpus, one JSONL record per graph")
@@ -225,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="all", help="comma list or 'all'")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--cache", default=os.environ.get(CACHE_ENV))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="JSONL/CSV destination (default stdout)")
     p.add_argument("--summary", default=None, help="CSV summary destination (default stderr)")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -22,9 +22,6 @@ from typing import Iterable
 
 from .graphs import Graph
 
-KIND_GAMMA = "gamma"
-KIND_IDOM = "idom"
-
 BRUTE_FORCE_LIMIT = 24
 
 
@@ -34,13 +31,10 @@ class SolverTimeout(Exception):
 
 @dataclass(frozen=True)
 class DominationCertificate:
-    """A dominating set together with the facts it certifies."""
+    """A dominating set and its size."""
 
     members: frozenset[int]
     size: int
-    independent: bool
-    induced_edges: int
-    kind: str
 
 
 def closed_masks(g: Graph) -> list[int]:
@@ -72,21 +66,13 @@ def induced_edge_count(g: Graph, members: Iterable[int]) -> int:
     return sum(1 for v in inside for u in g.adj[v] if u in inside) // 2
 
 
-def _certificate(g: Graph, members: Iterable[int], kind: str) -> DominationCertificate:
+def _certificate(g: Graph, members: Iterable[int], independent: bool = False) -> DominationCertificate:
     chosen = frozenset(members)
     if not is_dominating(g, chosen):
         raise AssertionError("internal error: certificate set does not dominate")
-    induced = induced_edge_count(g, chosen)
-    independent = induced == 0
-    if kind == KIND_IDOM and not independent:
+    if independent and induced_edge_count(g, chosen):
         raise AssertionError("internal error: idom certificate is not independent")
-    return DominationCertificate(
-        members=chosen,
-        size=len(chosen),
-        independent=independent,
-        induced_edges=induced,
-        kind=kind,
-    )
+    return DominationCertificate(members=chosen, size=len(chosen))
 
 
 def gamma_bruteforce(g: Graph) -> DominationCertificate:
@@ -98,7 +84,7 @@ def gamma_bruteforce(g: Graph) -> DominationCertificate:
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force solver is guarded to n <= {BRUTE_FORCE_LIMIT}")
     if g.n == 0:
-        return _certificate(g, (), KIND_GAMMA)
+        return _certificate(g, ())
     masks = closed_masks(g)
     full = (1 << g.n) - 1
     lo = max(1, -(-g.n // (g.max_degree() + 1)))
@@ -108,7 +94,7 @@ def gamma_bruteforce(g: Graph) -> DominationCertificate:
             for v in combo:
                 cover |= masks[v]
             if cover == full:
-                return _certificate(g, combo, KIND_GAMMA)
+                return _certificate(g, combo)
     raise AssertionError("unreachable: the whole vertex set dominates")
 
 
@@ -197,7 +183,7 @@ def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertifi
     whatever valid bound is used.
     """
     if g.n == 0:
-        return _certificate(g, (), KIND_GAMMA)
+        return _certificate(g, ())
     masks, closed, scale = _search_tables(g)
     full = (1 << g.n) - 1
     # vertices grouped by degree, lowest degree first: the least undominated
@@ -234,7 +220,7 @@ def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertifi
             chosen.pop()
 
     search([], 0)
-    return _certificate(g, best, KIND_GAMMA)
+    return _certificate(g, best)
 
 
 def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertificate:
@@ -247,7 +233,7 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
     the lexicographically first maximal independent set.
     """
     if g.n == 0:
-        return _certificate(g, (), KIND_IDOM)
+        return _certificate(g, (), independent=True)
     masks, closed, scale = _search_tables(g)
     nbr_masks = [masks[v] ^ (1 << v) for v in range(g.n)]
     full = (1 << g.n) - 1
@@ -284,7 +270,7 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
             chosen.pop()
 
     search([], 0, 0)
-    return _certificate(g, best, KIND_IDOM)
+    return _certificate(g, best, independent=True)
 
 
 @dataclass(frozen=True)

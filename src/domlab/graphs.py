@@ -95,34 +95,18 @@ class Graph:
         return frozenset(self.adj[v]) | {v}
 
 
-def components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components of g.
-
-    Each component is a sorted vertex tuple; components are ordered by
-    their smallest member.
-    """
-    seen: set[int] = set()
-    out = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
-
-
 def is_connected(g: Graph) -> bool:
-    """True iff g has at most one component (the empty graph counts)."""
-    return len(components(g)) <= 1
+    """True iff a traversal from vertex 0 reaches every vertex (n = 0 counts)."""
+    if g.n == 0:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in g.adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
 
 
 def is_cubic(g: Graph) -> bool:

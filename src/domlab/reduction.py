@@ -14,8 +14,8 @@ The two surgery tools work relative to a dominating set X:
   for every choice of at most two such vertices at once, as tests on
   closed-neighbourhood bitmasks of g; no transformed graph is built.
 
-Audit results are uniform `AuditVerdict` values with a stable check name,
-so the sweep harness can serialize them without knowing the details.
+Audit results are uniform `AuditVerdict` values, so the sweep harness can
+serialize them without knowing the details.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from typing import Iterable
 from .domination import closed_masks, is_dominating
 from .graphs import Edge, Graph, delete_edges, edge_key
 
-CHECK_PAIR_SEPARATION = "tight_pair_separation"
-CHECK_EDGE_REMOVAL = "edge_removal"
-CHECK_DETACH = "detach_transform"
-
-
 @dataclass(frozen=True)
 class AuditVerdict:
     """Uniform outcome of a structural audit.
@@ -41,7 +36,6 @@ class AuditVerdict:
     holds).  `info` is free-form JSON-ready reporting.
     """
 
-    check: str
     holds: bool
     vacuous: bool = False
     witness: dict | None = None
@@ -55,7 +49,6 @@ class AuditVerdict:
 
     def to_json(self) -> dict:
         return {
-            "check": self.check,
             "holds": self.holds,
             "vacuous": self.vacuous,
             "witness": self.witness,
@@ -126,11 +119,10 @@ def check_removal_fact(g: Graph, members: Iterable[int], removed: Iterable[Edge]
     for v in range(g.n):
         if v not in x and not any(w in x for w in stripped.adj[v]):
             return AuditVerdict(
-                check=CHECK_EDGE_REMOVAL,
                 holds=False,
                 witness={"undominated": v, "removed": sorted(map(list, chosen))},
             )
-    return AuditVerdict(check=CHECK_EDGE_REMOVAL, holds=True, info={"removed": len(chosen)})
+    return AuditVerdict(holds=True, info={"removed": len(chosen)})
 
 
 def detachable_vertices(g: Graph, anchors: Iterable[int]) -> frozenset[int]:
@@ -204,13 +196,12 @@ def check_detach_fact(g: Graph, anchors: Iterable[int]) -> AuditVerdict:
         if stranded:
             first = (stranded & -stranded).bit_length() - 1
             return AuditVerdict(
-                check=CHECK_DETACH,
                 holds=False,
                 witness={"undominated": first, "chosen": list(chosen)},
                 info={"transforms": transforms, "vacuous": vacuous},
             )
     info = {"transforms": transforms, "vacuous": vacuous}
-    return AuditVerdict(check=CHECK_DETACH, holds=True, vacuous=vacuous == transforms, info=info)
+    return AuditVerdict(holds=True, vacuous=vacuous == transforms, info=info)
 
 
 def check_pair_separation(g: Graph, members: Iterable[int]) -> AuditVerdict:
@@ -230,7 +221,6 @@ def check_pair_separation(g: Graph, members: Iterable[int]) -> AuditVerdict:
     induced = [(u, v) for u, v in g.edges() if u in x and v in x]
     if not induced or len(x) < 3:
         return AuditVerdict(
-            check=CHECK_PAIR_SEPARATION,
             holds=True,
             vacuous=True,
             info={"induced_edges": len(induced), "size": len(x)},
@@ -243,12 +233,7 @@ def check_pair_separation(g: Graph, members: Iterable[int]) -> AuditVerdict:
             common = sorted(hood & g.closed_neighborhood(w))
             if common:
                 return AuditVerdict(
-                    check=CHECK_PAIR_SEPARATION,
                     holds=False,
                     witness={"edge": [v1, v2], "member": w, "common": common},
                 )
-    return AuditVerdict(
-        check=CHECK_PAIR_SEPARATION,
-        holds=True,
-        info={"induced_edges": len(induced), "size": len(x)},
-    )
+    return AuditVerdict(holds=True, info={"induced_edges": len(induced), "size": len(x)})

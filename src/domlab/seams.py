@@ -31,7 +31,6 @@ from .domination import SolverTimeout, is_dominating
 from .graphs import Graph
 from .reduction import AuditVerdict
 
-CHECK_FAMILY_DSET = "family_dset"
 
 # search-node cap of the mark-assignment search, which raises
 # BudgetExceeded on reaching it
@@ -366,6 +365,6 @@ def family_dset_audit(
     }
     holds = best is not None and best[0] == gamma
     if holds:
-        return AuditVerdict(check=CHECK_FAMILY_DSET, holds=True, info=info)
+        return AuditVerdict(holds=True, info=info)
     witness = {"gamma": gamma, "candidate_size": best[0] if best else None}
-    return AuditVerdict(check=CHECK_FAMILY_DSET, holds=False, witness=witness, info=info)
+    return AuditVerdict(holds=False, witness=witness, info=info)

@@ -4,8 +4,8 @@ One JSONL record per input graph, in input order regardless of
 parallelism.  Records are byte-stable: keys sorted, compact separators,
 and no timing fields unless explicitly requested, so two runs of the same
 sweep diff clean.  The cache is an append-only JSONL file keyed by
-(graph6, check, code version); corrupt lines, which do not parse or lack
-a key that records read, are skipped with a warning.
+(graph6, check, code version); corrupt lines, which do not parse or hold
+a piece `_cacheable` rejects, are skipped with a warning.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .graph6 import parse_graph6
 
 CACHE_ENV = "DOMLAB_CACHE"
 BASE_KEY = "base"
+BASE_FIELDS = ("n", "m", "connectivity", "cubic", "gamma", "idom", "reed_bound")
+_BASE_SET = frozenset(BASE_FIELDS)
 DEFAULT_CHECKS = tuple(CHECKS)
 
 
@@ -54,11 +56,9 @@ def _check_piece(check: Check, facts: Facts) -> dict:
     if reason is not None:
         return {"skipped": reason}
     try:
-        piece = check.evaluate(facts).to_json()
+        return check.evaluate(facts).to_json()
     except SolverTimeout:
         return {"timeout": True}
-    del piece["check"]  # the record's checks map already carries the name
-    return piece
 
 
 def compute_pieces(line: str, needed: tuple[str, ...], budget_ms: int | None) -> dict[str, dict]:
@@ -81,17 +81,20 @@ def compute_pieces(line: str, needed: tuple[str, ...], budget_ms: int | None) ->
     return out
 
 
-def _readable(check: str, piece) -> bool:
-    """True iff a cached piece has every key its readers index, and a base
-    piece holding both γ and i has γ ≤ i."""
+def _cacheable(check: str, piece) -> bool:
+    """True iff the cache may store and serve `piece` as `check`: a base
+    piece with every field and solved γ ≤ i, a verdict with every key its
+    readers index, or a skip.  A timeout or an unsolved γ or i is a budget
+    artifact, not a fact about the graph, so it is neither stored nor served."""
     if not isinstance(piece, dict):
         return False
     if check == BASE_KEY:
-        if not piece.keys() >= {"n", "m", "connectivity", "cubic", "gamma", "idom", "reed_bound"}:
+        if not piece.keys() >= _BASE_SET:
             return False
-        return None in (piece["gamma"], piece["idom"]) or piece["gamma"] <= piece["idom"]
+        gamma, idom = piece["gamma"], piece["idom"]
+        return gamma is not None and idom is not None and gamma <= idom
     verdict = "holds" in piece and "vacuous" in piece and "witness" in piece and "info" in piece
-    return verdict or "skipped" in piece or piece.get("timeout") is True
+    return verdict or "skipped" in piece
 
 
 class VerdictCache:
@@ -110,7 +113,7 @@ class VerdictCache:
                     try:
                         row = json.loads(raw)
                         key = (row["g"], row["c"], row["v"])
-                        if _readable(row["c"], row["r"]):
+                        if _cacheable(row["c"], row["r"]):
                             self.entries[key] = row["r"]
                             continue
                     except (json.JSONDecodeError, KeyError, TypeError):
@@ -264,12 +267,8 @@ def run_sweep(
                 if name == "_elapsed":
                     continue
                 pieces[name] = value
-                if cache_fh is None:
-                    continue
-                # budget artifacts are not facts about the graph; never cache them
-                if value.get("timeout") or (name == BASE_KEY and None in (value["gamma"], value["idom"])):
-                    continue
-                cache.put(cache_fh, line, name, value)
+                if cache_fh is not None and _cacheable(name, value):
+                    cache.put(cache_fh, line, name, value)
             base = pieces[BASE_KEY]
             if base["gamma"] is not None and base["idom"] is not None:
                 assert base["gamma"] <= base["idom"], "gamma must not exceed idom"
@@ -321,7 +320,7 @@ def summary_to_csv(summary: dict) -> str:
 
 def records_to_csv(records: list[dict], checks: tuple[str, ...]) -> str:
     """Flat per-graph table; each check column is a one-word status."""
-    head = ["graph6", "n", "m", "connectivity", "cubic", "gamma", "idom", "reed_bound"]
+    head = ["graph6", *BASE_FIELDS]
     lines = [",".join(head + list(checks))]
     for rec in records:
         row = [str(rec[k]) for k in head]

@@ -12,9 +12,9 @@ from itertools import combinations, permutations
 from domlab import Cycle, Graph, detachable_vertices, is_connected, is_dominating
 # `domlab verify` needs this oracle at run time, so its one copy lives there
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
-from domlab.domination import KIND_GAMMA, KIND_IDOM, _certificate, closed_masks
+from domlab.domination import _certificate, closed_masks
 from domlab.graphs import Edge, edge_key
-from domlab.reduction import CHECK_DETACH, AuditVerdict
+from domlab.reduction import AuditVerdict
 from domlab.seams import CycleCollection, EarLink
 
 
@@ -164,7 +164,7 @@ def _packing_bound(g: Graph, masks: list[int], dominated: int) -> int:
 def gamma_exact_packing(g: Graph):
     """Branch and bound for gamma pruned by the packing bound alone."""
     if g.n == 0:
-        return _certificate(g, (), KIND_GAMMA)
+        return _certificate(g, ())
     masks = closed_masks(g)
     full = (1 << g.n) - 1
     by_degree = sorted(range(g.n), key=lambda v: (len(g.adj[v]), v))
@@ -185,13 +185,13 @@ def gamma_exact_packing(g: Graph):
             chosen.pop()
 
     search([], 0)
-    return _certificate(g, best, KIND_GAMMA)
+    return _certificate(g, best)
 
 
 def idom_exact_packing(g: Graph):
     """Branch and bound for i pruned by the packing bound alone."""
     if g.n == 0:
-        return _certificate(g, (), KIND_IDOM)
+        return _certificate(g, (), independent=True)
     masks = closed_masks(g)
     nbr_masks = [masks[v] ^ (1 << v) for v in range(g.n)]
     full = (1 << g.n) - 1
@@ -220,7 +220,7 @@ def idom_exact_packing(g: Graph):
             chosen.pop()
 
     search([], 0, 0)
-    return _certificate(g, best, KIND_IDOM)
+    return _certificate(g, best, independent=True)
 
 
 
@@ -523,7 +523,6 @@ def check_detach_choice(g: Graph, anchors, chosen) -> AuditVerdict:
     index = {old: new for new, old in enumerate(remap)}
     if not is_dominating(reduced, {index[v] for v in y}):
         return AuditVerdict(
-            check=CHECK_DETACH,
             holds=True,
             vacuous=True,
             info={"reason": "anchors do not dominate the vertex-deleted graph"},
@@ -533,11 +532,10 @@ def check_detach_choice(g: Graph, anchors, chosen) -> AuditVerdict:
     for v in range(h.n):
         if v not in combined and not any(w in combined for w in h.adj[v]):
             return AuditVerdict(
-                check=CHECK_DETACH,
                 holds=False,
                 witness={"undominated": v, "chosen": sorted(picked)},
             )
-    return AuditVerdict(check=CHECK_DETACH, holds=True, info={"chosen": len(picked)})
+    return AuditVerdict(holds=True, info={"chosen": len(picked)})
 
 
 def detach_audit_by_transforms(g: Graph, anchors) -> AuditVerdict:
@@ -551,7 +549,7 @@ def detach_audit_by_transforms(g: Graph, anchors) -> AuditVerdict:
         transforms += 1
         if not verdict.holds:
             info = {"transforms": transforms, "vacuous": vacuous}
-            return AuditVerdict(CHECK_DETACH, False, witness=verdict.witness, info=info)
+            return AuditVerdict(False, witness=verdict.witness, info=info)
         vacuous += verdict.vacuous
     info = {"transforms": transforms, "vacuous": vacuous}
-    return AuditVerdict(CHECK_DETACH, True, vacuous=vacuous == transforms, info=info)
+    return AuditVerdict(True, vacuous=vacuous == transforms, info=info)

@@ -36,10 +36,6 @@ def test_registry_names_every_check_once():
         "detach_transform", "third_bound", "excess_gamma_independent",
         "mod3_cycle_exists", "family_dset",
     ]
-    for name, entry in CHECKS.items():
-        facts = Facts(named_graph("k4"))
-        if entry.gate(facts) is None:
-            assert entry.evaluate(facts).check == name
 
 
 def test_claw_and_core_free_evaluators():

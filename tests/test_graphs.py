@@ -2,7 +2,6 @@ import pytest
 
 from domlab import (
     Graph,
-    components,
     delete_edges,
     gnp_random,
     is_connected,
@@ -110,11 +109,6 @@ def test_delete_vertices():
     assert remap == (0, 2)
     with pytest.raises(ValueError):
         delete_vertices(p4, [9])
-
-
-def test_components():
-    g = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4)])
-    assert components(g) == ((0, 1), (2, 3, 4), (5,))
 
 
 def test_random_cubic_contract():

@@ -99,7 +99,15 @@ def test_cache_base_with_gamma_above_idom_is_corrupt(tmp_path, capsys):
     assert out == plain
 
 
-@pytest.mark.parametrize("check, piece", [("claw_free_equal", 1), ("base", {})])
+UNSOLVED_BASE = {"n": 4, "m": 6, "connectivity": 3, "cubic": True, "gamma": None, "idom": None, "reed_bound": 2}
+
+
+@pytest.mark.parametrize("check, piece", [
+    ("claw_free_equal", 1),
+    ("base", {}),
+    ("third_bound", {"timeout": True}),  # budget artifacts are never cached, so never served
+    ("base", UNSOLVED_BASE),
+])
 def test_cache_row_missing_what_its_readers_index_is_corrupt(tmp_path, capsys, check, piece):
     line = encode_graph6(named_graph("k4"))
     assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1"]) == 0
@@ -156,6 +164,13 @@ def test_cli_gamma_and_idom(capsys):
     assert capsys.readouterr().out.startswith("gamma=1")
     assert cli.main(["idom", "k13"]) == 0
     assert capsys.readouterr().out.strip() == "idom=1 set={0}"
+
+
+@pytest.mark.parametrize("command", ["gamma", "idom"])
+def test_cli_solver_reports_its_timeout(capsys, command):
+    # an exact solve on 60 cubic vertices takes far longer than 1 ms
+    assert cli.main([command, encode_graph6(random_cubic(60, 1)), "--budget-ms", "1"]) == 0
+    assert capsys.readouterr().out == "timeout after 1 ms\n"
 
 
 def test_cli_parse_failure_exits_2(capsys):
@@ -231,7 +246,7 @@ def test_assignment_cap_truncates_the_family_verdict(monkeypatch):
     assert verdict.info["truncated"] is True and verdict.info["candidate"] is None
     line = encode_graph6(named_graph("petersen"))
     piece = run_sweep([line], checks=("family_dset",), jobs=1).records[0]["checks"]["family_dset"]
-    assert piece == {k: v for k, v in verdict.to_json().items() if k != "check"}
+    assert piece == verdict.to_json()
 
 
 def exit_code_and_stderr(argv, capsys):
