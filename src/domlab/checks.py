@@ -2,9 +2,9 @@
 
 `Facts` holds one graph and a deadline.  Each fact the checks read
 (connectivity, gamma, i, the minimum dominating sets, the 0-mod-3 cycle
-listing and its seamless families) is computed on first read and kept; a
-`SolverTimeout` is kept as well, so a later read raises it again without
-running the solver a second time.
+listing, its seamless families and their marked exclusive groups) is
+computed on first read and kept; a `SolverTimeout` is kept as well, so a
+later read raises it again without running the solver a second time.
 
 `CHECKS` maps each check name, written nowhere else, to a `Check`: a gate
 that returns a skip reason (or None) from the cheap structural facts, and
@@ -38,7 +38,7 @@ from .reduction import (
     find_induced_claw,
     removable_edges,
 )
-from .seams import CycleCollection, family_dset_audit, seamless_families
+from .seams import CycleCollection, MarkedGroup, exclusive_groups, family_dset_audit, seamless_families
 
 # enumeration caps keeping per-graph audit work bounded
 DSET_CAP = 5000
@@ -111,6 +111,11 @@ class Facts:
     def families(self) -> tuple[CycleCollection, ...]:
         """The seamless families of `mod3_cycles`, by smallest cycle."""
         return seamless_families(self.mod3_cycles, deadline=self.deadline)
+
+    @_fact
+    def groups(self) -> tuple[tuple[MarkedGroup, ...], ...]:
+        """Per family, its exclusive groups with their spaced mark sets."""
+        return exclusive_groups(self.families, deadline=self.deadline)
 
     @_fact
     def min_edge_dsets(self) -> tuple[list[frozenset[int]], int]:
@@ -259,7 +264,7 @@ def _mod3_nonempty(f: Facts) -> AuditVerdict:
 
 def _family_dset(f: Facts) -> AuditVerdict:
     gamma = f.gamma  # before the listing, so a gamma timeout skips it
-    return family_dset_audit(f.g, f.families, gamma, deadline=f.deadline)
+    return family_dset_audit(f.g, f.groups, gamma, deadline=f.deadline)
 
 
 CHECKS: dict[str, Check] = {

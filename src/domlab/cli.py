@@ -16,7 +16,6 @@ from .checks import CHECKS, Facts
 from .domination import SolverTimeout, gamma_exact, idom_exact
 from .graph6 import Graph6ParseError, encode_graph6, parse_graph6, read_graph6_lines
 from .graphs import Graph, gnp_random, is_graph_name, named_graph, random_cubic
-from .seams import BudgetExceeded, prune_nonexclusive, spaced_assignments
 from .sweep import (
     CACHE_ENV,
     DEFAULT_CHECKS,
@@ -54,27 +53,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_csg(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
-    # one deadline for the cycle listing, the link graph, gamma and the audit
+    # one deadline for the cycle listing, the link graph, the groups, gamma
+    # and the audit
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
     facts = Facts(g, deadline)
     try:
-        families = facts.families
+        families, groups = facts.families, facts.groups
         if not families:
             print("no mod-3 cycles")
             return 0
         print(f"collections: {len(families)}")
-        for i, fam in enumerate(families):
+        for i, (fam, marked) in enumerate(zip(families, groups)):
             print(f"collection {i}: kind=CSG cycles={len(fam.cycles)} "
                   f"vertices={len(fam.vertex_union)} links={len(fam.links)}")
             for c in fam.cycles:
                 print(f"  cycle {'-'.join(map(str, c.vertices))}")
-            for j, group in enumerate(prune_nonexclusive(fam)):
-                try:
-                    marks = spaced_assignments(group)
-                except BudgetExceeded:  # the audit records this group as truncated too
-                    shown = "truncated"
-                else:
-                    shown = _fmt_set(marks[0]) if marks else "none"
+            for j, (group, marks) in enumerate(marked):
+                shown = "truncated" if marks is None else (_fmt_set(marks[0]) if marks else "none")
                 print(f"  exclusive {j}: cycles={len(group)} assignment={shown}")
         verdict = CHECKS["family_dset"].evaluate(facts)
     except SolverTimeout:

@@ -24,7 +24,8 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 Edge = tuple[int, int]
 
@@ -312,39 +313,36 @@ def _theta(a: int, b: int, c: int) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
-_THETA_RE = re.compile(r"theta\((\d+),(\d+),(\d+)\)")
+# the fixture grammar: each pattern with the builder its integer groups feed
+_FIXTURES = (
+    (re.compile(r"k4"), lambda: _complete(4)),
+    (re.compile(r"k13"), lambda: Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])),
+    (re.compile(r"petersen"), _petersen),
+    (re.compile(r"prism"), _prism),
+    (re.compile(r"c(\d+)"), _cycle),
+    (re.compile(r"p(\d+)"), _path),
+    (re.compile(r"theta\((\d+),(\d+),(\d+)\)"), _theta),
+)
+
+
+def _fixture(text: str) -> Callable[[], Graph] | None:
+    """The builder of the fixture `text` names, its arguments bound, or None."""
+    key = text.strip().lower()
+    for pattern, build in _FIXTURES:
+        m = pattern.fullmatch(key)
+        if m:
+            return partial(build, *map(int, m.groups()))
+    return None
 
 
 def named_graph(name: str) -> Graph:
     """Standard fixture graph by name; see the module docstring for numbering."""
-    key = name.strip().lower()
-    if key == "k4":
-        return _complete(4)
-    if key == "k13":
-        return Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    if key == "petersen":
-        return _petersen()
-    if key == "prism":
-        return _prism()
-    m = re.fullmatch(r"c(\d+)", key)
-    if m:
-        return _cycle(int(m.group(1)))
-    m = re.fullmatch(r"p(\d+)", key)
-    if m:
-        return _path(int(m.group(1)))
-    m = _THETA_RE.fullmatch(key)
-    if m:
-        return _theta(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    raise ValueError(f"unknown graph name: {name!r}")
+    build = _fixture(name)
+    if build is None:
+        raise ValueError(f"unknown graph name: {name!r}")
+    return build()
 
 
 def is_graph_name(text: str) -> bool:
     """True iff `text` parses as a named fixture rather than a graph6 line."""
-    key = text.strip().lower()
-    if key in ("k4", "k13", "petersen", "prism"):
-        return True
-    return bool(
-        re.fullmatch(r"c\d+", key)
-        or re.fullmatch(r"p\d+", key)
-        or _THETA_RE.fullmatch(key)
-    )
+    return _fixture(text) is not None

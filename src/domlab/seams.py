@@ -305,22 +305,47 @@ def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...]:
     return tuple(sorted(found, key=sorted))
 
 
+# an exclusive group and its spaced mark sets, None where the search
+# reached ASSIGNMENT_CAP
+MarkedGroup = tuple[tuple[Cycle, ...], tuple[frozenset[int], ...] | None]
+
+
+def exclusive_groups(
+    families: Sequence[CycleCollection], *, deadline: float | None = None
+) -> tuple[tuple[MarkedGroup, ...], ...]:
+    """Per family, its exclusive groups (`prune_nonexclusive`), each with
+    its mark sets (`spaced_assignments`).  `deadline` is read before each
+    family."""
+    out = []
+    for fam in families:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout("family audit exceeded its budget")
+        marked = []
+        for group in prune_nonexclusive(fam):
+            try:
+                marked.append((group, spaced_assignments(group)))
+            except BudgetExceeded:
+                marked.append((group, None))
+        out.append(tuple(marked))
+    return tuple(out)
+
+
 def family_dset_audit(
     g: Graph,
-    families: Sequence[CycleCollection],
+    groups: Sequence[Sequence[MarkedGroup]],
     gamma: int,
     *,
     deadline: float | None = None,
 ) -> AuditVerdict:
     """Do the exclusive families yield a minimum dominating set?
 
-    `families` are the seamless families of g's 0-mod-3 cycles
-    (`seamless_families(mod3_cycles(g))`).  Pipeline: prune each to its
-    exclusive groups, enumerate spaced mark sets, extend each by the
-    leftover singleton vertices it fails to dominate, and keep the best
-    dominating candidate.  Holds iff some candidate dominates with exactly
-    `gamma` = gamma(g) vertices; either way the verdict reports candidate
-    size against gamma.
+    `groups` are the marked exclusive groups of g's seamless families
+    (`exclusive_groups(seamless_families(mod3_cycles(g)))`).  Pipeline:
+    extend each group's spaced mark sets by the leftover singleton
+    vertices they fail to dominate, and keep the best dominating
+    candidate; a group without mark sets marks the verdict truncated.
+    Holds iff some candidate dominates with exactly `gamma` = gamma(g)
+    vertices; either way the verdict reports candidate size against gamma.
 
     The claim is stated for 3-connected graphs; the `family_dset` check
     gates on that, and the pipeline itself runs on any graph.
@@ -329,14 +354,12 @@ def family_dset_audit(
     tried = 0
     truncated = False
     collections = 0
-    for fam in families:
+    for family in groups:
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("family audit exceeded its budget")
-        for group in prune_nonexclusive(fam):
+        for group, assignments in family:
             collections += 1
-            try:
-                assignments = spaced_assignments(group)
-            except BudgetExceeded:
+            if assignments is None:
                 truncated = True
                 continue
             # the singleton components of g minus the group's union
@@ -356,7 +379,7 @@ def family_dset_audit(
                         best = key
     info = {
         "gamma": gamma,
-        "families": len(families),
+        "families": len(groups),
         "collections": collections,
         "assignments": tried,
         "truncated": truncated,

@@ -1,90 +1,56 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per entry of `acceptance.CRITERIA`.
 
-Each test drives the same criterion function that `domlab verify` runs
-and prints its one-line detail, so a bare pytest run doubles as the
-acceptance report.
+Each test runs its criterion the way `domlab verify` does and prints its
+report line, so a bare pytest run doubles as the acceptance report.  The
+tests are generated from the registry: entry k, whose body is the
+function `f`, becomes `test_criterion_<k, two digits>_<f.__name__>`.
 """
-
-import os
 
 import pytest
 
-from domlab import acceptance
+from domlab import acceptance, cli
+from domlab.checks import CHECKS, Check
+from domlab.reduction import AuditVerdict
 
 
-def _run(fn, *args):
-    result = fn(*args)
-    print(f"{'SKIP' if result.skipped else ('PASS' if result.ok else 'FAIL')} "
-          f"{result.cid:2d} {result.name}: {result.detail}")
-    return result
+def _criterion_test(cid: int, name: str):
+    def test():
+        result = acceptance.run_criterion(cid)
+        print(result.line())
+        if result.skipped:
+            pytest.skip(result.detail)
+        assert result.ok
+
+    test.__name__ = test.__qualname__ = name
+    return test
 
 
-def test_criterion_01_solver_oracle_equivalence():
-    assert _run(acceptance.crit01_solver_oracle).ok
-
-
-def test_criterion_02_cycle_domination_law():
-    assert _run(acceptance.crit02_cycle_law).ok
-
-
-def test_criterion_03_petersen_fixture_values():
-    assert _run(acceptance.crit03_petersen_facts).ok
-
-
-def test_criterion_04_claw_free_audit():
-    assert _run(acceptance.crit04_claw_free_audit).ok
-
-
-def test_criterion_05_core_free_audit():
-    assert _run(acceptance.crit05_core_free_audit).ok
-
-
-def test_criterion_06_pair_separation_audit():
-    assert _run(acceptance.crit06_pair_separation).ok
-
-
-def test_criterion_07_single_edge_removal():
-    assert _run(acceptance.crit07_single_edge_removal).ok
-
-
-def test_criterion_08_detach_transform():
-    assert _run(acceptance.crit08_detach_transform).ok
-
-
-def test_criterion_09_cubic_sweep():
-    assert _run(acceptance.crit09_cubic_sweep).ok
-
-
-def test_criterion_10_mod3_cycle_existence():
-    assert _run(acceptance.crit10_mod3_nonempty).ok
-
-
-def test_criterion_11_family_pipeline():
-    assert _run(acceptance.crit11_family_pipeline).ok
-
-
-def test_criterion_12_graph6_reference():
-    assert _run(acceptance.crit12_graph6_reference).ok
-
-
-def test_criterion_13_sweep_determinism():
-    assert _run(acceptance.crit13_sweep_determinism).ok
-
-
-def test_criterion_14_external_counterexample():
-    if not os.environ.get(acceptance.COUNTEREXAMPLE_ENV):
-        pytest.skip(f"{acceptance.COUNTEREXAMPLE_ENV} not set; optional criterion")
-    assert _run(acceptance.crit14_external_counterexample).ok
+for _cid, _body in enumerate(acceptance.CRITERIA.values(), 1):
+    _name = f"test_criterion_{_cid:02d}_{_body.__name__}"
+    globals()[_name] = _criterion_test(_cid, _name)
 
 
 def test_verify_output_identical_across_runs(capsys):
-    from domlab import cli
-
     cli.main(["verify"])
     first = capsys.readouterr().out
     cli.main(["verify"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_verify_writes_nothing_to_stderr(capfd):
+    assert cli.main(["verify"]) == 0
+    assert capfd.readouterr().err == ""
+
+
+def test_audit_criterion_reports_the_violation(monkeypatch):
+    # every graph violates, so the claw-free corpus's first graph is named
+    witness = {"gamma": 2, "idom": 3}
+    monkeypatch.setitem(CHECKS, "claw_free_equal",
+                        Check(CHECKS["claw_free_equal"].gate, lambda facts: AuditVerdict(False, witness=witness)))
+    g = acceptance.filtered_corpus("claw_free")[0]
+    assert acceptance.claw_free_audit() == (
+        False, f'violation on n={g.n} m={g.m}: {{"gamma": 2, "idom": 3}}')
 
 
 def test_criterion_14_paths(tmp_path, monkeypatch):
@@ -93,14 +59,14 @@ def test_criterion_14_paths(tmp_path, monkeypatch):
     big = tmp_path / "big.g6"
     big.write_text(encode_graph6(random_cubic(60, seed=1)) + "\n", encoding="ascii")
     monkeypatch.setenv(acceptance.COUNTEREXAMPLE_ENV, str(big))
-    result = acceptance.crit14_external_counterexample(budget_ms=300)
-    assert result.ok and "timeout" in result.detail
+    ok, detail = acceptance.external_counterexample(budget_ms=300)
+    assert ok and "timeout" in detail
 
     small = tmp_path / "small.g6"
     small.write_text(encode_graph6(named_graph("petersen")) + "\n", encoding="ascii")
     monkeypatch.setenv(acceptance.COUNTEREXAMPLE_ENV, str(small))
-    result = acceptance.crit14_external_counterexample(budget_ms=5000)
-    assert result.ok and "gamma=3" in result.detail
+    ok, detail = acceptance.external_counterexample(budget_ms=5000)
+    assert ok and "gamma=3" in detail
 
     monkeypatch.setenv(acceptance.COUNTEREXAMPLE_ENV, str(tmp_path / "missing.g6"))
-    assert not acceptance.crit14_external_counterexample().ok
+    assert acceptance.external_counterexample()[0] is False

@@ -10,6 +10,7 @@ from domlab import (
     random_cubic,
     vertex_connectivity,
 )
+from domlab.graphs import is_graph_name
 
 from _oracles import connectivity_by_cut_enumeration, delete_vertices
 
@@ -46,6 +47,23 @@ def test_named_graphs():
         named_graph("mystery")
     with pytest.raises(ValueError):
         named_graph("theta(0,0,1)")
+
+
+def test_a_name_is_a_fixture_name_iff_named_graph_knows_it():
+    # a malformed fixture still counts as a name, so the CLI reports the
+    # builder's own error instead of a graph6 parse error
+    for text, error in (("c2", "a cycle needs at least 3 vertices"),
+                        ("p0", "a path needs at least 1 vertex"),
+                        ("theta(0,0,1)", "at most one theta path may be a bare hub-hub edge")):
+        assert is_graph_name(text)
+        with pytest.raises(ValueError, match=error):
+            named_graph(text)
+    for text in (" K4 ", "k13", "petersen", "prism", "c3", "p1", "theta(1,2,2)"):
+        assert is_graph_name(text) and named_graph(text).n > 0
+    for text in ("C~", "mystery", "k5", "theta(1,2)"):
+        assert not is_graph_name(text)
+        with pytest.raises(ValueError, match="unknown graph name"):
+            named_graph(text)
 
 
 def test_connectivity_basics():

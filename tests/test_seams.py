@@ -16,7 +16,14 @@ from domlab import (
     spaced_assignments,
 )
 from domlab.checks import CHECKS, Facts
-from domlab.seams import CycleCollection, EarLink, _link_components, replay_link, try_ear_link
+from domlab.seams import (
+    CycleCollection,
+    EarLink,
+    _link_components,
+    exclusive_groups,
+    replay_link,
+    try_ear_link,
+)
 
 from _oracles import has_mark_every_third
 
@@ -26,7 +33,7 @@ def families_of(g: Graph):
 
 
 def audit_of(g: Graph):
-    return family_dset_audit(g, families_of(g), gamma_exact(g).size)
+    return family_dset_audit(g, exclusive_groups(families_of(g)), gamma_exact(g).size)
 
 
 def test_try_ear_link_triangle_pair():
@@ -169,11 +176,14 @@ def test_family_dset_pipeline_candidates_dominate():
 
 
 def test_family_dset_audit_stops_at_its_deadline():
-    # families and gamma are given, so only the family loop can read the
-    # deadline
+    # families, groups and gamma are given, so only the family loop can
+    # read the deadline
     pete = named_graph("petersen")
+    groups = exclusive_groups(families_of(pete))
     with pytest.raises(SolverTimeout):
-        family_dset_audit(pete, families_of(pete), 3, deadline=time.monotonic() - 1)
+        family_dset_audit(pete, groups, 3, deadline=time.monotonic() - 1)
+    with pytest.raises(SolverTimeout):
+        exclusive_groups(families_of(pete), deadline=time.monotonic() - 1)
 
 
 def test_link_graph_stops_at_its_deadline():

@@ -214,6 +214,26 @@ def test_cli_csg_builds_the_link_graph_once(monkeypatch, capsys):
     assert len(calls) == 30 * 29 // 2  # one test per pair of 0-mod-3 cycles
 
 
+def test_cli_csg_prunes_each_family_once(capsys):
+    # counted by code object, so a call through any module's binding counts
+    code = seams.prune_nonexclusive.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert cli.main(["csg", "petersen"]) == 0
+    finally:
+        sys.setprofile(previous)
+    out = capsys.readouterr().out
+    assert "collections: 1\n" in out and "verdict: holds=True" in out
+    assert len(calls) == 1  # printing and the family audit share the groups
+
+
 def test_cli_csg_budget_bounds_the_cycle_listing():
     # unbounded, listing and linking the cycles of this graph takes over
     # 30 s; in a child process the test fails on time instead of hanging
