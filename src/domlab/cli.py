@@ -83,32 +83,41 @@ def cmd_csg(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each generator's required parameters; every one also takes count= and seed=.
+_GENERATOR_KEYS = {"random-cubic": ("n",), "gnp": ("n", "p")}
+
+
 def generate_corpus(spec: str) -> list[str]:
     """Graph6 lines from a generator spec.
 
     Specs: 'random-cubic n=10 count=50 seed=1' or 'gnp n=9 p=0.3 count=20
-    seed=4'; seed (default 0) advances by one per graph.
+    seed=4'; seed (default 0) advances by one per graph.  A missing or
+    unknown parameter raises ValueError naming it.
     """
     parts = spec.split()
     if not parts:
         raise ValueError("empty generator spec")
     kind = parts[0]
+    if kind not in _GENERATOR_KEYS:
+        raise ValueError(f"unknown generator {kind!r}")
     kv: dict[str, str] = {}
     for part in parts[1:]:
         if "=" not in part:
             raise ValueError(f"bad generator parameter {part!r}")
         key, value = part.split("=", 1)
+        if key not in (*_GENERATOR_KEYS[kind], "count", "seed"):
+            raise ValueError(f"unknown {kind} parameter {key!r}")
         kv[key] = value
+    for key in _GENERATOR_KEYS[kind]:
+        if key not in kv:
+            raise ValueError(f"{kind} spec lacks {key}=")
     count = int(kv.get("count", "1"))
     seed = int(kv.get("seed", "0"))
+    n = int(kv["n"])
     if kind == "random-cubic":
-        n = int(kv["n"])
         return [encode_graph6(random_cubic(n, seed + i)) for i in range(count)]
-    if kind == "gnp":
-        n = int(kv["n"])
-        p = float(kv["p"])
-        return [encode_graph6(gnp_random(n, p, seed + i)) for i in range(count)]
-    raise ValueError(f"unknown generator {kind!r}")
+    p = float(kv["p"])
+    return [encode_graph6(gnp_random(n, p, seed + i)) for i in range(count)]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -4,18 +4,20 @@ One JSONL record per input graph, in input order regardless of
 parallelism.  Records are byte-stable: keys sorted, compact separators,
 and no timing fields unless explicitly requested, so two runs of the same
 sweep diff clean.  The cache is an append-only JSONL file keyed by
-(graph6, check, code version); corrupt lines, which do not parse or hold
-a piece `_cacheable` rejects, are skipped with a warning.
+(graph6, check, code version); one rule, `_cacheable`, decides what it
+stores and serves, and a line that does not parse or breaks the rule is
+skipped with a warning.  Only a sweep that starts a helper process loads
+`multiprocessing`.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import ceil
 
@@ -29,6 +31,8 @@ BASE_KEY = "base"
 BASE_FIELDS = ("n", "m", "connectivity", "cubic", "gamma", "idom", "reed_bound")
 _BASE_SET = frozenset(BASE_FIELDS)
 DEFAULT_CHECKS = tuple(CHECKS)
+# One summary column per piece status; a violation counts under "violations".
+SUMMARY_COLUMNS = ("holds", "vacuous", "violations", "skipped", "timeout")
 
 
 def _solved(facts: Facts, name: str) -> int | None:
@@ -61,24 +65,28 @@ def _check_piece(check: Check, facts: Facts) -> dict:
         return {"timeout": True}
 
 
-def compute_pieces(line: str, needed: tuple[str, ...], budget_ms: int | None) -> dict[str, dict]:
-    """Compute base facts and/or check verdicts for one graph6 line.
+# One graph's pieces by name, and the milliseconds each one took.
+Pieces = tuple[dict[str, dict], dict[str, float]]
+
+
+def compute_pieces(line: str, needed: tuple[str, ...], budget_ms: int | None) -> Pieces:
+    """Compute base facts and/or check verdicts for one graph6 line, and
+    the milliseconds each piece took.
 
     Every piece reads one shared `Facts`, so each fact is computed at most
     once per graph, and only a check that reads an exhausted solver times
-    out.  Pure per-line work, safe to run in helper processes; timing lives
-    in a separate '_elapsed' piece so default records stay byte-stable.
+    out.  Pure per-line work, safe to run in helper processes; timings come
+    back beside the pieces so default records stay byte-stable.
     """
     deadline = time.monotonic() + budget_ms / 1000 if budget_ms else None
     facts = Facts(parse_graph6(line), deadline)
+    pieces: dict[str, dict] = {}
     elapsed: dict[str, float] = {}
-    out: dict[str, dict] = {}
     for name in needed:
         t0 = time.monotonic()
-        out[name] = _base_piece(facts) if name == BASE_KEY else _check_piece(CHECKS[name], facts)
-        elapsed[name] = time.monotonic() - t0
-    out["_elapsed"] = {k: round(v * 1000.0, 3) for k, v in elapsed.items()}
-    return out
+        pieces[name] = _base_piece(facts) if name == BASE_KEY else _check_piece(CHECKS[name], facts)
+        elapsed[name] = round((time.monotonic() - t0) * 1000.0, 3)
+    return pieces, elapsed
 
 
 def _cacheable(check: str, piece) -> bool:
@@ -101,9 +109,8 @@ class VerdictCache:
     """Append-only JSONL cache keyed by (graph6, check, version)."""
 
     def __init__(self, path: str):
-        self.path = path
         self.entries: dict[tuple[str, str, str], dict] = {}
-        self.corrupt = 0
+        corrupt = 0
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
                 for raw in fh:
@@ -118,28 +125,28 @@ class VerdictCache:
                             continue
                     except (json.JSONDecodeError, KeyError, TypeError):
                         pass
-                    self.corrupt += 1
-        if self.corrupt:
-            print(
-                f"warning: ignored {self.corrupt} corrupt cache lines in {path}",
-                file=sys.stderr,
-            )
+                    corrupt += 1
+        if corrupt:
+            print(f"warning: ignored {corrupt} corrupt cache lines in {path}", file=sys.stderr)
 
-    def get(self, line: str, check: str) -> dict | None:
-        return self.entries.get((line, check, __version__))
+    def get(self, line: str, names: tuple[str, ...]) -> dict[str, dict]:
+        """The cached pieces of `line` among `names`, in a new dict."""
+        found = {name: self.entries.get((line, name, __version__)) for name in names}
+        return {name: piece for name, piece in found.items() if piece is not None}
 
-    def put(self, fh, line: str, check: str, value: dict) -> None:
-        key = (line, check, __version__)
-        if key in self.entries:
-            return
-        self.entries[key] = value
-        fh.write(json.dumps({"g": line, "c": check, "v": __version__, "r": value}) + "\n")
+    def put(self, fh, line: str, pieces: dict[str, dict]) -> None:
+        """Append to `fh` each of `pieces` that the cache may hold and lacks."""
+        for check, piece in pieces.items():
+            key = (line, check, __version__)
+            if key not in self.entries and _cacheable(check, piece):
+                self.entries[key] = piece
+                fh.write(json.dumps({"g": line, "c": check, "v": __version__, "r": piece}) + "\n")
 
 
 Payload = tuple[str, tuple[str, ...], int | None]
 
 
-def _pull(cursor, payloads: list[Payload]) -> list[tuple[int, dict[str, dict]]]:
+def _pull(cursor, payloads: list[Payload]) -> list[tuple[int, Pieces]]:
     """Compute payloads by index off the shared cursor until none is left."""
     done = []
     while True:
@@ -162,21 +169,27 @@ def _helper(conn, cursor, payloads: list[Payload]) -> None:
         conn.close()
 
 
-def _compute_all(payloads: list[Payload], jobs: int) -> list[dict[str, dict]]:
-    """Pieces of every payload, in payload order, from `jobs` processes.
+def _compute_all(payloads: list[Payload], jobs: int) -> list[Pieces]:
+    """`compute_pieces` of every payload, in payload order, from `jobs`
+    processes.
 
     The calling process is one of them: it starts one helper fewer than
     `jobs` or than there are payloads, then pulls payload indexes off the
     cursor the helpers share, so a slow graph holds up only the process
-    computing it; with one job no process is started.  An exception a
-    helper raised is raised here again, caused by a RuntimeError that
-    carries the helper's traceback; a helper that dies without a reply
-    raises RuntimeError.
+    computing it.  Without a helper it computes the payloads in order and
+    never loads `multiprocessing`.  An exception a helper raised is raised
+    here again, caused by a RuntimeError that carries the helper's
+    traceback; a helper that dies without a reply raises RuntimeError.
     """
+    width = min(jobs, len(payloads))
+    if width < 2:
+        return [compute_pieces(*payload) for payload in payloads]
+    import multiprocessing
+
     cursor = multiprocessing.Value("i", 0)
     helpers: list[tuple[multiprocessing.Process, object]] = []
     try:
-        for _ in range(min(jobs, len(payloads)) - 1):
+        for _ in range(width - 1):
             receive, send = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(target=_helper, args=(send, cursor, payloads), daemon=True)
             proc.start()
@@ -225,70 +238,44 @@ def run_sweep(
     for name in checks:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r} (known: {', '.join(CHECKS)})")
+        if checks.count(name) > 1:
+            raise ValueError(f"check {name!r} named more than once")
     cache = VerdictCache(cache_path) if cache_path else None
     wanted = (BASE_KEY, *checks)
 
-    plans: list[tuple[int, str, tuple[str, ...]]] = []
-    cached: list[dict[str, dict]] = []
-    hits = 0
-    misses = 0
-    for idx, line in enumerate(lines):
-        have: dict[str, dict] = {}
-        missing = []
-        for name in wanted:
-            piece = cache.get(line, name) if cache else None
-            if piece is None:
-                missing.append(name)
-            else:
-                have[name] = piece
-        hits += len(wanted) - len(missing)
-        misses += len(missing)
-        cached.append(have)
-        if missing:
-            plans.append((idx, line, tuple(missing)))
-
-    computed: dict[int, dict[str, dict]] = {}
-    if plans:
-        payloads = [(line, needed, budget_ms) for _, line, needed in plans]
-        for (idx, _, _), result in zip(plans, _compute_all(payloads, jobs)):
-            computed[idx] = result
+    # each graph's pieces: the cache's first, then the computed ones
+    graphs = [cache.get(line, wanted) if cache else {} for line in lines]
+    hits = sum(map(len, graphs))
+    todo = [(i, tuple(name for name in wanted if name not in have))
+            for i, have in enumerate(graphs) if len(have) < len(wanted)]
+    payloads = [(lines[i], needed, budget_ms) for i, needed in todo]
+    elapsed: dict[int, dict[str, float]] = {}
+    for (i, _), (fresh, took) in zip(todo, _compute_all(payloads, jobs)):
+        graphs[i].update(fresh)
+        elapsed[i] = took
 
     records: list[dict] = []
-    counts = {
-        name: {"holds": 0, "vacuous": 0, "violations": 0, "skipped": 0, "timeout": 0}
-        for name in checks
-    }
-    cache_fh = open(cache_path, "a", encoding="utf-8") if cache else None
-    try:
-        for idx, line in enumerate(lines):
-            pieces = dict(cached[idx])
-            fresh = computed.get(idx, {})
-            for name, value in fresh.items():
-                if name == "_elapsed":
-                    continue
-                pieces[name] = value
-                if cache_fh is not None and _cacheable(name, value):
-                    cache.put(cache_fh, line, name, value)
+    counts = {name: dict.fromkeys(SUMMARY_COLUMNS, 0) for name in checks}
+    with open(cache_path, "a", encoding="utf-8") if cache else nullcontext() as cache_fh:
+        for i, (line, pieces) in enumerate(zip(lines, graphs)):
             base = pieces[BASE_KEY]
             if base["gamma"] is not None and base["idom"] is not None:
                 assert base["gamma"] <= base["idom"], "gamma must not exceed idom"
-            record = {"graph6": line, **base, "checks": {}}
-            for name in checks:
-                piece = pieces[name]
-                record["checks"][name] = piece
+            record = {"graph6": line, **base, "checks": {name: pieces[name] for name in checks}}
+            for name, piece in record["checks"].items():
                 status = piece_status(piece)
                 counts[name]["violations" if status == "violation" else status] += 1
-            if timings and "_elapsed" in fresh:
-                record["elapsed_ms"] = fresh["_elapsed"]
+            if i in elapsed:
+                if cache:
+                    cache.put(cache_fh, line, pieces)
+                if timings:
+                    record["elapsed_ms"] = elapsed[i]
             records.append(record)
-    finally:
-        if cache_fh is not None:
-            cache_fh.close()
 
     summary = {
         "graphs": len(lines),
         "cache_hits": hits,
-        "cache_misses": misses,
+        "cache_misses": len(lines) * len(wanted) - hits,
         "checks": counts,
     }
     return SweepResult(records=records, summary=summary)
@@ -310,11 +297,9 @@ def record_to_jsonl(record: dict) -> str:
 
 
 def summary_to_csv(summary: dict) -> str:
-    lines = ["check,holds,vacuous,violations,skipped,timeout"]
+    lines = [",".join(("check", *SUMMARY_COLUMNS))]
     for name, c in summary["checks"].items():
-        lines.append(
-            f"{name},{c['holds']},{c['vacuous']},{c['violations']},{c['skipped']},{c['timeout']}"
-        )
+        lines.append(",".join([name, *(str(c[col]) for col in SUMMARY_COLUMNS)]))
     return "\n".join(lines) + "\n"
 
 

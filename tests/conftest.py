@@ -1,4 +1,12 @@
-"""Session-wide test settings."""
+"""Session-wide test settings and fixtures."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import domlab
 
 try:
     from hypothesis import settings
@@ -10,3 +18,14 @@ else:
     # failed for taking long on a slow or busy machine.
     settings.register_profile("domlab", deadline=None, derandomize=True)
     settings.load_profile("domlab")
+
+
+@pytest.fixture(scope="session")
+def verify_run() -> subprocess.CompletedProcess:
+    """One `domlab verify` in a child process, its stdout, stderr and exit
+    code captured at the file-descriptor level; the tests that read the
+    whole report share it."""
+    src = os.path.dirname(os.path.dirname(domlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "domlab.cli", "verify"],
+                          capture_output=True, text=True, timeout=600, env=env)

@@ -25,22 +25,37 @@ def _criterion_test(cid: int, name: str):
     return test
 
 
-for _cid, _body in enumerate(acceptance.CRITERIA.values(), 1):
+for _cid, (_body, _) in enumerate(acceptance.CRITERIA.values(), 1):
     _name = f"test_criterion_{_cid:02d}_{_body.__name__}"
     globals()[_name] = _criterion_test(_cid, _name)
 
 
-def test_verify_output_identical_across_runs(capsys):
-    cli.main(["verify"])
-    first = capsys.readouterr().out
+def test_verify_output_identical_across_runs(verify_run, capsys):
+    first = verify_run.stdout
     cli.main(["verify"])
     second = capsys.readouterr().out
     assert first == second
 
 
-def test_verify_writes_nothing_to_stderr(capfd):
-    assert cli.main(["verify"]) == 0
-    assert capfd.readouterr().err == ""
+def test_verify_writes_nothing_to_stderr(verify_run):
+    assert verify_run.returncode == 0
+    assert verify_run.stderr == ""
+
+
+def test_criterion_over_its_budget_fails(monkeypatch):
+    class Clock:
+        now = 0.0
+
+        def monotonic(self):
+            self.now += 100.0
+            return self.now
+
+    monkeypatch.setattr(acceptance, "time", Clock())
+    result = acceptance.run_criterion(2)
+    assert not result.ok and not result.skipped
+    assert result.line() == ("FAIL  2 cycle-domination-law: n=3..24 all equal ceil(n/3) "
+                             "but took 100.0s, over the 5s budget")
+    assert "within" not in result.detail
 
 
 def test_audit_criterion_reports_the_violation(monkeypatch):

@@ -11,7 +11,14 @@ import pytest
 from domlab import Graph, __version__, cli, encode_graph6, named_graph, random_cubic, seams
 from domlab.checks import CHECKS, Check, Facts
 from domlab.cli import generate_corpus
-from domlab.sweep import DEFAULT_CHECKS, piece_status, record_to_jsonl, run_sweep, summary_to_csv
+from domlab.sweep import (
+    DEFAULT_CHECKS,
+    VerdictCache,
+    piece_status,
+    record_to_jsonl,
+    run_sweep,
+    summary_to_csv,
+)
 
 
 FIXTURE_LINES = [encode_graph6(named_graph(n)) for n in ("k4", "c6", "prism")]
@@ -120,6 +127,19 @@ def test_cache_row_missing_what_its_readers_index_is_corrupt(tmp_path, capsys, c
     assert "warning: ignored 1 corrupt cache lines" in err
     assert "cache_hits=0" in err  # the piece was recomputed
     assert out == plain
+
+
+def test_cache_put_writes_only_what_the_cache_may_serve(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = VerdictCache(str(path))
+    skip = {"skipped": "connectivity < 3"}
+    with open(path, "a", encoding="utf-8") as fh:
+        cache.put(fh, "C~", {"base": UNSOLVED_BASE, "third_bound": {"timeout": True}})
+        cache.put(fh, "C~", {"mod3_cycle_exists": skip})
+    rows = [json.loads(raw) for raw in path.read_text().splitlines()]
+    assert rows == [{"g": "C~", "c": "mod3_cycle_exists", "v": __version__, "r": skip}]
+    assert VerdictCache(str(path)).get("C~", ("base", "third_bound", "mod3_cycle_exists")) == {
+        "mod3_cycle_exists": skip}
 
 
 def test_jsonl_is_sorted_and_compact():
@@ -259,6 +279,30 @@ def test_cli_sweep_rejects_an_unknown_check(capsys):
     assert "'nope'" in captured.err and captured.out == ""
 
 
+def test_cli_sweep_rejects_a_repeated_check(capsys):
+    with pytest.raises(ValueError, match="'third_bound' named more than once"):
+        run_sweep(FIXTURE_LINES, checks=("third_bound", "claw_free_equal", "third_bound"))
+    argv = ["sweep", "--corpus", "random-cubic n=4 count=2", "--checks", "third_bound,third_bound"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "'third_bound'" in captured.err and captured.out == ""
+    assert "cache_misses" not in captured.err
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("random-cubic count=2", "n="),
+    ("gnp n=5 count=2", "p="),
+    ("random-cubic n=6 sed=3", "'sed'"),
+])
+def test_generator_spec_errors_are_usage_errors(capsys, spec, named):
+    with pytest.raises(ValueError, match=named):
+        generate_corpus(spec)
+    assert cli.main(["gen", spec]) == 2
+    assert cli.main(["sweep", "--corpus", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count(named) == 2
+
+
 def test_assignment_cap_truncates_the_family_verdict(monkeypatch):
     monkeypatch.setattr(seams, "ASSIGNMENT_CAP", 1)
     verdict = CHECKS["family_dset"].evaluate(Facts(named_graph("petersen")))
@@ -319,6 +363,22 @@ def test_jobs_keep_records_byte_identical(tmp_path, jobs):
     warm = run_sweep(lines, jobs=jobs, cache_path=cache)
     assert warm.summary["cache_misses"] == len(lines[1::2]) * (1 + len(DEFAULT_CHECKS))
     assert [record_to_jsonl(r) for r in warm.records] == want
+
+
+def test_one_job_never_loads_multiprocessing(tmp_path):
+    # in a fresh interpreter: pytest and this module import multiprocessing
+    script = ("import sys\n"
+              "from domlab import cli\n"
+              f"argv = ['sweep', '--corpus', 'random-cubic n=8 count=3', '--jobs', '1', "
+              f"'--cache', {str(tmp_path / 'cache.jsonl')!r}, '--out', {os.devnull!r}]\n"
+              "assert cli.main(argv) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    assert "graphs=3 cache_hits=0 cache_misses=30" in done.stderr
 
 
 def test_jobs_count_the_sweep_process(monkeypatch):
@@ -517,9 +577,9 @@ def test_generator_spec_corpus_sweep(tmp_path, capsys):
     assert "third_bound,50,0,0,0,0" in summary
 
 
-def test_cli_verify_runs_green(capsys):
-    assert cli.main(["verify"]) == 0
-    out = capsys.readouterr().out
+def test_cli_verify_runs_green(verify_run):
+    assert verify_run.returncode == 0
+    out = verify_run.stdout
     assert out.count("PASS") >= 13
     assert "FAIL" not in out
     result_line = [l for l in out.splitlines() if l.startswith("RESULT ")][0]
