@@ -40,7 +40,6 @@ from .reduction import (
 )
 from .cycles import Cycle, mod3_cycles
 from .seams import (
-    BudgetExceeded,
     CycleCollection,
     EarLink,
     family_dset_audit,
@@ -80,7 +79,6 @@ __all__ = [
     "removable_edges",
     "Cycle",
     "mod3_cycles",
-    "BudgetExceeded",
     "CycleCollection",
     "EarLink",
     "family_dset_audit",

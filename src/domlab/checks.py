@@ -21,6 +21,7 @@ from typing import Callable
 
 from .cycles import Cycle, mod3_cycles
 from .domination import (
+    ENUM_GUARD,
     DsetEnumeration,
     SolverTimeout,
     enumerate_min_dsets,
@@ -40,9 +41,8 @@ from .reduction import (
 )
 from .seams import CycleCollection, MarkedGroup, exclusive_groups, family_dset_audit, seamless_families
 
-# enumeration caps keeping per-graph audit work bounded
+# enumeration cap keeping per-graph audit work bounded
 DSET_CAP = 5000
-ENUM_GUARD = 24
 
 
 def _fact(compute):

@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import ExitStack
 
 from . import acceptance
 from .checks import CHECKS, Facts
@@ -19,6 +20,8 @@ from .graphs import Graph, gnp_random, is_graph_name, named_graph, random_cubic
 from .sweep import (
     CACHE_ENV,
     DEFAULT_CHECKS,
+    check_names,
+    open_text,
     record_to_jsonl,
     records_to_csv,
     run_sweep,
@@ -92,7 +95,7 @@ def generate_corpus(spec: str) -> list[str]:
 
     Specs: 'random-cubic n=10 count=50 seed=1' or 'gnp n=9 p=0.3 count=20
     seed=4'; seed (default 0) advances by one per graph.  A missing or
-    unknown parameter raises ValueError naming it.
+    unknown parameter, or a negative count, raises ValueError naming it.
     """
     parts = spec.split()
     if not parts:
@@ -112,6 +115,8 @@ def generate_corpus(spec: str) -> list[str]:
         if key not in kv:
             raise ValueError(f"{kind} spec lacks {key}=")
     count = int(kv.get("count", "1"))
+    if count < 0:
+        raise ValueError(f"count= must not be negative, got {count}")
     seed = int(kv.get("seed", "0"))
     n = int(kv["n"])
     if kind == "random-cubic":
@@ -127,46 +132,42 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _load_corpus(corpus: str) -> list[str]:
-    if os.path.exists(corpus):
+    if not os.path.exists(corpus):
+        return generate_corpus(corpus)
+    try:
         return read_graph6_lines(corpus)
-    return generate_corpus(corpus)
+    except OSError as exc:
+        raise ValueError(f"cannot open corpus {corpus}: {exc.strerror}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     lines = _load_corpus(args.corpus)
     checks = DEFAULT_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
-    result = run_sweep(
-        lines,
-        checks=checks,
-        jobs=args.jobs,
-        cache_path=args.cache,
-        budget_ms=args.budget_ms,
-        timings=args.timings,
-    )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    # a misspelt check truncates no output; a bad output path fails before any graph is computed
+    check_names(checks)
+    with ExitStack() as stack:
+        out = stack.enter_context(open_text(args.out, "w", "output")) if args.out else sys.stdout
+        summary = stack.enter_context(open_text(args.summary, "w", "summary")) if args.summary else sys.stderr
+        result = run_sweep(
+            lines,
+            checks=checks,
+            jobs=args.jobs,
+            cache_path=args.cache,
+            budget_ms=args.budget_ms,
+            timings=args.timings,
+        )
         if args.format == "jsonl":
             for record in result.records:
                 out.write(record_to_jsonl(record) + "\n")
         else:
             out.write(records_to_csv(result.records, checks))
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    csv = summary_to_csv(result.summary)
-    if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-    else:
-        print(csv, end="", file=sys.stderr)
+        summary.write(summary_to_csv(result.summary))
     print(
         f"graphs={result.summary['graphs']} cache_hits={result.summary['cache_hits']} "
         f"cache_misses={result.summary['cache_misses']}",
         file=sys.stderr,
     )
-    if args.strict and violations_found(result):
-        return 1
-    return 0
+    return 1 if args.strict and violations_found(result) else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -23,6 +23,8 @@ from typing import Iterable
 from .graphs import Graph
 
 BRUTE_FORCE_LIMIT = 24
+# largest n `enumerate_min_dsets` runs on; the checks' enumeration gate reads it
+ENUM_GUARD = 24
 
 
 class SolverTimeout(Exception):
@@ -287,8 +289,8 @@ def enumerate_min_dsets(g: Graph, gamma: int, limit: int | None = None) -> DsetE
     `gamma` must be gamma(g), e.g. `gamma_exact(g).size`; the sets of that
     size that dominate are listed, at most `limit` of them.
     """
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"enumeration is guarded to n <= {BRUTE_FORCE_LIMIT}")
+    if g.n > ENUM_GUARD:
+        raise ValueError(f"enumeration is guarded to n <= {ENUM_GUARD}")
     if g.n == 0:
         return DsetEnumeration((frozenset(),), False)
     masks = closed_masks(g)

@@ -32,13 +32,8 @@ from .graphs import Graph
 from .reduction import AuditVerdict
 
 
-# search-node cap of the mark-assignment search, which raises
-# BudgetExceeded on reaching it
+# search-node cap of the mark-assignment search, which returns None past it
 ASSIGNMENT_CAP = 200_000
-
-
-class BudgetExceeded(Exception):
-    """A bounded search ran out of its expansion budget."""
 
 
 @dataclass(frozen=True)
@@ -164,12 +159,6 @@ def _link_components(members: Iterable[int], links: Iterable[EarLink]) -> list[l
     return out
 
 
-def _without_exclusive(cycles: Sequence[Cycle]) -> list[int]:
-    """Indexes of the cycles all of whose vertices lie on another cycle."""
-    uses = Counter(v for c in cycles for v in c.vertices)
-    return [i for i, c in enumerate(cycles) if all(uses[v] > 1 for v in c.vertices)]
-
-
 @dataclass(frozen=True)
 class CycleCollection:
     """Seamless family: 0-mod-3 cycles with a connected link graph."""
@@ -236,39 +225,44 @@ def seamless_families(
 def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
     """The exclusive groups of a family: cycles of it, in link-graph BFS order.
 
-    Cycles owning no exclusive vertex are dropped until a fixpoint: the
-    lexicographically smallest offender goes first, one at a time,
-    recomputing exclusivity after each drop.  Survivors are regrouped by
-    the family's own links between them: a link between two cycles does
-    not depend on the family, so pruning tests none.  Groups come in
-    order of their smallest survivor, each listed in BFS order from it.
+    One pass over the cycles in lexicographic order of their vertices
+    drops each cycle all of whose vertices lie on another cycle not yet
+    dropped.  This is the fixpoint that drops the smallest such cycle and
+    recounts, one at a time: a drop only lowers use counts, and a kept
+    cycle still counts its own vertices, so a cycle owning an exclusive
+    vertex keeps owning it.  Hence the fixpoint drops cycles in increasing
+    order, each by this pass's test at that cycle, and a lone survivor,
+    owning all its vertices, is never dropped.
 
-    A group needs no check of its own.  Every survivor owns a vertex no
-    other survivor touches, since that is the loop's exit condition, so
-    it owns one within its group too.  A group's links are family links,
-    which the family already replayed, and a group is a component of the
-    survivors' link graph, so it is connected.
+    Survivors are regrouped by the family's own links between them, so
+    pruning tests no link; groups come in order of their smallest
+    survivor.  A group needs no check of its own: every survivor owns a
+    vertex no other survivor touches, its links are family links, which
+    the family already replayed, and it is a component of the survivors'
+    link graph, so it is connected.
     """
-    kept = list(range(len(fam.cycles)))
-    while len(kept) > 1:
-        lacking = _without_exclusive([fam.cycles[i] for i in kept])
-        if not lacking:
-            break
-        del kept[min(lacking, key=lambda li: fam.cycles[kept[li]].vertices)]
+    uses = Counter(v for c in fam.cycles for v in c.vertices)
+    kept = []
+    for i in sorted(range(len(fam.cycles)), key=lambda i: fam.cycles[i].vertices):
+        vertices = fam.cycles[i].vertices
+        if all(uses[v] > 1 for v in vertices):
+            uses.subtract(vertices)
+        else:
+            kept.append(i)
     return tuple(
-        tuple(fam.cycles[i] for i in order) for order in _link_components(kept, fam.links)
+        tuple(fam.cycles[i] for i in order) for order in _link_components(sorted(kept), fam.links)
     )
 
 
-def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...]:
-    """Every mark set spaced on all the given cycles, sorted.
+def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...] | None:
+    """Every mark set spaced on all the given cycles, sorted; None past the cap.
 
     Backtracking over one residue-class choice per cycle, in the given
     order; a vertex shared by two cycles must be marked consistently,
     which prunes hard.  Groups from `prune_nonexclusive` come in
     link-graph BFS order, so shared vertices bind early.  The result does
     not depend on the order, but the node count that reaches
-    ASSIGNMENT_CAP does.
+    ASSIGNMENT_CAP does; past it every call returns at once.
     """
     decided: dict[int, bool] = {}
     found: set[frozenset[int]] = set()
@@ -278,31 +272,27 @@ def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...]:
         nonlocal spent
         spent += 1
         if spent > ASSIGNMENT_CAP:
-            raise BudgetExceeded("assignment search budget exhausted")
+            return
         if idx == len(cycles):
             found.add(frozenset(v for v, inside in decided.items() if inside))
             return
         cyc = cycles[idx].vertices
         for offset in range(3):
             claim: dict[int, bool] = {}
-            ok = True
             for pos, v in enumerate(cyc):
                 inside = pos % 3 == offset
-                if v in decided:
-                    if decided[v] != inside:
-                        ok = False
-                        break
-                else:
+                if v not in decided:
                     claim[v] = inside
-            if not ok:
-                continue
-            decided.update(claim)
-            place(idx + 1)
-            for v in claim:
-                del decided[v]
+                elif decided[v] != inside:
+                    break
+            else:
+                decided.update(claim)
+                place(idx + 1)
+                for v in claim:
+                    del decided[v]
 
     place(0)
-    return tuple(sorted(found, key=sorted))
+    return None if spent > ASSIGNMENT_CAP else tuple(sorted(found, key=sorted))
 
 
 # an exclusive group and its spaced mark sets, None where the search
@@ -320,13 +310,7 @@ def exclusive_groups(
     for fam in families:
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout("family audit exceeded its budget")
-        marked = []
-        for group in prune_nonexclusive(fam):
-            try:
-                marked.append((group, spaced_assignments(group)))
-            except BudgetExceeded:
-                marked.append((group, None))
-        out.append(tuple(marked))
+        out.append(tuple((group, spaced_assignments(group)) for group in prune_nonexclusive(fam)))
     return tuple(out)
 
 

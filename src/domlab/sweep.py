@@ -105,6 +105,14 @@ def _cacheable(check: str, piece) -> bool:
     return verdict or "skipped" in piece
 
 
+def open_text(path: str, mode: str, role: str):
+    """`open(path, mode)` in UTF-8, raising an OSError as a ValueError naming the path."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot open {role} {path}: {exc.strerror}") from None
+
+
 class VerdictCache:
     """Append-only JSONL cache keyed by (graph6, check, version)."""
 
@@ -112,7 +120,7 @@ class VerdictCache:
         self.entries: dict[tuple[str, str, str], dict] = {}
         corrupt = 0
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
+            with open_text(path, "r", "cache") as fh:
                 for raw in fh:
                     raw = raw.strip()
                     if not raw:
@@ -216,6 +224,15 @@ def _compute_all(payloads: list[Payload], jobs: int) -> list[Pieces]:
     return [pieces for _, pieces in sorted(done, key=lambda pair: pair[0])]
 
 
+def check_names(checks: tuple[str, ...]) -> None:
+    """Raise ValueError unless each name is a known check, named once."""
+    for name in checks:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r} (known: {', '.join(CHECKS)})")
+        if checks.count(name) > 1:
+            raise ValueError(f"check {name!r} named more than once")
+
+
 @dataclass
 class SweepResult:
     records: list[dict]
@@ -235,28 +252,25 @@ def run_sweep(
     With a cache, already-computed pieces are reused verbatim, so a warm
     rerun recomputes nothing and emits identical bytes.
     """
-    for name in checks:
-        if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r} (known: {', '.join(CHECKS)})")
-        if checks.count(name) > 1:
-            raise ValueError(f"check {name!r} named more than once")
+    check_names(checks)
     cache = VerdictCache(cache_path) if cache_path else None
     wanted = (BASE_KEY, *checks)
 
-    # each graph's pieces: the cache's first, then the computed ones
-    graphs = [cache.get(line, wanted) if cache else {} for line in lines]
-    hits = sum(map(len, graphs))
-    todo = [(i, tuple(name for name in wanted if name not in have))
-            for i, have in enumerate(graphs) if len(have) < len(wanted)]
-    payloads = [(lines[i], needed, budget_ms) for i, needed in todo]
-    elapsed: dict[int, dict[str, float]] = {}
-    for (i, _), (fresh, took) in zip(todo, _compute_all(payloads, jobs)):
-        graphs[i].update(fresh)
-        elapsed[i] = took
+    # the cache file is opened before any graph is computed
+    with open_text(cache_path, "a", "cache") if cache else nullcontext() as cache_fh:
+        # each graph's pieces: the cache's first, then the computed ones
+        graphs = [cache.get(line, wanted) if cache else {} for line in lines]
+        hits = sum(map(len, graphs))
+        todo = [(i, tuple(name for name in wanted if name not in have))
+                for i, have in enumerate(graphs) if len(have) < len(wanted)]
+        payloads = [(lines[i], needed, budget_ms) for i, needed in todo]
+        elapsed: dict[int, dict[str, float]] = {}
+        for (i, _), (fresh, took) in zip(todo, _compute_all(payloads, jobs)):
+            graphs[i].update(fresh)
+            elapsed[i] = took
 
-    records: list[dict] = []
-    counts = {name: dict.fromkeys(SUMMARY_COLUMNS, 0) for name in checks}
-    with open(cache_path, "a", encoding="utf-8") if cache else nullcontext() as cache_fh:
+        records: list[dict] = []
+        counts = {name: dict.fromkeys(SUMMARY_COLUMNS, 0) for name in checks}
         for i, (line, pieces) in enumerate(zip(lines, graphs)):
             base = pieces[BASE_KEY]
             if base["gamma"] is not None and base["idom"] is not None:

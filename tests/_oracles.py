@@ -2,11 +2,11 @@
 
 The last sections keep earlier, slower implementations of the exact
 kernels, of the seamless link test and link replay, of the seamless
-families, of edge deletion and of the detach audit verbatim, as
-differential oracles for the code that replaced them.
+families and their pruning, of edge deletion and of the detach audit
+verbatim, as differential oracles for the code that replaced them.
 """
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 from domlab import Cycle, Graph, detachable_vertices, is_connected, is_dominating
@@ -15,7 +15,7 @@ from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_c
 from domlab.domination import _certificate, closed_masks
 from domlab.graphs import Edge, edge_key
 from domlab.reduction import AuditVerdict
-from domlab.seams import CycleCollection, EarLink
+from domlab.seams import CycleCollection, EarLink, _link_components
 
 
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
@@ -440,6 +440,30 @@ def prune_nonexclusive_relinking(col):
                     queue.append(j)
         out.append(tuple(survivors[i] for i in order))
     return tuple(out)
+
+
+# --- earlier pruning: recount after every drop -------------------------------
+
+
+def _without_exclusive(cycles):
+    """Indexes of the cycles all of whose vertices lie on another cycle."""
+    uses = Counter(v for c in cycles for v in c.vertices)
+    return [i for i, c in enumerate(cycles) if all(uses[v] > 1 for v in c.vertices)]
+
+
+def prune_nonexclusive_by_fixpoint(fam):
+    """Pruning to a fixpoint: the lexicographically smallest cycle owning
+    no exclusive vertex is dropped, one at a time, recounting every
+    vertex use after each drop; survivors are regrouped by family links."""
+    kept = list(range(len(fam.cycles)))
+    while len(kept) > 1:
+        lacking = _without_exclusive([fam.cycles[i] for i in kept])
+        if not lacking:
+            break
+        del kept[min(lacking, key=lambda li: fam.cycles[kept[li]].vertices)]
+    return tuple(
+        tuple(fam.cycles[i] for i in order) for order in _link_components(kept, fam.links)
+    )
 
 
 # --- earlier edge deletion: every row rebuilt --------------------------------

@@ -86,6 +86,18 @@ def test_enumeration_gates():
     assert gate_of("edge_removal", wheel) is None
 
 
+def test_the_enumeration_gate_admits_what_the_enumeration_runs():
+    # the gate and the enumeration read one guard, so a graph on the
+    # guard's edge is enumerated and one past it is gated out
+    edge = Facts(Graph.from_edges(ENUM_GUARD, [(0, v) for v in range(1, ENUM_GUARD)]))
+    assert CHECKS["edge_removal"].gate(edge) is None
+    assert edge.min_dsets.dsets == (frozenset({0}),)
+    past = Facts(Graph.from_edges(ENUM_GUARD + 1, []))
+    assert CHECKS["edge_removal"].gate(past) == f"n > {ENUM_GUARD}"
+    with pytest.raises(ValueError, match=f"guarded to n <= {ENUM_GUARD}"):
+        domination.enumerate_min_dsets(past.g, ENUM_GUARD + 1)
+
+
 class _Excess(Facts):
     """Facts whose gamma exceeds ceil(n/3) and differs from i."""
 

@@ -7,7 +7,9 @@ included, and the very groups, in the same order, of the implementations
 they replaced: families grown from every seed with both link directions
 tested, and pruning that tests links again.  Each group must also meet
 what makes it exclusive: every cycle owns a vertex no other survivor
-touches, and the family's links among its cycles connect it.
+touches, and the family's links among its cycles connect it.  On dense
+graphs, where both of those oracles are too slow, the one-pass prune is
+compared with the fixpoint prune it replaced.
 """
 
 from itertools import combinations
@@ -28,9 +30,13 @@ from domlab import (
     vertex_connectivity,
 )
 from domlab.cycles import all_simple_cycles
-from domlab.seams import try_ear_link
+from domlab.seams import CycleCollection, try_ear_link
 
-from _oracles import prune_nonexclusive_relinking, seamless_families_greedy
+from _oracles import (
+    prune_nonexclusive_by_fixpoint,
+    prune_nonexclusive_relinking,
+    seamless_families_greedy,
+)
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -83,3 +89,48 @@ def test_families_match_greedy_on_three_connected_gnp(n, p, seed):
     g = gnp_random(n, p, seed)
     assume(vertex_connectivity(g) >= 3 and len(all_simple_cycles(g)) <= 400)
     assert_matches_greedy(mod3_cycles(g))
+
+
+def grown_family(cycles, size: int) -> CycleCollection:
+    """A collection of at most `size` of the listed cycles with the links
+    that took them in: grown from the first cycle, each taken cycle tests
+    every cycle not yet taken.  Linear in the listing while links are
+    common, where `seamless_families` tests every pair."""
+    taken, links = [0], []
+    rest = list(range(1, len(cycles)))
+    for pos, a in enumerate(taken):  # the list grows while it is read
+        left = []
+        for b in rest:
+            link = None
+            if len(taken) < size:
+                link = try_ear_link(cycles[a], cycles[b], pos, len(taken))
+            if link is None:
+                left.append(b)
+            else:
+                taken.append(b)
+                links.append(link)
+        rest = left
+    return CycleCollection(tuple(cycles[i] for i in taken), tuple(links))
+
+
+@settings(max_examples=8)
+@given(
+    n=st.integers(min_value=7, max_value=9),
+    p=st.sampled_from([0.5, 0.6, 0.7, 0.8]),
+    seed=seeds,
+    start=st.integers(min_value=0, max_value=10**4),
+    size=st.integers(min_value=1, max_value=200),
+)
+def test_prune_matches_fixpoint_on_dense_gnp(n, p, seed, start, size):
+    # no bound on the graph's cycle count: a G(9, 0.7) graph lists about
+    # 2,000 0-mod-3 cycles, so the collection is grown, not the link graph
+    g = gnp_random(n, p, seed)
+    assume(vertex_connectivity(g) >= 3)
+    cycles = mod3_cycles(g)
+    cut = start % len(cycles)
+    fam = grown_family(cycles[cut:] + cycles[:cut], size)
+    groups = prune_nonexclusive(fam)
+    assert groups == prune_nonexclusive_by_fixpoint(fam)
+    survivors = [c for group in groups for c in group]
+    for group in groups:
+        assert_group_is_exclusive(fam, group, survivors)

@@ -11,10 +11,12 @@ from domlab import (
     is_dominating,
     mod3_cycles,
     named_graph,
+    parse_graph6,
     prune_nonexclusive,
     seamless_families,
     spaced_assignments,
 )
+from domlab import seams
 from domlab.checks import CHECKS, Facts
 from domlab.seams import (
     CycleCollection,
@@ -144,6 +146,23 @@ def test_has_mark_every_third():
     assert has_mark_every_third(Cycle((0, 1, 2)), {0})
     with pytest.raises(ValueError):
         has_mark_every_third(Cycle((0, 1, 2, 3)), {0})
+
+
+def test_prune_dense_family():
+    # one G(9, 0.5) graph: the one-pass prune drops 549 of the 553 cycles
+    fams = families_of(parse_graph6("Hf^~Grb"))
+    assert [len(fam.cycles) for fam in fams] == [553]
+    groups = prune_nonexclusive(fams[0])
+    assert [[c.vertices for c in group] for group in groups] == [
+        [(0, 6, 8), (1, 6, 8), (2, 6, 8), (3, 4, 7, 8, 6, 5)]
+    ]
+
+
+def test_spaced_assignments_return_none_past_the_cap(monkeypatch):
+    group = prune_nonexclusive(families_of(named_graph("petersen"))[0])[0]
+    assert spaced_assignments(group)
+    monkeypatch.setattr(seams, "ASSIGNMENT_CAP", 1)
+    assert spaced_assignments(group) is None
 
 
 def test_assignments():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from domlab import Graph, __version__, cli, encode_graph6, named_graph, random_cubic, seams
+from domlab import Graph, __version__, cli, encode_graph6, named_graph, random_cubic, seams, sweep
 from domlab.checks import CHECKS, Check, Facts
 from domlab.cli import generate_corpus
 from domlab.sweep import (
@@ -293,6 +293,7 @@ def test_cli_sweep_rejects_a_repeated_check(capsys):
     ("random-cubic count=2", "n="),
     ("gnp n=5 count=2", "p="),
     ("random-cubic n=6 sed=3", "'sed'"),
+    ("random-cubic n=8 count=-2", "count="),
 ])
 def test_generator_spec_errors_are_usage_errors(capsys, spec, named):
     with pytest.raises(ValueError, match=named):
@@ -301,6 +302,35 @@ def test_generator_spec_errors_are_usage_errors(capsys, spec, named):
     assert cli.main(["sweep", "--corpus", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count(named) == 2
+
+
+@pytest.mark.parametrize("flag, role, where", [
+    ("--out", "output", "missing"),
+    ("--summary", "summary", "missing"),
+    ("--cache", "cache", "missing"),
+    ("--cache", "cache", "dir"),
+    ("--corpus", "corpus", "dir"),
+])
+def test_cli_sweep_rejects_a_bad_path_before_computing(monkeypatch, capsys, tmp_path, flag, role, where):
+    calls = []
+    monkeypatch.setattr(sweep, "compute_pieces", lambda *payload: calls.append(payload))
+    path = str(tmp_path / "absent" / "file" if where == "missing" else tmp_path)
+    # a later --corpus overrides the first
+    argv = ["sweep", "--corpus", "random-cubic n=8 count=3", flag, path]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot open {role} {path}: ")
+    assert captured.err.count("\n") == 1
+    assert calls == []
+
+
+def test_cli_sweep_misspelt_check_keeps_the_output_file(capsys, tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    argv = ["sweep", "--corpus", "random-cubic n=8 count=2", "--checks", "nope", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "'nope'" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_assignment_cap_truncates_the_family_verdict(monkeypatch):
