@@ -323,12 +323,15 @@ def external_counterexample(budget_ms: int = 60000) -> Verdict:
     path = os.environ.get(COUNTEREXAMPLE_ENV)
     if not path:
         return None, f"set {COUNTEREXAMPLE_ENV} to a graph6 file to enable"
-    if not os.path.exists(path):
-        return False, f"{path} does not exist"
-    lines = read_graph6_lines(path)
-    if not lines:
-        return False, "file holds no graphs"
-    g = parse_graph6(lines[0])
+    if not os.path.isfile(path):
+        return False, f"{path} is not a file"
+    try:
+        lines = read_graph6_lines(path)
+        if not lines:
+            return False, "file holds no graphs"
+        g = parse_graph6(lines[0])
+    except (OSError, ValueError) as exc:  # unreadable, not ASCII or not graph6
+        return False, f"{path}: {exc}"
     deadline = time.monotonic() + budget_ms / 1000
     try:
         cert = gamma_exact(g, deadline=deadline)

@@ -3,13 +3,14 @@
 Two routes to the domination number: `gamma_bruteforce` is the oracle
 (exhaustive subset search, guarded to small n), `gamma_exact` is the
 branch-and-bound solver expected to match it everywhere.  All solvers are
-deterministic: fixed branch orders, lexicographic tie-breaking.
+deterministic: fixed branch orders, least-id tie-breaking.
 
 The branch-and-bound solvers prune with the larger of a packing bound and
-a fractional-cover bound (after van Rooij and Bodlaender, "Exact
-algorithms for dominating set", 2011).  Neither bound changes a returned
-set: the certificate is the first minimum leaf in the fixed branch order,
-and a valid bound never prunes its ancestors (see `gamma_exact`).
+a fractional-cover bound, and branch on the undominated vertex with the
+fewest candidate dominators, one being a forced move (after van Rooij and
+Bodlaender, "Exact algorithms for dominating set", 2011, and Fomin,
+Grandoni and Kratsch, "A measure & conquer approach", 2009).  Their
+certificates are minimum and deterministic, not lexicographically least.
 """
 
 from __future__ import annotations
@@ -169,40 +170,109 @@ def _search_tables(g: Graph) -> tuple[list[int], list[tuple[int, ...]], int]:
     return masks, closed, lcm(*range(1, g.max_degree() + 2))
 
 
+def _check_deadline(deadline: float | None, what: str) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverTimeout(f"{what} solve exceeded its budget")
+
+
+def _gamma_branch(masks: list[int], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
+    """The useful candidates of the undominated vertex that has fewest
+    (least id among ties; the scan stops at one, a forced move).
+
+    A candidate c in N[u] covers N[c] & undominated; it is useful unless
+    its cover lies inside the cover of another candidate in N[u], and of
+    equal covers only the least id is.  They come in decreasing cover
+    size, least id first.
+    """
+    cover = [m & undominated for m in masks]
+    order = [-x.bit_count() for x in cover]
+    pick: list[int] = []
+    fewest = len(masks) + 2  # len(kept) + 1 never reaches it: the first vertex is taken
+    rest = undominated
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        # in decreasing cover size, a candidate is useful unless a useful one
+        # before it holds its cover; stop once u cannot beat `fewest`
+        kept: list[int] = []
+        held: list[int] = []
+        for c in sorted(closed[low.bit_length() - 1], key=order.__getitem__):
+            x = cover[c]
+            for y in held:
+                if x | y == y:
+                    break
+            else:
+                if len(kept) + 1 == fewest:
+                    break
+                kept.append(c)
+                held.append(x)
+        else:
+            pick = kept
+            fewest = len(kept)
+            if fewest == 1:
+                break
+    return pick
+
+
+def _idom_branch(masks: list[int], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
+    """The admissible candidates of the undominated vertex that has fewest
+    (least id among ties; the scan stops at one, a forced move).
+
+    With dominated == N[chosen], the admissible candidates of u are
+    N[u] & undominated.  They come in decreasing cover size (N[c] &
+    undominated), least id first.
+    """
+    pick = -1
+    fewest = len(masks) + 1
+    rest = undominated
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        size = (masks[u] & undominated).bit_count()
+        if size < fewest:
+            pick = u
+            fewest = size
+            if size == 1:
+                break
+    return sorted((c for c in closed[pick] if undominated >> c & 1),
+                  key=lambda c: -(masks[c] & undominated).bit_count())
+
+
 def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertificate:
     """Branch-and-bound minimum dominating set.
 
-    Branches on an undominated vertex of minimum degree (least id among
-    ties); the candidates are its closed neighborhood in ascending id
-    order.  Greedy cover supplies the initial incumbent; a node is pruned
-    when the chosen count plus the larger of the packing and the
-    fractional-cover bound (see `_lower_bound`) reaches the incumbent.
+    Greedy cover supplies the initial incumbent; a node is pruned when the
+    chosen count plus the larger of the packing and the fractional-cover
+    bound (see `_lower_bound`) reaches the incumbent.  Otherwise it
+    branches on the undominated vertex u with the fewest useful
+    candidates (see `_gamma_branch`), skipping each c in N[u] whose cover
+    N[c] & undominated lies inside another candidate's; a vertex with one
+    useful candidate is a forced move.
 
-    The certificate depends only on the branch order, not on the bound:
-    a valid bound never prunes an ancestor of a minimum leaf while the
-    incumbent is larger than gamma, so the first minimum leaf in branch
-    order is returned (or the greedy set, when it is already minimum)
-    whatever valid bound is used.
+    Skipping loses no minimum set: some member of every completion
+    dominates u, and a skipped one can be swapped for the candidate whose
+    cover holds its own, which keeps the size and dominates every vertex.
+
+    The certificate is deterministic and minimum, not lexicographically
+    least: the first leaf of size gamma in this branch order, or the greedy
+    set when that is already minimum.  A valid bound never prunes the
+    ancestors of a leaf smaller than the incumbent, so it does not change
+    the certificate.  `deadline` is read on entry and every 1,024 nodes.
     """
+    _check_deadline(deadline, "domination")
     if g.n == 0:
         return _certificate(g, ())
     masks, closed, scale = _search_tables(g)
     full = (1 << g.n) - 1
-    # vertices grouped by degree, lowest degree first: the least undominated
-    # bit of the first class that has one is the by-(degree, id) minimum
-    classes: dict[int, int] = {}
-    for v in range(g.n):
-        d = len(g.adj[v])
-        classes[d] = classes.get(d, 0) | 1 << v
-    by_degree = [classes[d] for d in sorted(classes)]
     best = _greedy_cover(g, masks, full)
     ticks = 0
 
     def search(chosen: list[int], dominated: int) -> None:
         nonlocal best, ticks
         ticks += 1
-        if deadline is not None and ticks % 1024 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout("domination solve exceeded its budget")
+        if ticks % 1024 == 0:
+            _check_deadline(deadline, "domination")
         if dominated == full:
             if len(chosen) < len(best):
                 best = list(chosen)
@@ -211,12 +281,7 @@ def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertifi
         need = len(best) - len(chosen)
         if _lower_bound(masks, closed, undominated, full, scale, need) >= need:
             return
-        for cls in by_degree:
-            pick = cls & undominated
-            if pick:
-                u = (pick & -pick).bit_length() - 1
-                break
-        for c in closed[u]:
+        for c in _gamma_branch(masks, closed, undominated):
             chosen.append(c)
             search(chosen, dominated | masks[c])
             chosen.pop()
@@ -231,13 +296,19 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
     Same scheme as gamma_exact with the independence constraint folded in:
     a candidate dominator must not be adjacent to the chosen set, that is,
     it must lie outside N[chosen], so the bound admits only those.  The
-    branch vertex is the least undominated id; the initial incumbent is
-    the lexicographically first maximal independent set.
+    node branches on the undominated vertex with the fewest admissible
+    candidates (see `_idom_branch`); one is a forced move.  None is
+    skipped by cover containment, as the swap that allows it for gamma can
+    break independence.  The initial incumbent is the lexicographically
+    first maximal independent set.
+
+    The certificate is deterministic and minimum, not lexicographic, as
+    for gamma_exact.  `deadline` is read on entry and every 1,024 nodes.
     """
+    _check_deadline(deadline, "independent domination")
     if g.n == 0:
         return _certificate(g, (), independent=True)
     masks, closed, scale = _search_tables(g)
-    nbr_masks = [masks[v] ^ (1 << v) for v in range(g.n)]
     full = (1 << g.n) - 1
 
     # lexicographically first maximal independent set as the initial bound
@@ -249,11 +320,11 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
             dominated |= masks[v]
     ticks = 0
 
-    def search(chosen: list[int], chosen_mask: int, dominated: int) -> None:
+    def search(chosen: list[int], dominated: int) -> None:
         nonlocal best, ticks
         ticks += 1
-        if deadline is not None and ticks % 1024 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout("independent domination solve exceeded its budget")
+        if ticks % 1024 == 0:
+            _check_deadline(deadline, "independent domination")
         if dominated == full:
             if len(chosen) < len(best):
                 best = list(chosen)
@@ -263,15 +334,12 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
         # dominated == N[chosen]: exactly the undominated vertices are admissible
         if _lower_bound(masks, closed, undominated, undominated, scale, need) >= need:
             return
-        u = (undominated & -undominated).bit_length() - 1
-        for c in closed[u]:
-            if nbr_masks[c] & chosen_mask:
-                continue
+        for c in _idom_branch(masks, closed, undominated):
             chosen.append(c)
-            search(chosen, chosen_mask | (1 << c), dominated | masks[c])
+            search(chosen, dominated | masks[c])
             chosen.pop()
 
-    search([], 0, 0)
+    search([], 0)
     return _certificate(g, best, independent=True)
 
 

@@ -71,8 +71,9 @@ def test_audit_criterion_reports_the_violation(monkeypatch):
 def test_criterion_14_paths(tmp_path, monkeypatch):
     from domlab import encode_graph6, named_graph, random_cubic
 
+    # gamma of this graph ran past a 12 s deadline (2-CPU x86-64, Python 3.11)
     big = tmp_path / "big.g6"
-    big.write_text(encode_graph6(random_cubic(60, seed=1)) + "\n", encoding="ascii")
+    big.write_text(encode_graph6(random_cubic(100, seed=1)) + "\n", encoding="ascii")
     monkeypatch.setenv(acceptance.COUNTEREXAMPLE_ENV, str(big))
     ok, detail = acceptance.external_counterexample(budget_ms=300)
     assert ok and "timeout" in detail
@@ -85,3 +86,13 @@ def test_criterion_14_paths(tmp_path, monkeypatch):
 
     monkeypatch.setenv(acceptance.COUNTEREXAMPLE_ENV, str(tmp_path / "missing.g6"))
     assert acceptance.external_counterexample()[0] is False
+
+    monkeypatch.setenv(acceptance.COUNTEREXAMPLE_ENV, str(tmp_path))
+    assert acceptance.external_counterexample() == (False, f"{tmp_path} is not a file")
+
+    for name, content in (("bad.g6", b"!!\n"), ("binary.g6", b"\xff\xfe\n")):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        monkeypatch.setenv(acceptance.COUNTEREXAMPLE_ENV, str(bad))
+        ok, detail = acceptance.external_counterexample()
+        assert ok is False and detail.startswith(f"{bad}: ")

@@ -1,9 +1,11 @@
+import time
 from math import ceil
 
 import pytest
 
 from domlab import (
     Graph,
+    SolverTimeout,
     delete_edges,
     enumerate_min_dsets,
     gamma_bruteforce,
@@ -12,8 +14,10 @@ from domlab import (
     idom_exact,
     is_dominating,
     named_graph,
+    random_cubic,
 )
-from domlab.domination import induced_edge_count
+from domlab import domination
+from domlab.domination import _gamma_branch, _idom_branch, _search_tables, induced_edge_count
 
 from _oracles import dominating_sets_of_size
 
@@ -90,6 +94,51 @@ def test_enumerate_min_dsets():
 def test_certificate_fields():
     cert = gamma_exact(named_graph("c6"))
     assert cert.size == len(cert.members) == 2
+
+
+def test_forced_move_on_a_pendant_vertex():
+    # the 5-cycle 0-1-2-4-5 with vertex 3 hanging from 4: vertices 0, 1 and
+    # 2 have three useful candidates each, but N[3] = {3, 4} lies inside
+    # N[4], so 4 is forced and the scan stops at 3
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 4), (4, 5), (5, 0), (3, 4)])
+    masks, closed, _ = _search_tables(g)
+    full = 0b111111
+    assert _gamma_branch(masks, closed, full) == [4]
+    # i keeps both candidates of 3, the larger cover first
+    assert _idom_branch(masks, closed, full) == [4, 3]
+    # with 5 chosen, 4 is dominated, so only 3 can dominate 3
+    assert _idom_branch(masks, closed, full ^ masks[5]) == [3]
+    assert gamma_exact(g).size == 2 and idom_exact(g).size == 2
+
+
+def test_skipped_candidate_is_covered_by_another():
+    # triangle 0-1-5 on the 5-cycle 1-2-4-3-5: N[0] = {0, 1, 5} lies inside
+    # N[1] = {0, 1, 2, 5}, so 0 is skipped; N[1] and N[5] = {0, 1, 3, 5} are
+    # incomparable and equal in size, so both are tried, 1 first.  Every
+    # other vertex has three useful candidates.
+    g = Graph.from_edges(6, [(0, 1), (0, 5), (1, 2), (1, 5), (2, 4), (3, 4), (3, 5)])
+    masks, closed, _ = _search_tables(g)
+    assert _gamma_branch(masks, closed, 0b111111) == [1, 5]
+    assert gamma_exact(g).size == gamma_bruteforce(g).size == 2
+
+
+def test_certificates_repeat_across_calls():
+    # on these graphs the search, not the greedy or first maximal
+    # independent set, supplies the certificate
+    for seed in range(1, 6):
+        g = random_cubic(30, seed)
+        assert gamma_exact(g) == gamma_exact(g)
+        assert idom_exact(g) == idom_exact(g)
+
+
+def test_expired_deadline_stops_before_the_search(monkeypatch):
+    def no_search(g):
+        raise AssertionError("search tables built past the deadline")
+
+    monkeypatch.setattr(domination, "_search_tables", no_search)
+    for solver in (gamma_exact, idom_exact):
+        with pytest.raises(SolverTimeout):
+            solver(random_cubic(60, 1), deadline=time.monotonic() - 1)
 
 
 def test_edge_deletion_never_lowers_gamma():

@@ -538,7 +538,8 @@ def test_strict_passes_clean_corpus(tmp_path):
 def test_budget_produces_timeout_records(tmp_path):
     from domlab import random_cubic
 
-    line = encode_graph6(random_cubic(60, seed=1))
+    # gamma of this graph ran past a 12 s deadline (2-CPU x86-64, Python 3.11)
+    line = encode_graph6(random_cubic(100, seed=1))
     cache = str(tmp_path / "cache.jsonl")
     result = run_sweep([line], checks=("third_bound",), budget_ms=200, cache_path=cache)
     rec = result.records[0]
@@ -553,7 +554,8 @@ def test_budget_produces_timeout_records(tmp_path):
 def test_timeout_reaches_only_checks_that_read_gamma_or_idom(tmp_path):
     from domlab import random_cubic
 
-    line = encode_graph6(random_cubic(60, seed=1))
+    # gamma of this graph ran past a 12 s deadline (2-CPU x86-64, Python 3.11)
+    line = encode_graph6(random_cubic(100, seed=1))
     cache = tmp_path / "cache.jsonl"
     checks = ("claw_free_equal", "third_bound")
     result = run_sweep([line], checks=checks, budget_ms=200, cache_path=str(cache))
@@ -573,8 +575,9 @@ def test_timeout_reaches_only_checks_that_read_gamma_or_idom(tmp_path):
 def test_budget_bounds_default_checks_on_a_large_graph():
     from domlab import random_cubic
 
-    # listing every cycle of this graph would not finish; the budget stops it
-    line = encode_graph6(random_cubic(60, seed=1))
+    # listing every cycle of this graph would not finish, and gamma ran past
+    # a 12 s deadline (2-CPU x86-64, Python 3.11); the budget stops both
+    line = encode_graph6(random_cubic(100, seed=1))
     t0 = time.monotonic()
     rec = run_sweep([line], checks=DEFAULT_CHECKS, budget_ms=200).records[0]
     assert time.monotonic() - t0 < 30
