@@ -1,10 +1,11 @@
 """The audited claims: one registry over facts computed once per graph.
 
 `Facts` holds one graph and a deadline.  Each fact the checks read
-(connectivity, gamma, i, the minimum dominating sets, the 0-mod-3 cycle
-listing, its seamless families and their marked exclusive groups) is
-computed on first read and kept; a `SolverTimeout` is kept as well, so a
-later read raises it again without running the solver a second time.
+(connectivity, a minimum dominating set and its size gamma, i, the minimum
+dominating sets, the 0-mod-3 cycle listing, its seamless families and
+their marked exclusive groups) is computed on first read and kept; a
+`SolverTimeout` is kept as well, so a later read raises it again without
+running the solver a second time.
 
 `CHECKS` maps each check name, written nowhere else, to a `Check`: a gate
 that returns a skip reason (or None) from the cheap structural facts, and
@@ -22,6 +23,7 @@ from typing import Callable
 from .cycles import Cycle, mod3_cycles
 from .domination import (
     ENUM_GUARD,
+    DominationCertificate,
     DsetEnumeration,
     SolverTimeout,
     enumerate_min_dsets,
@@ -69,7 +71,9 @@ class Facts:
 
     `deadline` (a `time.monotonic()` value) bounds the exact solvers, the
     cycle listing and the family pipeline; the structural facts the gates
-    read never time out.
+    read never time out.  The i solve starts from `gamma_set`: every check
+    that reads i reads gamma first, so this adds no solve, and when the
+    gamma solve ran out of budget, i is solved without it.
     """
 
     def __init__(self, g: Graph, deadline: float | None = None) -> None:
@@ -90,12 +94,21 @@ class Facts:
         return vertex_connectivity(self.g) if self.g.n else 0
 
     @_fact
+    def gamma_set(self) -> DominationCertificate:
+        """A minimum dominating set; `gamma` is its size."""
+        return gamma_exact(self.g, deadline=self.deadline)
+
+    @property
     def gamma(self) -> int:
-        return gamma_exact(self.g, deadline=self.deadline).size
+        return self.gamma_set.size
 
     @_fact
     def idom(self) -> int:
-        return idom_exact(self.g, deadline=self.deadline).size
+        try:
+            gamma = self.gamma_set
+        except SolverTimeout:
+            gamma = None
+        return idom_exact(self.g, deadline=self.deadline, gamma=gamma).size
 
     @_fact
     def min_dsets(self) -> DsetEnumeration:

@@ -290,7 +290,9 @@ def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertifi
     return _certificate(g, best)
 
 
-def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertificate:
+def idom_exact(
+    g: Graph, *, deadline: float | None = None, gamma: DominationCertificate | None = None
+) -> DominationCertificate:
     """Minimum maximal independent set (independent domination number).
 
     Same scheme as gamma_exact with the independence constraint folded in:
@@ -302,12 +304,21 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
     break independence.  The initial incumbent is the lexicographically
     first maximal independent set.
 
+    `gamma`, if given, must be a minimum dominating set of g, such as
+    `gamma_exact(g)`, as `enumerate_min_dsets`' `gamma` must be gamma(g).
+    Since gamma <= i, an independent `gamma` is returned with no search,
+    and otherwise the search stops once the incumbent has its size.
+
     The certificate is deterministic and minimum, not lexicographic, as
-    for gamma_exact.  `deadline` is read on entry and every 1,024 nodes.
+    for gamma_exact; with `gamma` it may differ from the one without.
+    `deadline` is read on entry and every 1,024 nodes.
     """
     _check_deadline(deadline, "independent domination")
     if g.n == 0:
         return _certificate(g, (), independent=True)
+    if gamma is not None and not induced_edge_count(g, gamma.members):
+        return _certificate(g, gamma.members, independent=True)
+    floor = gamma.size if gamma is not None else 0
     masks, closed, scale = _search_tables(g)
     full = (1 << g.n) - 1
 
@@ -322,6 +333,8 @@ def idom_exact(g: Graph, *, deadline: float | None = None) -> DominationCertific
 
     def search(chosen: list[int], dominated: int) -> None:
         nonlocal best, ticks
+        if len(best) == floor:  # no independent dominating set is smaller
+            return
         ticks += 1
         if ticks % 1024 == 0:
             _check_deadline(deadline, "independent domination")

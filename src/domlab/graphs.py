@@ -25,6 +25,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Callable, Iterable
 
 Edge = tuple[int, int]
@@ -182,18 +183,22 @@ def _disjoint_paths(
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Vertex connectivity by Menger's theorem and Even's source restriction.
+    """Vertex connectivity by Menger's theorem on Esfahanian and Hakimi's
+    flow pairs.
 
     kappa is the least number of internally disjoint paths between two
-    non-adjacent vertices, and the minimum degree bounds it from above.
-    Fix a minimum separator S: the first vertex v_i outside S has
-    i <= kappa, and some later vertex, in another component of g - S, is
-    joined to v_i by only kappa disjoint paths.  So flows from each source
-    v_s to every later non-adjacent vertex may stop once s reaches `best`,
-    the least count so far: were best > kappa, then i < best, and source
-    v_i would already have lowered best to kappa (S. Even, 1975).
-    Complete graphs (including a single vertex) return n-1, disconnected
-    graphs 0.
+    non-adjacent vertices, and the minimum degree delta bounds it from
+    above, so each flow stops at `best`, the least count so far.  Let v be
+    the least-id vertex of degree delta and S a minimum separator.  If v
+    is not in S, a vertex in another component of g - S is a non-neighbor
+    of v joined to it by only kappa disjoint paths.  If v is in S, it has
+    a neighbor in every component of g - S, or S - v would separate g; two
+    of them, in different components, are non-adjacent and joined by only
+    kappa paths.  So flows from v to each non-neighbor and between each
+    non-adjacent pair of v's neighbors, at most n - delta - 1 +
+    C(delta, 2) of them, reach kappa (A. H. Esfahanian and S. L. Hakimi,
+    Networks 14, 1984).  Complete graphs (including a single vertex)
+    return n-1, disconnected graphs 0.
     """
     if g.n == 0:
         raise ValueError("vertex connectivity needs at least one vertex")
@@ -202,13 +207,12 @@ def vertex_connectivity(g: Graph) -> int:
     if not is_connected(g):
         return 0
     network = _split_network(g)
-    best = min(len(row) for row in g.adj)
-    s = 0
-    while s < best:
-        for t in range(s + 1, g.n):
-            if not g.has_edge(s, t):
-                best = min(best, _disjoint_paths(network, s, t, best))
-        s += 1
+    v = min(range(g.n), key=g.degree)
+    best = g.degree(v)
+    pairs = [(v, t) for t in range(g.n) if t != v and not g.has_edge(v, t)]
+    pairs += [(x, y) for x, y in combinations(g.adj[v], 2) if not g.has_edge(x, y)]
+    for s, t in pairs:
+        best = min(best, _disjoint_paths(network, s, t, best))
     return best
 
 

@@ -13,7 +13,7 @@ from domlab import Cycle, Graph, detachable_vertices, is_connected, is_dominatin
 # `domlab verify` needs this oracle at run time, so its one copy lives there
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
 from domlab.domination import _certificate, closed_masks
-from domlab.graphs import Edge, edge_key
+from domlab.graphs import Edge, _disjoint_paths, _split_network, edge_key
 from domlab.reduction import AuditVerdict
 from domlab.seams import CycleCollection, EarLink, _link_components
 
@@ -132,6 +132,28 @@ def vertex_connectivity_all_pairs(g: Graph) -> int:
         for t in range(s + 1, g.n):
             if not g.has_edge(s, t):
                 best = min(best, _disjoint_paths_dict(g, s, t, best))
+    return best
+
+
+def vertex_connectivity_even(g: Graph) -> int:
+    """Vertex connectivity by Even's source restriction: flows from each
+    source v_s to every later non-adjacent vertex, while s < the least
+    count so far (the first vertex outside a minimum separator has index
+    at most kappa)."""
+    if g.n == 0:
+        raise ValueError("vertex connectivity needs at least one vertex")
+    if g.m == g.n * (g.n - 1) // 2:
+        return g.n - 1
+    if not is_connected(g):
+        return 0
+    network = _split_network(g)
+    best = min(len(row) for row in g.adj)
+    s = 0
+    while s < best:
+        for t in range(s + 1, g.n):
+            if not g.has_edge(s, t):
+                best = min(best, _disjoint_paths(network, s, t, best))
+        s += 1
     return best
 
 

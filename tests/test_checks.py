@@ -17,12 +17,13 @@ def gate_of(check: str, g: Graph) -> str | None:
 
 
 def counting(monkeypatch, name: str, modules=(checks,)) -> list:
-    """Make every module's `name` record each call in the returned list."""
+    """Make every module's `name` record each call's arguments in the
+    returned list, as (args, kwargs)."""
     calls = []
     original = getattr(modules[0], name)
 
     def wrapper(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     for module in modules:
@@ -127,6 +128,7 @@ def test_min_edge_dsets_keep_the_fewest_induced_edges():
 
 def test_facts_computed_once_per_graph(monkeypatch):
     gammas = counting(monkeypatch, "gamma_exact", (checks, domination))
+    idoms = counting(monkeypatch, "idom_exact")
     enums = counting(monkeypatch, "enumerate_min_dsets")
     conns = counting(monkeypatch, "vertex_connectivity")
     listings = counting(monkeypatch, "all_simple_cycles", (cycles,))
@@ -147,7 +149,8 @@ def test_facts_computed_once_per_graph(monkeypatch):
         assert entry.gate(facts) is None, name
         assert entry.evaluate(facts).holds, name
     assert (facts.gamma, facts.idom) == (3, 3)
-    assert len(gammas) == 1
+    assert len(gammas) == 1  # the i solve reuses the gamma certificate
+    assert [kwargs["gamma"] for _, kwargs in idoms] == [facts.gamma_set]
     assert len(enums) == 1  # shared by the three enumeration checks
     assert len(conns) == 1
     assert len(listings) == 1  # shared by mod3_cycle_exists and family_dset
@@ -179,3 +182,27 @@ def test_facts_keep_a_timeout(monkeypatch):
     # facts that need no solver are unaffected
     assert facts.connectivity == 3 and facts.idom == 3
     assert CHECKS["claw_free_equal"].evaluate(facts).vacuous
+
+
+def test_idom_falls_back_to_an_unseeded_solve_after_a_gamma_timeout(monkeypatch):
+    def exhausted(g, *, deadline=None):
+        raise SolverTimeout("out of budget")
+
+    monkeypatch.setattr(checks, "gamma_exact", exhausted)
+    idoms = counting(monkeypatch, "idom_exact")
+    facts = Facts(random_cubic(12, 1))
+    with pytest.raises(SolverTimeout):
+        facts.gamma
+    assert facts.idom == 3
+    assert [kwargs for _, kwargs in idoms] == [{"deadline": None, "gamma": None}]
+
+
+@pytest.mark.parametrize("g", [named_graph("c6"), random_cubic(12, 1)], ids=["c6", "cubic12"])
+def test_independent_gamma_certificate_needs_no_idom_search(monkeypatch, g):
+    # unseeded, the i search branches on both graphs
+    branches = counting(monkeypatch, "_idom_branch", (domination,))
+    facts = Facts(g)
+    assert domination.induced_edge_count(g, facts.gamma_set.members) == 0
+    assert facts.idom == facts.gamma
+    assert branches == []
+    assert domination.idom_exact(g).size == facts.idom and branches

@@ -1,7 +1,8 @@
 """Differential tests of the exact kernels against independent oracles.
 
-Connectivity is checked against networkx and the all-pairs flow it
-replaced; gamma_exact and idom_exact must return the sizes of the
+Connectivity is checked against networkx, the all-pairs flow and Even's
+source loop it replaced; gamma_exact and idom_exact, the latter also
+started from gamma's certificate, must return the sizes of the
 packing-bound solvers they replaced and of brute force, with sets that
 dominate (and, for i, are independent);
 delete_edges must return the graph, or raise the error, of the full
@@ -23,15 +24,19 @@ from hypothesis import strategies as st
 from domlab import (
     Graph,
     delete_edges,
+    domination,
     gamma_bruteforce,
     gamma_exact,
     gnp_random,
+    graphs,
     idom_exact,
     is_dominating,
+    parse_graph6,
     random_cubic,
     vertex_connectivity,
 )
 from domlab.domination import _lower_bound, _search_tables, induced_edge_count
+from domlab.graphs import _disjoint_paths, _split_network
 
 from _oracles import (
     delete_edges_by_full_rebuild,
@@ -39,6 +44,7 @@ from _oracles import (
     idom_by_enumeration,
     idom_exact_packing,
     vertex_connectivity_all_pairs,
+    vertex_connectivity_even,
 )
 
 edge_prob = st.sampled_from([0.15, 0.3, 0.45, 0.6, 0.8])
@@ -60,6 +66,33 @@ def test_connectivity_on_gnp(n, p, seed):
     kappa = vertex_connectivity(g)
     assert kappa == nx_connectivity(g)
     assert kappa == vertex_connectivity_all_pairs(g)
+    assert kappa == vertex_connectivity_even(g)
+
+
+def test_connectivity_needs_the_neighbor_pairs():
+    # every vertex has degree >= 4 and vertex 0, the least of minimum degree,
+    # lies in every minimum separator: its own flows read 4, kappa is 3
+    g = parse_graph6("Fz][w")
+    network = _split_network(g)
+    alone = min(_disjoint_paths(network, 0, t, 4) for t in range(1, g.n) if not g.has_edge(0, t))
+    assert min(len(row) for row in g.adj) == g.degree(0) == alone == 4
+    assert vertex_connectivity(g) == 3 == nx_connectivity(g)
+    assert vertex_connectivity_even(g) == vertex_connectivity_all_pairs(g) == 3
+
+
+def test_connectivity_runs_esfahanian_hakimi_flow_count(monkeypatch):
+    # n - delta - 1 flows from the least vertex of minimum degree, and at
+    # most C(delta, 2) between its neighbors
+    flows = []
+
+    def counted(network, s, t, cap):
+        flows.append((s, t))
+        return _disjoint_paths(network, s, t, cap)
+
+    monkeypatch.setattr(graphs, "_disjoint_paths", counted)
+    g = random_cubic(40, 1)
+    assert vertex_connectivity(g) == 3
+    assert len(flows) <= 40 - 3 - 1 + 3
 
 
 @settings(max_examples=150)
@@ -150,6 +183,47 @@ def test_exact_sizes_match_bruteforce(n, p, seed):
     g = gnp_random(n, p, seed)
     assert gamma_exact(g).size == gamma_bruteforce(g).size
     assert idom_exact(g).size == idom_by_enumeration(g)
+
+
+def assert_seeded_idom_matches(g):
+    seeded = idom_exact(g, gamma=gamma_exact(g))
+    assert seeded.size == idom_exact(g).size == idom_by_enumeration(g)
+    assert is_dominating(g, seeded.members) and induced_edge_count(g, seeded.members) == 0
+
+
+def test_idom_search_stops_at_the_gamma_size(monkeypatch):
+    # gamma's certificate induces an edge here, and i = gamma: the search
+    # ends once its incumbent reaches that size
+    g = random_cubic(40, 3)
+    gamma = gamma_exact(g)
+    assert induced_edge_count(g, gamma.members) and idom_exact(g).size == gamma.size
+    branches = []
+    branch = domination._idom_branch
+
+    def counted(*args):
+        branches.append(args)
+        return branch(*args)
+
+    monkeypatch.setattr(domination, "_idom_branch", counted)
+    idom_exact(g)
+    unseeded = len(branches)
+    branches.clear()
+    assert idom_exact(g, gamma=gamma).size == gamma.size
+    assert len(branches) < unseeded
+
+
+@pytest.mark.parametrize("n", range(13))
+@settings(max_examples=15)
+@given(p=edge_prob, seed=seeds)
+def test_idom_from_gamma_certificate_on_gnp(n, p, seed):
+    assert_seeded_idom_matches(gnp_random(n, p, seed))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 20])
+@settings(max_examples=5)
+@given(seed=seeds)
+def test_idom_from_gamma_certificate_on_cubic(n, seed):
+    assert_seeded_idom_matches(random_cubic(n, seed))
 
 
 def remaining_optimum(masks, dominated, admissible, independent):
