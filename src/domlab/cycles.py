@@ -8,11 +8,10 @@ once that has passed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domination import SolverTimeout
+from .domination import check_deadline
 from .graphs import Graph
 
 
@@ -65,10 +64,9 @@ def all_simple_cycles(g: Graph, *, deadline: float | None = None) -> list[Cycle]
 
     def extend(s: int, v: int) -> None:
         nonlocal ticks
-        if deadline is not None:
-            ticks += 1
-            if ticks % 1024 == 0 and time.monotonic() > deadline:
-                raise SolverTimeout("cycle listing exceeded its budget")
+        ticks += 1
+        if ticks % 1024 == 0:
+            check_deadline(deadline, "cycle listing")
         for w in g.adj[v]:
             if w == s and len(path) >= 3 and path[1] < path[-1]:
                 found.append(Cycle(tuple(path)))

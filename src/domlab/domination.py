@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph
 
@@ -30,6 +30,13 @@ ENUM_GUARD = 24
 
 class SolverTimeout(Exception):
     """Raised when an exact solve exceeds its deadline."""
+
+
+def check_deadline(deadline: float | None, phase: str) -> None:
+    """Raise `SolverTimeout` naming `phase` once `deadline`, a
+    `time.monotonic()` value, has passed; None never expires."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverTimeout(f"{phase} exceeded its budget")
 
 
 @dataclass(frozen=True)
@@ -78,42 +85,57 @@ def _certificate(g: Graph, members: Iterable[int], independent: bool = False) ->
     return DominationCertificate(members=chosen, size=len(chosen))
 
 
+def _dominating_sets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """Every dominating k-set of g, in lexicographic order."""
+    masks = closed_masks(g)
+    full = (1 << g.n) - 1
+    for combo in combinations(range(g.n), k):
+        cover = 0
+        for v in combo:
+            cover |= masks[v]
+        if cover == full:
+            yield combo
+
+
 def gamma_bruteforce(g: Graph) -> DominationCertificate:
     """Minimum dominating set by exhaustive search in increasing size.
 
     The witness is the lexicographically smallest minimum set.  Guarded to
-    n <= 24; this is the test oracle for gamma_exact.
+    n <= 24; this is the test oracle for gamma_exact.  The sizes start at
+    ceil(n / (max degree + 1)), as each member dominates at most that many.
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force solver is guarded to n <= {BRUTE_FORCE_LIMIT}")
-    if g.n == 0:
-        return _certificate(g, ())
-    masks = closed_masks(g)
-    full = (1 << g.n) - 1
-    lo = max(1, -(-g.n // (g.max_degree() + 1)))
-    for k in range(lo, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            cover = 0
-            for v in combo:
-                cover |= masks[v]
-            if cover == full:
-                return _certificate(g, combo)
-    raise AssertionError("unreachable: the whole vertex set dominates")
+    sizes = range(-(-g.n // (g.max_degree() + 1)), g.n + 1)
+    # the whole vertex set dominates, so some size has a first hit
+    return _certificate(g, next(chain.from_iterable(_dominating_sets(g, k) for k in sizes)))
 
 
-def _greedy_cover(g: Graph, masks: list[int], full: int) -> list[int]:
+def _greedy_cover(masks: list[int]) -> list[int]:
+    full = (1 << len(masks)) - 1
     chosen: list[int] = []
     dominated = 0
     while dominated != full:
         best_v = -1
         best_gain = -1
-        for v in range(g.n):
+        for v in range(len(masks)):
             gain = (masks[v] & ~dominated).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_v = v
         chosen.append(best_v)
         dominated |= masks[best_v]
+    return chosen
+
+
+def _first_independent(masks: list[int]) -> list[int]:
+    """The lexicographically first maximal independent set."""
+    chosen: list[int] = []
+    dominated = 0
+    for v in range(len(masks)):
+        if not (dominated >> v) & 1:
+            chosen.append(v)
+            dominated |= masks[v]
     return chosen
 
 
@@ -168,11 +190,6 @@ def _search_tables(g: Graph) -> tuple[list[int], list[tuple[int, ...]], int]:
     masks = closed_masks(g)
     closed = [tuple(sorted((v, *g.adj[v]))) for v in range(g.n)]
     return masks, closed, lcm(*range(1, g.max_degree() + 2))
-
-
-def _check_deadline(deadline: float | None, what: str) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolverTimeout(f"{what} solve exceeded its budget")
 
 
 def _gamma_branch(masks: list[int], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
@@ -239,54 +256,78 @@ def _idom_branch(masks: list[int], closed: list[tuple[int, ...]], undominated: i
                   key=lambda c: -(masks[c] & undominated).bit_count())
 
 
-def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertificate:
-    """Branch-and-bound minimum dominating set.
+def _branch_and_bound(
+    g: Graph,
+    start: Callable[[list[int]], list[int]],
+    branch: Callable[[list[int], list[tuple[int, ...]], int], list[int]],
+    stay: int,
+    floor: int,
+    deadline: float | None,
+    phase: str,
+) -> list[int]:
+    """A least dominating set of admissible dominators.
 
-    Greedy cover supplies the initial incumbent; a node is pruned when the
-    chosen count plus the larger of the packing and the fractional-cover
-    bound (see `_lower_bound`) reaches the incumbent.  Otherwise it
-    branches on the undominated vertex u with the fewest useful
-    candidates (see `_gamma_branch`), skipping each c in N[u] whose cover
-    N[c] & undominated lies inside another candidate's; a vertex with one
-    useful candidate is a forced move.
+    A vertex is admissible while undominated or in `stay`: with every
+    vertex in `stay` this is plain domination, and with `stay` = 0 only
+    vertices outside N[chosen] may join, which keeps the chosen set
+    independent.  The incumbent starts as `start(masks)`.  A node stops
+    once the incumbent has size `floor`, a known lower bound; a leaf
+    replaces a larger incumbent; otherwise the node is pruned when the
+    chosen count plus `_lower_bound` over the admissible vertices reaches
+    the incumbent, and else it tries each candidate of `branch`.
 
-    Skipping loses no minimum set: some member of every completion
-    dominates u, and a skipped one can be swapped for the candidate whose
-    cover holds its own, which keeps the size and dominates every vertex.
-
-    The certificate is deterministic and minimum, not lexicographically
-    least: the first leaf of size gamma in this branch order, or the greedy
+    The result is deterministic and minimum, not lexicographically least:
+    the first leaf of the least size in this branch order, or the start
     set when that is already minimum.  A valid bound never prunes the
     ancestors of a leaf smaller than the incumbent, so it does not change
-    the certificate.  `deadline` is read on entry and every 1,024 nodes.
+    the result.  `deadline` is read every 1,024 nodes.
     """
-    _check_deadline(deadline, "domination")
-    if g.n == 0:
-        return _certificate(g, ())
     masks, closed, scale = _search_tables(g)
     full = (1 << g.n) - 1
-    best = _greedy_cover(g, masks, full)
+    best = start(masks)
     ticks = 0
 
     def search(chosen: list[int], dominated: int) -> None:
         nonlocal best, ticks
+        if len(best) == floor:
+            return
         ticks += 1
         if ticks % 1024 == 0:
-            _check_deadline(deadline, "domination")
+            check_deadline(deadline, phase)
         if dominated == full:
             if len(chosen) < len(best):
                 best = list(chosen)
             return
         undominated = full ^ dominated
         need = len(best) - len(chosen)
-        if _lower_bound(masks, closed, undominated, full, scale, need) >= need:
+        if _lower_bound(masks, closed, undominated, undominated | stay, scale, need) >= need:
             return
-        for c in _gamma_branch(masks, closed, undominated):
+        for c in branch(masks, closed, undominated):
             chosen.append(c)
             search(chosen, dominated | masks[c])
             chosen.pop()
 
     search([], 0)
+    return best
+
+
+def gamma_exact(g: Graph, *, deadline: float | None = None) -> DominationCertificate:
+    """Branch-and-bound minimum dominating set (see `_branch_and_bound`).
+
+    Greedy cover supplies the initial incumbent, and every vertex is an
+    admissible dominator.  Each node branches on the undominated vertex u
+    with the fewest useful candidates (see `_gamma_branch`), skipping each
+    c in N[u] whose cover N[c] & undominated lies inside another
+    candidate's; a vertex with one useful candidate is a forced move.
+
+    Skipping loses no minimum set: some member of every completion
+    dominates u, and a skipped one can be swapped for the candidate whose
+    cover holds its own, which keeps the size and dominates every vertex.
+    `deadline` is also read on entry.
+    """
+    check_deadline(deadline, "domination solve")
+    full = (1 << g.n) - 1
+    best = _branch_and_bound(g, _greedy_cover, _gamma_branch, full, 0, deadline, "domination solve")
     return _certificate(g, best)
 
 
@@ -295,64 +336,30 @@ def idom_exact(
 ) -> DominationCertificate:
     """Minimum maximal independent set (independent domination number).
 
-    Same scheme as gamma_exact with the independence constraint folded in:
-    a candidate dominator must not be adjacent to the chosen set, that is,
-    it must lie outside N[chosen], so the bound admits only those.  The
-    node branches on the undominated vertex with the fewest admissible
-    candidates (see `_idom_branch`); one is a forced move.  None is
-    skipped by cover containment, as the swap that allows it for gamma can
-    break independence.  The initial incumbent is the lexicographically
-    first maximal independent set.
+    The search of `_branch_and_bound` with the independence constraint
+    folded in: a candidate dominator must not be adjacent to the chosen
+    set, that is, it must lie outside N[chosen], so the bound admits only
+    those.  Each node branches on the undominated vertex with the fewest
+    admissible candidates (see `_idom_branch`); one is a forced move.
+    None is skipped by cover containment, as the swap that allows it for
+    gamma can break independence.  The initial incumbent is the
+    lexicographically first maximal independent set.
 
     `gamma`, if given, must be a minimum dominating set of g, such as
     `gamma_exact(g)`, as `enumerate_min_dsets`' `gamma` must be gamma(g).
     Since gamma <= i, an independent `gamma` is returned with no search,
     and otherwise the search stops once the incumbent has its size.
 
-    The certificate is deterministic and minimum, not lexicographic, as
-    for gamma_exact; with `gamma` it may differ from the one without.
-    `deadline` is read on entry and every 1,024 nodes.
+    The certificate is minimum and deterministic; with `gamma` it may
+    differ from the one without.  `deadline` is also read on entry.
     """
-    _check_deadline(deadline, "independent domination")
-    if g.n == 0:
-        return _certificate(g, (), independent=True)
+    check_deadline(deadline, "independent domination solve")
     if gamma is not None and not induced_edge_count(g, gamma.members):
         return _certificate(g, gamma.members, independent=True)
     floor = gamma.size if gamma is not None else 0
-    masks, closed, scale = _search_tables(g)
-    full = (1 << g.n) - 1
-
-    # lexicographically first maximal independent set as the initial bound
-    best: list[int] = []
-    dominated = 0
-    for v in range(g.n):
-        if not (dominated >> v) & 1:
-            best.append(v)
-            dominated |= masks[v]
-    ticks = 0
-
-    def search(chosen: list[int], dominated: int) -> None:
-        nonlocal best, ticks
-        if len(best) == floor:  # no independent dominating set is smaller
-            return
-        ticks += 1
-        if ticks % 1024 == 0:
-            _check_deadline(deadline, "independent domination")
-        if dominated == full:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        undominated = full ^ dominated
-        need = len(best) - len(chosen)
-        # dominated == N[chosen]: exactly the undominated vertices are admissible
-        if _lower_bound(masks, closed, undominated, undominated, scale, need) >= need:
-            return
-        for c in _idom_branch(masks, closed, undominated):
-            chosen.append(c)
-            search(chosen, dominated | masks[c])
-            chosen.pop()
-
-    search([], 0)
+    best = _branch_and_bound(
+        g, _first_independent, _idom_branch, 0, floor, deadline, "independent domination solve"
+    )
     return _certificate(g, best, independent=True)
 
 
@@ -368,22 +375,11 @@ def enumerate_min_dsets(g: Graph, gamma: int, limit: int | None = None) -> DsetE
     """Every dominating set of minimum cardinality, lexicographic order.
 
     `gamma` must be gamma(g), e.g. `gamma_exact(g).size`; the sets of that
-    size that dominate are listed, at most `limit` of them.
+    size that dominate are listed, at most `limit` of them, and the result
+    is truncated when a further one exists.
     """
     if g.n > ENUM_GUARD:
         raise ValueError(f"enumeration is guarded to n <= {ENUM_GUARD}")
-    if g.n == 0:
-        return DsetEnumeration((frozenset(),), False)
-    masks = closed_masks(g)
-    full = (1 << g.n) - 1
-    out: list[frozenset[int]] = []
-    for combo in combinations(range(g.n), gamma):
-        cover = 0
-        for v in combo:
-            cover |= masks[v]
-        if cover != full:
-            continue
-        if limit is not None and len(out) == limit:
-            return DsetEnumeration(tuple(out), True)
-        out.append(frozenset(combo))
-    return DsetEnumeration(tuple(out), False)
+    hits = list(islice(_dominating_sets(g, gamma), None if limit is None else limit + 1))
+    truncated = limit is not None and len(hits) > limit
+    return DsetEnumeration(tuple(frozenset(c) for c in hits[:limit]), truncated)

@@ -20,14 +20,13 @@ is what `family_dset_audit` measures against the exact solver.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cycles import Cycle
-from .domination import SolverTimeout, is_dominating
+from .domination import check_deadline, is_dominating
 from .graphs import Graph
 from .reduction import AuditVerdict
 
@@ -207,8 +206,8 @@ def seamless_families(
     """
     links = []
     for tested, (a, b) in enumerate(combinations(range(len(cycles)), 2)):
-        if deadline is not None and tested % 1024 == 0 and time.monotonic() > deadline:
-            raise SolverTimeout("link graph exceeded its budget")
+        if tested % 1024 == 0:
+            check_deadline(deadline, "link graph")
         link = try_ear_link(cycles[a], cycles[b], a, b)
         if link is not None:
             links.append(link)
@@ -308,8 +307,7 @@ def exclusive_groups(
     family."""
     out = []
     for fam in families:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverTimeout("family audit exceeded its budget")
+        check_deadline(deadline, "family audit")
         out.append(tuple((group, spaced_assignments(group)) for group in prune_nonexclusive(fam)))
     return tuple(out)
 
@@ -339,8 +337,7 @@ def family_dset_audit(
     truncated = False
     collections = 0
     for family in groups:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverTimeout("family audit exceeded its budget")
+        check_deadline(deadline, "family audit")
         for group, assignments in family:
             collections += 1
             if assignments is None:
@@ -351,8 +348,8 @@ def family_dset_audit(
             lone = [r for r in range(g.n) if r not in union and all(w in union for w in g.adj[r])]
             for chosen in assignments:
                 tried += 1
-                if deadline is not None and tried % 64 == 0 and time.monotonic() > deadline:
-                    raise SolverTimeout("family audit exceeded its budget")
+                if tried % 64 == 0:
+                    check_deadline(deadline, "family audit")
                 candidate = set(chosen)
                 for r in lone:
                     if not any(w in candidate for w in g.adj[r]):

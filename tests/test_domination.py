@@ -1,5 +1,7 @@
+import json
 import time
 from math import ceil
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,13 @@ from domlab import (
     random_cubic,
 )
 from domlab import domination
-from domlab.domination import _gamma_branch, _idom_branch, _search_tables, induced_edge_count
+from domlab.domination import (
+    DsetEnumeration,
+    _gamma_branch,
+    _idom_branch,
+    _search_tables,
+    induced_edge_count,
+)
 
 from _oracles import dominating_sets_of_size
 
@@ -36,6 +44,7 @@ def test_gamma_bruteforce_fixtures():
     assert gamma_bruteforce(named_graph("c6")).size == 2
     assert gamma_bruteforce(named_graph("k4")).size == 1
     assert gamma_bruteforce(named_graph("petersen")).size == 3
+    assert gamma_bruteforce(Graph.from_edges(0, [])).size == 0
     # lexicographically smallest witness
     assert sorted(gamma_bruteforce(named_graph("k4")).members) == [0]
 
@@ -61,6 +70,7 @@ def test_exact_matches_bruteforce_on_random_graphs():
 
 
 def test_idom_fixtures():
+    assert idom_exact(Graph.from_edges(0, [])).size == 0
     assert idom_exact(named_graph("k13")).size == 1
     assert sorted(idom_exact(named_graph("k13")).members) == [0]
     assert idom_exact(named_graph("petersen")).size == 3
@@ -89,6 +99,12 @@ def test_enumerate_min_dsets():
     c6 = named_graph("c6")
     enum = enumerate_min_dsets(c6, gamma_exact(c6).size)
     assert set(enum.dsets) == set(dominating_sets_of_size(c6, 2))
+    # the empty set dominates the empty graph; a limit of 0 truncates it
+    # as it truncates every other graph
+    empty = Graph.from_edges(0, [])
+    assert enumerate_min_dsets(empty, 0) == DsetEnumeration((frozenset(),), False)
+    assert enumerate_min_dsets(empty, 0, limit=0) == DsetEnumeration((), True)
+    assert enumerate_min_dsets(k4, 1, limit=0) == DsetEnumeration((), True)
 
 
 def test_certificate_fields():
@@ -131,13 +147,51 @@ def test_certificates_repeat_across_calls():
         assert idom_exact(g) == idom_exact(g)
 
 
+GOLDEN_CERTIFICATES = Path(__file__).parent / "data" / "certificates_golden.jsonl"
+GENERATORS = {"random_cubic": random_cubic, "gnp_random": gnp_random}
+
+
+def test_certificates_match_the_golden_sets():
+    # the sets, not just the sizes: a change of branch order, incumbent or
+    # bound that picks another minimum set shows here
+    for line in GOLDEN_CERTIFICATES.read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        kind, *args = row["graph"]
+        g = GENERATORS[kind](*args)
+        gamma = gamma_exact(g)
+        assert sorted(gamma.members) == row["gamma"], row["graph"]
+        assert sorted(idom_exact(g).members) == row["idom"], row["graph"]
+        assert sorted(idom_exact(g, gamma=gamma).members) == row["idom_from_gamma"], row["graph"]
+
+
+def test_search_work_is_pinned(monkeypatch):
+    # deterministic work counts of gamma, i from gamma's certificate and
+    # unseeded i; a change that lowers one lowers its pin in the same diff
+    calls = {"_lower_bound": 0, "_gamma_branch": 0, "_idom_branch": 0}
+    for name in calls:
+        original = getattr(domination, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(domination, name, counted)
+    for seed in range(1, 9):
+        g = random_cubic(40, seed)
+        gamma = gamma_exact(g)
+        idom_exact(g, gamma=gamma)
+        idom_exact(g)
+    assert calls == {"_lower_bound": 4251, "_gamma_branch": 579, "_idom_branch": 1382}
+
+
 def test_expired_deadline_stops_before_the_search(monkeypatch):
     def no_search(g):
         raise AssertionError("search tables built past the deadline")
 
     monkeypatch.setattr(domination, "_search_tables", no_search)
-    for solver in (gamma_exact, idom_exact):
-        with pytest.raises(SolverTimeout):
+    # the timeout names the solve that ran out
+    for solver, phase in ((gamma_exact, "domination"), (idom_exact, "independent domination")):
+        with pytest.raises(SolverTimeout, match=f"^{phase} solve exceeded its budget$"):
             solver(random_cubic(60, 1), deadline=time.monotonic() - 1)
 
 
