@@ -6,10 +6,13 @@ replaced arc) plus the ear, whose interior avoids the base entirely.
 Such an ear is unique when it exists: it holds every derived edge that
 is not a base edge, so `try_ear_link` finds it in one pass over the
 derived cycle, and `replay_link` checks a link by splicing the ear into
-the base.  A `CycleCollection` is a family of such cycles whose link
-graph is connected.  Pruning splits a family into exclusive groups: tuples
-of its cycles in which every cycle owns at least one vertex no other cycle
-of the group touches.
+the base.  Whether two listed cycles link at all is decided by counting
+what they share: s vertices and s - 1 edges, with s >= 2 (the lemma in
+`seamless_families`), two integer ANDs on per-cycle bitmasks.  A
+`CycleCollection` is a family of such cycles whose link graph is
+connected.  Pruning splits a family into exclusive groups: tuples of its
+cycles in which every cycle owns at least one vertex no other cycle of
+the group touches.
 
 A mark set is "spaced" on a set of cycles when, on every cycle, the marked
 vertices occupy exactly one residue class of cyclic positions mod 3 --
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cycles import Cycle
@@ -130,18 +132,19 @@ def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: in
     return None
 
 
-def _link_components(members: Iterable[int], links: Iterable[EarLink]) -> list[list[int]]:
+def _link_components(members: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Connected components of the link graph on the member cycles.
 
-    `members` are increasing cycle indexes; links that touch a non-member
-    are ignored.  Components come in order of their smallest member, each
-    listed in BFS order from it with neighbours in increasing order.
+    `members` are increasing cycle indexes and `pairs` the linked index
+    pairs; pairs that touch a non-member are ignored.  Components come in
+    order of their smallest member, each listed in BFS order from it with
+    neighbours in increasing order.
     """
     nbrs: dict[int, set[int]] = {i: set() for i in members}
-    for link in links:
-        if link.base in nbrs and link.derived in nbrs:
-            nbrs[link.base].add(link.derived)
-            nbrs[link.derived].add(link.base)
+    for a, b in pairs:
+        if a in nbrs and b in nbrs:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
     seen: set[int] = set()
     out = []
     for start in nbrs:
@@ -179,7 +182,8 @@ class CycleCollection:
                 raise ValueError("link refers to a cycle outside the collection")
             if replay_link(self.cycles[link.base], link) != self.cycles[link.derived]:
                 raise ValueError("link replay does not rebuild the derived cycle")
-        if len(_link_components(range(k), self.links)) != 1:
+        pairs = ((link.base, link.derived) for link in self.links)
+        if len(_link_components(range(k), pairs)) != 1:
             raise ValueError("link graph is not connected")
 
     @property
@@ -187,38 +191,86 @@ class CycleCollection:
         return frozenset(v for c in self.cycles for v in c.vertices)
 
 
+def _cycle_masks(cycles: Sequence[Cycle]) -> tuple[list[int], list[int]]:
+    """Each cycle's vertex bitmask and edge bitmask.  Edge bits are
+    numbered on first sight within the listing."""
+    bit: dict[tuple[int, int], int] = {}
+    vertex_masks, edge_masks = [], []
+    for c in cycles:
+        vs = c.vertices
+        vertex_mask = edge_mask = 0
+        for u, w in zip(vs, vs[1:] + vs[:1]):
+            vertex_mask |= 1 << u
+            edge_mask |= 1 << bit.setdefault((u, w) if u < w else (w, u), len(bit))
+        vertex_masks.append(vertex_mask)
+        edge_masks.append(edge_mask)
+    return vertex_masks, edge_masks
+
+
 def seamless_families(
     cycles: Sequence[Cycle], *, deadline: float | None = None
 ) -> tuple[CycleCollection, ...]:
     """All maximal seamlessly linked families among the listed 0-mod-3 cycles.
 
-    `cycles` is a listing such as `mod3_cycles(g)`.  The link graph has one
-    `try_ear_link(cycles[a], cycles[b], a, b)` test per pair a < b.  One
-    test per pair suffices because the link is symmetric: if derived =
-    (base minus arc) plus ear, then base = (derived minus ear) plus arc,
-    and the arc is an ear of derived: its interior leaves the kept part,
-    and derived's other vertices are the ear's interior, which avoids
-    base.  The families are the connected components of the link graph,
-    ordered by their smallest member: growing a family from a seed until
-    no listed cycle links to it reaches exactly the seed's component.  A
-    family's links are renumbered by cycle position in the family.
-    `deadline` is read at the first pair and every 1,024 pairs after it.
+    `cycles` is a listing such as `mod3_cycles(g)`.  Each pair a < b is
+    decided by two integer ANDs, with this lemma: two distinct cycles B
+    and D are linked exactly when s = |V(B) & V(D)| >= 2 and
+    |E(B) & E(D)| = s - 1.  The link is symmetric: if D = (B minus arc)
+    plus ear, then B = (D minus ear) plus arc, and the arc is an ear of
+    D, since its interior avoids D.  So one direction per pair suffices.
+
+    A link meets the counts.  Let D = (B minus replaced arc) plus ear
+    and call the rest of B the kept arc.  The shared vertices are exactly
+    the kept arc's, s >= 2 of them: the ear's interior avoids B, and the
+    replaced arc's interior avoids D, whose vertices are the kept arc's
+    and the ear's.  The shared edges are exactly the kept arc's s - 1:
+    an ear with an interior has no edge on B, and a chord ear is not a B
+    edge, for then it would be the whole replaced arc and D = B.
+
+    The counts give a link.  Let S be the shared vertices.  Inside a
+    cycle C the edges of C among S number |S| minus the number of paths
+    they form, unless S = V(C), where they number |S|.  The s - 1 shared
+    edges lie among S in both cycles.  If S = V(B) = V(D), both cycles
+    are one shared Hamiltonian path plus the edge joining its ends, so
+    B = D.  Otherwise name the cycles so that S != V(D).  Then D's edges
+    among S, s minus their path count, hold the s - 1 shared edges, so
+    they form one path K spanning S, all of them shared, and D is K plus
+    a path through V(D) - S, which avoids B: the ear.  If S != V(B) too,
+    the same holds in B, so B is K plus a path through V(B) - S, the
+    replaced arc.  If S = V(B), B is K plus the edge joining K's ends, a
+    replaced arc of one edge; read from D, that edge is a chord ear.
+
+    Only linked pairs reach `try_ear_link`, still the only function that
+    builds an `EarLink`.  The families are the connected components of the link
+    graph, ordered by their smallest member: growing a family from a seed
+    until no listed cycle links to it reaches exactly the seed's
+    component.  Each family's links are built once, in pair order, with
+    the cycles' positions in the family as indexes.  `deadline` is read
+    before each row a of the pair scan and before every 1,024th link
+    build.
     """
-    links = []
-    for tested, (a, b) in enumerate(combinations(range(len(cycles)), 2)):
-        if tested % 1024 == 0:
+    vertex_masks, edge_masks = _cycle_masks(cycles)
+    k = len(cycles)
+    pairs = []
+    for a in range(k):
+        check_deadline(deadline, "link graph")
+        va, ea = vertex_masks[a], edge_masks[a]
+        for b in range(a + 1, k):
+            shared = (va & vertex_masks[b]).bit_count()
+            if shared > 1 and (ea & edge_masks[b]).bit_count() == shared - 1:
+                pairs.append((a, b))
+    members = [sorted(order) for order in _link_components(range(k), pairs)]
+    place = {i: (f, pos) for f, family in enumerate(members) for pos, i in enumerate(family)}
+    links: list[list[EarLink]] = [[] for _ in members]
+    for built, (a, b) in enumerate(pairs):
+        if built % 1024 == 0:
             check_deadline(deadline, "link graph")
-        link = try_ear_link(cycles[a], cycles[b], a, b)
-        if link is not None:
-            links.append(link)
-    families = []
-    for order in _link_components(range(len(cycles)), links):
-        members = sorted(order)
-        pos = {i: li for li, i in enumerate(members)}
-        own = [EarLink(pos[l.base], pos[l.derived], l.ear, l.replaced_arc)
-               for l in links if l.base in pos]
-        families.append(CycleCollection(tuple(cycles[i] for i in members), tuple(own)))
-    return tuple(families)
+        f, pos = place[a]
+        links[f].append(try_ear_link(cycles[a], cycles[b], pos, place[b][1]))
+    return tuple(
+        CycleCollection(tuple(cycles[i] for i in family), tuple(own))
+        for family, own in zip(members, links)
+    )
 
 
 def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
@@ -248,9 +300,8 @@ def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
             uses.subtract(vertices)
         else:
             kept.append(i)
-    return tuple(
-        tuple(fam.cycles[i] for i in order) for order in _link_components(sorted(kept), fam.links)
-    )
+    pairs = ((link.base, link.derived) for link in fam.links)
+    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(sorted(kept), pairs))
 
 
 def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...] | None:

@@ -15,7 +15,7 @@ from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_c
 from domlab.domination import _certificate, closed_masks
 from domlab.graphs import Edge, _disjoint_paths, _split_network, edge_key
 from domlab.reduction import AuditVerdict
-from domlab.seams import CycleCollection, EarLink, _link_components
+from domlab.seams import CycleCollection, EarLink, _link_components, try_ear_link
 
 
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
@@ -357,6 +357,24 @@ def try_ear_link_by_splits(base: Cycle, derived: Cycle, base_index: int, derived
 # --- earlier seamless families ---------------------------------------------
 
 
+def seamless_families_by_pair_tests(cycles):
+    """Families from one `try_ear_link` test per cycle pair a < b."""
+    links = []
+    for a, b in combinations(range(len(cycles)), 2):
+        link = try_ear_link(cycles[a], cycles[b], a, b)
+        if link is not None:
+            links.append(link)
+    families = []
+    pairs = [(l.base, l.derived) for l in links]
+    for order in _link_components(range(len(cycles)), pairs):
+        members = sorted(order)
+        pos = {i: li for li, i in enumerate(members)}
+        own = [EarLink(pos[l.base], pos[l.derived], l.ear, l.replaced_arc)
+               for l in links if l.base in pos]
+        families.append(CycleCollection(tuple(cycles[i] for i in members), tuple(own)))
+    return tuple(families)
+
+
 def _collection_from(cycles, indexes, pair_link):
     local = [cycles[i] for i in indexes]
     pos = {gi: li for li, gi in enumerate(indexes)}
@@ -483,9 +501,8 @@ def prune_nonexclusive_by_fixpoint(fam):
         if not lacking:
             break
         del kept[min(lacking, key=lambda li: fam.cycles[kept[li]].vertices)]
-    return tuple(
-        tuple(fam.cycles[i] for i in order) for order in _link_components(kept, fam.links)
-    )
+    pairs = ((l.base, l.derived) for l in fam.links)
+    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(kept, pairs))
 
 
 # --- earlier edge deletion: every row rebuilt --------------------------------

@@ -154,7 +154,7 @@ def test_facts_computed_once_per_graph(monkeypatch):
     assert len(enums) == 1  # shared by the three enumeration checks
     assert len(conns) == 1
     assert len(listings) == 1  # shared by mod3_cycle_exists and family_dset
-    assert len(links) == 30 * 29 // 2  # one test per pair of 0-mod-3 cycles
+    assert len(links) == 90  # one call per link of the 30 0-mod-3 cycles
     assert len(families) == 1 and facts.families == seams.seamless_families(facts.mod3_cycles)
     assert links_in_prune == [0]  # pruning reuses the family's links
 

@@ -1,15 +1,17 @@
 """Differential tests of the link-graph families against the greedy code.
 
-`seamless_families` takes the components of a link graph built with one
-link test per cycle pair, and `prune_nonexclusive` regroups survivors by
-the family's own links.  Both must return the very families, links
-included, and the very groups, in the same order, of the implementations
-they replaced: families grown from every seed with both link directions
-tested, and pruning that tests links again.  Each group must also meet
-what makes it exclusive: every cycle owns a vertex no other survivor
-touches, and the family's links among its cycles connect it.  On dense
-graphs, where both of those oracles are too slow, the one-pass prune is
-compared with the fixpoint prune it replaced.
+`seamless_families` takes the components of a link graph whose pairs are
+decided by counting shared vertices and edges, and `prune_nonexclusive`
+regroups survivors by the family's own links.  Both must return the very
+families, links included, and the very groups, in the same order, of the
+implementations they replaced: families from one link test per cycle
+pair, families grown from every seed with both link directions tested,
+and pruning that tests links again.  The count rule itself must hold
+exactly on the pairs that `try_ear_link` links, in either order.  Each
+group must also meet what makes it exclusive: every cycle owns a vertex
+no other survivor touches, and the family's links among its cycles
+connect it.  On dense graphs, where both of those oracles are too slow,
+the one-pass prune is compared with the fixpoint prune it replaced.
 """
 
 from itertools import combinations
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from domlab import (
     gnp_random,
     mod3_cycles,
+    named_graph,
     prune_nonexclusive,
     random_cubic,
     seamless_families,
@@ -35,6 +38,7 @@ from domlab.seams import CycleCollection, try_ear_link
 from _oracles import (
     prune_nonexclusive_by_fixpoint,
     prune_nonexclusive_relinking,
+    seamless_families_by_pair_tests,
     seamless_families_greedy,
 )
 
@@ -89,6 +93,59 @@ def test_families_match_greedy_on_three_connected_gnp(n, p, seed):
     g = gnp_random(n, p, seed)
     assume(vertex_connectivity(g) >= 3 and len(all_simple_cycles(g)) <= 400)
     assert_matches_greedy(mod3_cycles(g))
+
+
+def edge_set(c):
+    vs = c.vertices
+    return {frozenset(e) for e in zip(vs, vs[1:] + vs[:1])}
+
+
+def assert_count_rule_matches_links(cycles) -> None:
+    """s >= 2 shared vertices and s - 1 shared edges exactly on linked pairs."""
+    edges = [edge_set(c) for c in cycles]
+    for a, b in combinations(range(len(cycles)), 2):
+        s = len(set(cycles[a].vertices) & set(cycles[b].vertices))
+        counted = s >= 2 and len(edges[a] & edges[b]) == s - 1
+        assert counted == (try_ear_link(cycles[a], cycles[b], a, b) is not None), (cycles[a], cycles[b])
+        assert counted == (try_ear_link(cycles[b], cycles[a], b, a) is not None), (cycles[a], cycles[b])
+
+
+def assert_matches_pair_tests(cycles) -> None:
+    assert seamless_families(cycles) == seamless_families_by_pair_tests(cycles)
+    assert_count_rule_matches_links(cycles)
+
+
+def window(cycles, start: int, size: int):
+    """At most `size` of the listed cycles, read round from `start`: a
+    G(9, 0.8) graph lists thousands, too many for one test per pair."""
+    cut = start % len(cycles)
+    return (cycles[cut:] + cycles[:cut])[:size]
+
+
+@settings(max_examples=10)
+@given(n=st.integers(min_value=4, max_value=8).map(lambda h: 2 * h), seed=seeds)
+def test_families_match_pair_tests_on_random_cubic(n, seed):
+    assert_matches_pair_tests(mod3_cycles(random_cubic(n, seed)))
+
+
+@settings(max_examples=10)
+@given(
+    n=st.integers(min_value=6, max_value=9),
+    p=st.sampled_from([0.4, 0.5, 0.6, 0.7, 0.8]),
+    seed=seeds,
+    start=st.integers(min_value=0, max_value=10**4),
+)
+def test_families_match_pair_tests_on_three_connected_gnp(n, p, seed, start):
+    g = gnp_random(n, p, seed)
+    assume(vertex_connectivity(g) >= 3)
+    assert_matches_pair_tests(window(mod3_cycles(g), start, 150))
+
+
+def test_count_rule_matches_links_on_chords():
+    # full listings hold cycles of every length, so many pairs where one
+    # cycle's vertices lie on the other
+    for name in ("k4", "prism", "petersen"):
+        assert_count_rule_matches_links(all_simple_cycles(named_graph(name)))
 
 
 def grown_family(cycles, size: int) -> CycleCollection:

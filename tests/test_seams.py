@@ -106,6 +106,87 @@ def test_seamless_families_fixtures():
     assert len(fams) == 1 and len(fams[0].cycles) == 5
 
 
+# the hexagon's edges 0-1 .. 4-5 lie on the nonagon; 5-0 is a chord of it
+NONAGON = Cycle(tuple(range(9)))
+HEXAGON_ON_NONAGON = Cycle((0, 1, 2, 3, 4, 5))
+
+
+def assert_unlinked(b: Cycle, d: Cycle) -> None:
+    assert try_ear_link(b, d, 0, 1) is None and try_ear_link(d, b, 0, 1) is None
+    families = seamless_families([b, d])
+    assert [fam.cycles for fam in families] == [(b,), (d,)]
+
+
+def test_chord_ear_links_to_a_cycle_on_the_base_vertices():
+    # S = V(derived): s = 6 shared vertices, 5 shared edges, and the ear is
+    # the chord 5-0
+    (fam,) = seamless_families([NONAGON, HEXAGON_ON_NONAGON])
+    assert fam.links == (EarLink(0, 1, (5, 0), (5, 6, 7, 8, 0)),)
+
+
+def test_one_edge_replaced_arc_links_to_a_cycle_through_the_base():
+    # S = V(base): the replaced arc is the base edge 5-0
+    (fam,) = seamless_families([HEXAGON_ON_NONAGON, NONAGON])
+    assert fam.links == (EarLink(0, 1, (5, 6, 7, 8, 0), (5, 0)),)
+
+
+def test_cycles_sharing_one_vertex_do_not_link():
+    # s = 1 and 0 = s - 1 shared edges: the count rule needs s >= 2
+    assert_unlinked(Cycle((0, 1, 2)), Cycle((0, 3, 4)))
+
+
+def test_distinct_cycles_on_one_vertex_set_do_not_link():
+    other = Cycle((0, 1, 2, 3, 5, 4))  # shares 0-1, 1-2, 2-3 and 4-5
+    assert_unlinked(HEXAGON_ON_NONAGON, other)
+
+
+def test_shared_edges_in_two_paths_do_not_link():
+    # S = {0, 1, 3, 4} with shared edges 0-1 and 3-4: s - 2 of them
+    assert_unlinked(NONAGON, Cycle((0, 1, 9, 3, 4, 10)))
+    # S = {0, 1, 2, 5}: the path 0-1-2 and the lone shared vertex 5
+    assert_unlinked(NONAGON, Cycle((0, 1, 2, 9, 5, 10)))
+
+
+def test_dense_link_graph_work_is_pinned(monkeypatch):
+    # one try_ear_link call per link, none per unlinked pair
+    cycles = mod3_cycles(parse_graph6("Hf^~Grb"))
+    calls = []
+    original = seams.try_ear_link
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(seams, "try_ear_link", counted)
+    families = seamless_families(cycles)
+    assert len(cycles) == 553
+    assert sum(len(fam.links) for fam in families) == 7_276
+    assert len(calls) == 7_276
+
+
+def test_link_graph_reads_its_deadline_while_building_links(monkeypatch):
+    # one read before each row of the pair scan, then one before every
+    # 1,024th of the 7,276 link builds, at 0, 1,024, ..., 7,168 builds
+    cycles = mod3_cycles(parse_graph6("Hf^~Grb"))
+    builds = []
+    reads = []
+    build, read = seams.try_ear_link, seams.check_deadline
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def counted_read(deadline, phase):
+        reads.append((phase, len(builds)))
+        read(deadline, phase)
+
+    monkeypatch.setattr(seams, "try_ear_link", counted_build)
+    monkeypatch.setattr(seams, "check_deadline", counted_read)
+    seamless_families(cycles, deadline=time.monotonic() + 3600)
+    assert len(builds) == 7_276
+    assert reads == [("link graph", 0)] * 553 + [("link graph", k) for k in range(0, 7_276, 1024)]
+
+
 def test_collection_links_replay():
     for name in ("k4", "prism", "petersen"):
         for fam in families_of(named_graph(name)):
@@ -133,10 +214,10 @@ def test_prune_nonexclusive_prism():
 
 def test_link_components_list_each_component_in_bfs_order():
     # the link path 0-2-1 is walked from 0, so 2 comes before 1
-    links = [EarLink(0, 2, (5, 6, 7), (5, 7)), EarLink(2, 1, (5, 8, 7), (5, 7))]
-    assert _link_components(range(3), links) == [[0, 2, 1]]
-    # links touching a non-member are ignored
-    assert _link_components([0, 1], links) == [[0], [1]]
+    pairs = [(0, 2), (2, 1)]
+    assert _link_components(range(3), pairs) == [[0, 2, 1]]
+    # pairs touching a non-member are ignored
+    assert _link_components([0, 1], pairs) == [[0], [1]]
 
 
 def test_has_mark_every_third():
@@ -206,7 +287,7 @@ def test_family_dset_audit_stops_at_its_deadline():
 
 
 def test_link_graph_stops_at_its_deadline():
-    cycles = mod3_cycles(named_graph("petersen"))  # 435 pairs: one deadline read
+    cycles = mod3_cycles(named_graph("petersen"))  # the read before the scan's first row raises
     with pytest.raises(SolverTimeout, match="^link graph exceeded its budget$"):
         seamless_families(cycles, deadline=time.monotonic() - 1)
     assert seamless_families(cycles, deadline=time.monotonic() + 3600) == seamless_families(cycles)
