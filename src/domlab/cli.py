@@ -95,7 +95,8 @@ def generate_corpus(spec: str) -> list[str]:
 
     Specs: 'random-cubic n=10 count=50 seed=1' or 'gnp n=9 p=0.3 count=20
     seed=4'; seed (default 0) advances by one per graph.  A missing or
-    unknown parameter, or a negative count, raises ValueError naming it.
+    unknown parameter, a value that is not a number (an integer but for
+    p), a negative count or a p outside [0, 1] raises ValueError naming it.
     """
     parts = spec.split()
     if not parts:
@@ -103,26 +104,29 @@ def generate_corpus(spec: str) -> list[str]:
     kind = parts[0]
     if kind not in _GENERATOR_KEYS:
         raise ValueError(f"unknown generator {kind!r}")
-    kv: dict[str, str] = {}
+    kv: dict[str, int | float] = {}
     for part in parts[1:]:
         if "=" not in part:
             raise ValueError(f"bad generator parameter {part!r}")
         key, value = part.split("=", 1)
         if key not in (*_GENERATOR_KEYS[kind], "count", "seed"):
             raise ValueError(f"unknown {kind} parameter {key!r}")
-        kv[key] = value
+        convert, noun = (float, "a number") if key == "p" else (int, "an integer")
+        try:
+            kv[key] = convert(value)
+        except ValueError:
+            raise ValueError(f"{key}= must be {noun}, got {value!r}") from None
+        if key == "p" and not 0 <= kv[key] <= 1:  # false for NaN too
+            raise ValueError(f"p= must lie in [0, 1], got {value}")
     for key in _GENERATOR_KEYS[kind]:
         if key not in kv:
             raise ValueError(f"{kind} spec lacks {key}=")
-    count = int(kv.get("count", "1"))
+    count, seed, n = int(kv.get("count", 1)), int(kv.get("seed", 0)), int(kv["n"])
     if count < 0:
         raise ValueError(f"count= must not be negative, got {count}")
-    seed = int(kv.get("seed", "0"))
-    n = int(kv["n"])
     if kind == "random-cubic":
         return [encode_graph6(random_cubic(n, seed + i)) for i in range(count)]
-    p = float(kv["p"])
-    return [encode_graph6(gnp_random(n, p, seed + i)) for i in range(count)]
+    return [encode_graph6(gnp_random(n, kv["p"], seed + i)) for i in range(count)]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

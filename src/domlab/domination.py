@@ -29,14 +29,21 @@ ENUM_GUARD = 24
 
 
 class SolverTimeout(Exception):
-    """Raised when an exact solve exceeds its deadline."""
+    """Raised when a search exceeds its deadline; `phase` names the search."""
+
+    def __init__(self, phase: str) -> None:
+        super().__init__(phase)  # args hold the phase alone, so it pickles
+        self.phase = phase
+
+    def __str__(self) -> str:
+        return f"{self.phase} exceeded its budget"
 
 
 def check_deadline(deadline: float | None, phase: str) -> None:
     """Raise `SolverTimeout` naming `phase` once `deadline`, a
     `time.monotonic()` value, has passed; None never expires."""
     if deadline is not None and time.monotonic() > deadline:
-        raise SolverTimeout(f"{phase} exceeded its budget")
+        raise SolverTimeout(phase)
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ def _check_piece(check: Check, facts: Facts) -> dict:
         return {"skipped": reason}
     try:
         return check.evaluate(facts).to_json()
-    except SolverTimeout:
-        return {"timeout": True}
+    except SolverTimeout as exc:
+        return {"timeout": True, "phase": exc.phase}
 
 
 # One graph's pieces by name, and the milliseconds each one took.

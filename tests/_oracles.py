@@ -4,6 +4,7 @@ The last sections keep earlier, slower implementations of the exact
 kernels, of the seamless link test and link replay, of the seamless
 families and their pruning, of edge deletion and of the detach audit
 verbatim, as differential oracles for the code that replaced them.
+`family_fault` checks a built family against the definition of a link.
 """
 
 from collections import Counter, deque
@@ -288,6 +289,43 @@ def replay_link_by_edge_sets(base: Cycle, link: EarLink) -> Cycle | None:
     edges -= swapped
     edges |= set(_path_edges(link.ear))
     return _cycle_from_edge_set(edges)
+
+
+def family_fault(fam) -> str | None:
+    """The first way `fam` breaks the definition of a seamless family,
+    or None when it meets it.
+
+    Read from the definition alone, with no `seams` code: every ear is a
+    simple path whose interior avoids its base; every replaced arc is a
+    simple path of base edges between the ear's ends; swapping the arc's
+    edges for the ear's rebuilds the derived cycle; and the links connect
+    all the family's cycles.
+    """
+    for link in fam.links:
+        base, derived = fam.cycles[link.base], fam.cycles[link.derived]
+        ear, arc = link.ear, link.replaced_arc
+        if len(set(ear)) != len(ear) or set(ear[1:-1]) & set(base.vertices):
+            return f"ear {ear} is no simple path whose interior avoids {base.vertices}"
+        if (
+            (arc[0], arc[-1]) != (ear[0], ear[-1])
+            or len(set(arc)) != len(arc)
+            or not set(_path_edges(arc)) <= set(_cycle_edges(base))
+        ):
+            return f"replaced arc {arc} is no path of edges of {base.vertices} between {ear[0]} and {ear[-1]}"
+        if replay_link_by_edge_sets(base, link) != derived:
+            return f"swapping {arc} for {ear} in {base.vertices} does not rebuild {derived.vertices}"
+    nbrs: dict[int, set[int]] = {i: set() for i in range(len(fam.cycles))}
+    for link in fam.links:
+        nbrs[link.base].add(link.derived)
+        nbrs[link.derived].add(link.base)
+    reached, queue = {0}, deque([0])
+    while queue:
+        for j in nbrs[queue.popleft()] - reached:
+            reached.add(j)
+            queue.append(j)
+    if len(reached) != len(fam.cycles):
+        return f"links reach {len(reached)} of the {len(fam.cycles)} cycles"
+    return None
 
 
 def _arc(cyc: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:

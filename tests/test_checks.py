@@ -164,7 +164,7 @@ def test_facts_keep_a_timeout(monkeypatch):
 
     def exhausted(g, *, deadline=None):
         calls.append(deadline)
-        raise SolverTimeout("out of budget")
+        raise SolverTimeout("domination solve")
 
     monkeypatch.setattr(checks, "gamma_exact", exhausted)
     enums = counting(monkeypatch, "enumerate_min_dsets")
@@ -186,7 +186,7 @@ def test_facts_keep_a_timeout(monkeypatch):
 
 def test_idom_falls_back_to_an_unseeded_solve_after_a_gamma_timeout(monkeypatch):
     def exhausted(g, *, deadline=None):
-        raise SolverTimeout("out of budget")
+        raise SolverTimeout("domination solve")
 
     monkeypatch.setattr(checks, "gamma_exact", exhausted)
     idoms = counting(monkeypatch, "idom_exact")

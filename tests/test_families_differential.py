@@ -12,6 +12,8 @@ group must also meet what makes it exclusive: every cycle owns a vertex
 no other survivor touches, and the family's links among its cycles
 connect it.  On dense graphs, where both of those oracles are too slow,
 the one-pass prune is compared with the fixpoint prune it replaced.
+Every family built here must meet the definition of a seamless family
+(`family_fault`).
 """
 
 from itertools import combinations
@@ -36,6 +38,7 @@ from domlab.cycles import all_simple_cycles
 from domlab.seams import CycleCollection, try_ear_link
 
 from _oracles import (
+    family_fault,
     prune_nonexclusive_by_fixpoint,
     prune_nonexclusive_relinking,
     seamless_families_by_pair_tests,
@@ -67,6 +70,7 @@ def assert_matches_greedy(cycles) -> None:
     families = seamless_families(cycles)
     assert families == seamless_families_greedy(cycles)
     for fam in families:
+        assert family_fault(fam) is None
         groups = prune_nonexclusive(fam)
         assert groups == prune_nonexclusive_relinking(fam)
         survivors = [c for group in groups for c in group]
@@ -111,7 +115,10 @@ def assert_count_rule_matches_links(cycles) -> None:
 
 
 def assert_matches_pair_tests(cycles) -> None:
-    assert seamless_families(cycles) == seamless_families_by_pair_tests(cycles)
+    families = seamless_families(cycles)
+    assert families == seamless_families_by_pair_tests(cycles)
+    for fam in families:
+        assert family_fault(fam) is None
     assert_count_rule_matches_links(cycles)
 
 
@@ -186,6 +193,7 @@ def test_prune_matches_fixpoint_on_dense_gnp(n, p, seed, start, size):
     cycles = mod3_cycles(g)
     cut = start % len(cycles)
     fam = grown_family(cycles[cut:] + cycles[:cut], size)
+    assert family_fault(fam) is None
     groups = prune_nonexclusive(fam)
     assert groups == prune_nonexclusive_by_fixpoint(fam)
     survivors = [c for group in groups for c in group]

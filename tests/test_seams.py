@@ -23,11 +23,10 @@ from domlab.seams import (
     EarLink,
     _link_components,
     exclusive_groups,
-    replay_link,
     try_ear_link,
 )
 
-from _oracles import has_mark_every_third
+from _oracles import family_fault, has_mark_every_third
 
 
 def families_of(g: Graph):
@@ -43,7 +42,7 @@ def test_try_ear_link_triangle_pair():
     derived = Cycle((1, 2, 3))
     link = try_ear_link(base, derived, 0, 1)
     assert link is not None
-    assert replay_link(base, link) == derived
+    assert family_fault(CycleCollection((base, derived), (link,))) is None
     # identical cycles never link
     assert try_ear_link(base, base, 0, 0) is None
     # vertex-disjoint cycles never link
@@ -56,7 +55,7 @@ def test_try_ear_link_prism_triangle_to_hexagon():
     link = try_ear_link(tri, hexagon, 0, 1)
     assert link is not None
     assert set(link.ear[1:-1]) == {3, 4, 5}
-    assert replay_link(tri, link) == hexagon
+    assert family_fault(CycleCollection((tri, hexagon), (link,))) is None
 
 
 def test_earlink_validation():
@@ -66,33 +65,49 @@ def test_earlink_validation():
         EarLink(0, 1, (2, 5, 3), (2, 4))  # endpoint mismatch
 
 
-def test_replay_rejects_an_ear_that_revisits_a_vertex():
+def test_family_oracle_rejects_an_ear_that_revisits_a_vertex():
     # as edge sets the ear's repeated edge 1-5 collapses, and swapping
-    # 1-6-2 for the ear gives back c itself
+    # 1-6-2 for the ear gives back c itself: the ear is rejected first
     c = Cycle((0, 5, 1, 6, 2, 7))
     link = EarLink(0, 1, (1, 5, 1, 6, 2), (1, 6, 2))
-    assert replay_link(c, link) is None
-    with pytest.raises(ValueError):
-        CycleCollection((c, c), (link,))
+    fault = family_fault(CycleCollection((c, Cycle((0, 5, 1, 8, 2, 7))), (link,)))
+    assert fault is not None and fault.startswith("ear (1, 5, 1, 6, 2) is no simple path")
 
 
-def test_replay_checks_the_arc_and_the_ear():
+def test_family_oracle_rejects_a_broken_arc_replay_or_link_graph():
     c = Cycle((0, 1, 2, 3, 4, 5))
-    assert replay_link(c, EarLink(0, 1, (0, 6, 2), (0, 2))) is None  # no base edge 0-2
-    assert replay_link(c, EarLink(0, 1, (0, 6, 2), (0, 1, 0, 1, 2))) is None  # not simple
-    assert replay_link(c, EarLink(0, 1, (7, 6, 2), (7, 1, 2))) is None  # 7 is off base
-    # an ear through the arc's interior: as edge sets it rebuilds the
-    # 6-cycle 0-6-2-7-4-5, which meets base at 2 and is no seamless link
-    assert replay_link(c, EarLink(0, 1, (0, 6, 2, 7, 4), (0, 1, 2, 3, 4))) is None
     spliced = Cycle.from_sequence((0, 6, 2, 3, 4, 5))
-    assert replay_link(c, EarLink(0, 1, (0, 6, 2), (0, 1, 2))) == spliced
-    assert replay_link(c, EarLink(0, 1, (2, 6, 0), (2, 1, 0))) == spliced
+
+    def fault(link, derived=spliced):
+        return family_fault(CycleCollection((c, derived), (link,)))
+
+    assert fault(EarLink(0, 1, (0, 6, 2), (0, 1, 2))) is None
+    assert fault(EarLink(0, 1, (2, 6, 0), (2, 1, 0))) is None
+    assert fault(EarLink(0, 1, (0, 6, 2), (0, 2))).startswith("replaced arc")  # no base edge 0-2
+    assert fault(EarLink(0, 1, (0, 6, 2), (0, 1, 0, 1, 2))).startswith("replaced arc")  # not simple
+    assert fault(EarLink(0, 1, (7, 6, 2), (7, 1, 2))).startswith("replaced arc")  # 7 is off base
+    assert fault(EarLink(0, 1, (0, 6, 3), (0, 1, 2, 3))).startswith("swapping")
+    assert fault(EarLink(0, 1, (0, 6, 2), (0, 1, 2)), Cycle((0, 6, 2, 3, 4, 7))).startswith("swapping")
+    # an ear through the base
+    assert fault(EarLink(0, 1, (0, 6, 2, 7, 4), (0, 1, 2, 3, 4))).startswith("ear")
+    unlinked = CycleCollection((c, spliced), ())
+    assert family_fault(unlinked) == "links reach 1 of the 2 cycles"
 
 
 def test_collection_rejects_a_repeated_cycle():
     c = Cycle((0, 1, 2))
     with pytest.raises(ValueError):
         CycleCollection((c, c), ())
+
+
+def test_collection_checks_the_shape_of_its_input():
+    tri, hexagon = Cycle((0, 1, 2)), Cycle((0, 1, 2, 3, 4, 5))
+    with pytest.raises(ValueError, match="at least one cycle"):
+        CycleCollection((), ())
+    with pytest.raises(ValueError, match="divisible by 3"):
+        CycleCollection((tri, Cycle((0, 1, 2, 3))), ())
+    with pytest.raises(ValueError, match="outside the collection"):
+        CycleCollection((tri, hexagon), (EarLink(0, 2, (0, 6, 2), (0, 1, 2)),))
 
 
 def test_seamless_families_fixtures():
@@ -164,6 +179,29 @@ def test_dense_link_graph_work_is_pinned(monkeypatch):
     assert len(calls) == 7_276
 
 
+@pytest.mark.parametrize("graph", [named_graph("petersen"), parse_graph6("Hf^~Grb")], ids=["petersen", "Hf^~Grb"])
+def test_families_walk_the_link_graph_once_and_build_no_cycle(monkeypatch, graph):
+    # after the deadline reads, only link builds run: no family is checked
+    # again by replaying its links or walking its link graph
+    facts = Facts(graph)
+    facts.mod3_cycles
+    walks, built = [], []
+    walk, check = seams._link_components, Cycle.__post_init__
+
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def counted_check(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(seams, "_link_components", counted_walk)
+    monkeypatch.setattr(Cycle, "__post_init__", counted_check)
+    assert len(facts.families) == 1
+    assert len(walks) == 1 and built == []
+
+
 def test_link_graph_reads_its_deadline_while_building_links(monkeypatch):
     # one read before each row of the pair scan, then one before every
     # 1,024th of the 7,276 link builds, at 0, 1,024, ..., 7,168 builds
@@ -191,8 +229,8 @@ def test_collection_links_replay():
     for name in ("k4", "prism", "petersen"):
         for fam in families_of(named_graph(name)):
             assert fam.links or len(fam.cycles) == 1
+            assert family_fault(fam) is None, name
             for link in fam.links:
-                assert replay_link(fam.cycles[link.base], link) == fam.cycles[link.derived]
                 assert len(fam.cycles[link.base]) % 3 == 0
                 assert len(fam.cycles[link.derived]) % 3 == 0
 

@@ -20,6 +20,8 @@ from domlab.sweep import (
     summary_to_csv,
 )
 
+from _oracles import family_fault
+
 
 FIXTURE_LINES = [encode_graph6(named_graph(n)) for n in ("k4", "c6", "prism")]
 
@@ -218,6 +220,8 @@ def test_cli_csg_matches_golden_output(capsys):
         graph, expected = section.split("\n", 1)
         assert cli.main(["csg", graph]) == 0
         assert capsys.readouterr().out == expected, graph
+        for fam in Facts(cli._resolve_graph(graph)).families:
+            assert family_fault(fam) is None, graph
 
 
 def test_cli_csg_builds_the_link_graph_once(monkeypatch, capsys):
@@ -294,6 +298,13 @@ def test_cli_sweep_rejects_a_repeated_check(capsys):
     ("gnp n=5 count=2", "p="),
     ("random-cubic n=6 sed=3", "'sed'"),
     ("random-cubic n=8 count=-2", "count="),
+    ("gnp n=5 p=1.5 count=2", "p="),
+    ("gnp n=5 p=-0.5 count=2", "p="),
+    ("gnp n=5 p=nan count=2", "p="),
+    ("gnp n=5 p=half count=2", "p="),
+    ("random-cubic n=x count=2", "n="),
+    ("random-cubic n=6 count=two", "count="),
+    ("random-cubic n=6 seed=1.5", "seed="),
 ])
 def test_generator_spec_errors_are_usage_errors(capsys, spec, named):
     with pytest.raises(ValueError, match=named):
@@ -544,7 +555,7 @@ def test_budget_produces_timeout_records(tmp_path):
     result = run_sweep([line], checks=("third_bound",), budget_ms=200, cache_path=cache)
     rec = result.records[0]
     assert rec["gamma"] is None and rec["idom"] is None
-    assert rec["checks"]["third_bound"] == {"timeout": True}
+    assert rec["checks"]["third_bound"] == {"timeout": True, "phase": "domination solve"}
     assert result.summary["checks"]["third_bound"]["timeout"] == 1
     # timeouts are budget artifacts and must not poison the cache
     rerun = run_sweep([line], checks=("third_bound",), budget_ms=200, cache_path=cache)
@@ -564,7 +575,7 @@ def test_timeout_reaches_only_checks_that_read_gamma_or_idom(tmp_path):
     # a claw settles claw_free_equal without gamma or i
     claw = rec["checks"]["claw_free_equal"]
     assert claw["holds"] and claw["vacuous"] and "claw" in claw["info"]
-    assert rec["checks"]["third_bound"] == {"timeout": True}
+    assert rec["checks"]["third_bound"] == {"timeout": True, "phase": "domination solve"}
     cached = [json.loads(raw) for raw in cache.read_text().splitlines()]
     assert [row["c"] for row in cached] == ["claw_free_equal"]
     rerun = run_sweep([line], checks=checks, budget_ms=200, cache_path=str(cache))
@@ -582,8 +593,11 @@ def test_budget_bounds_default_checks_on_a_large_graph():
     rec = run_sweep([line], checks=DEFAULT_CHECKS, budget_ms=200).records[0]
     assert time.monotonic() - t0 < 30
     assert rec["gamma"] is None and rec["connectivity"] == 3
-    for name in ("third_bound", "excess_gamma_independent", "mod3_cycle_exists", "family_dset"):
-        assert rec["checks"][name] == {"timeout": True}, name
+    # family_dset reads gamma before the cycle listing that timed out
+    phases = {"third_bound": "domination solve", "excess_gamma_independent": "domination solve",
+              "mod3_cycle_exists": "cycle listing", "family_dset": "domination solve"}
+    for name, phase in phases.items():
+        assert rec["checks"][name] == {"timeout": True, "phase": phase}, name
     for name in ("tight_pair_separation", "edge_removal", "detach_transform"):
         assert rec["checks"][name] == {"skipped": "n > 24"}, name
     assert rec["checks"]["claw_free_equal"]["vacuous"]
