@@ -32,7 +32,7 @@ from .domination import (
     induced_edge_count,
     is_dominating,
 )
-from .graphs import Graph, delete_edges, is_connected, is_cubic, vertex_connectivity
+from .graphs import Edge, Graph, delete_edges, is_connected, is_cubic, vertex_connectivity
 from .reduction import (
     AuditVerdict,
     check_detach_fact,
@@ -210,13 +210,20 @@ def _pair_separation(f: Facts) -> AuditVerdict:
 
 
 def _edge_removal(f: Facts) -> AuditVerdict:
-    """Deleting any one removable edge keeps a minimum dominating set dominating."""
+    """Deleting any one removable edge keeps a minimum dominating set dominating.
+
+    Each g - e is built the first time a set needs it and shared by every
+    later set, so a graph builds at most one per edge.
+    """
     g, enum = f.g, f.min_dsets
+    without: dict[Edge, Graph] = {}
     checked = 0
     for dset in enum.dsets:
         for e in sorted(removable_edges(g, dset)):
             checked += 1
-            if not is_dominating(delete_edges(g, [e]), dset):
+            if e not in without:
+                without[e] = delete_edges(g, [e])
+            if not is_dominating(without[e], dset):
                 return AuditVerdict(False, witness={"set": sorted(dset), "edge": list(e)})
     info = {"dsets": len(enum.dsets), "edges_checked": checked, "truncated": enum.truncated}
     return AuditVerdict(True, info=info)

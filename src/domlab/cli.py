@@ -47,8 +47,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
     try:
         cert = args.solver(g, deadline=deadline)
-    except SolverTimeout:
-        print(f"timeout after {args.budget_ms} ms")
+    except SolverTimeout as exc:
+        print(f"timeout after {args.budget_ms} ms ({exc.phase})")
         return 0
     print(f"{args.command}={cert.size} set={_fmt_set(cert.members)}")
     return 0
@@ -75,8 +75,8 @@ def cmd_csg(args: argparse.Namespace) -> int:
                 shown = "truncated" if marks is None else (_fmt_set(marks[0]) if marks else "none")
                 print(f"  exclusive {j}: cycles={len(group)} assignment={shown}")
         verdict = CHECKS["family_dset"].evaluate(facts)
-    except SolverTimeout:
-        print(f"verdict: timeout after {args.budget_ms} ms")
+    except SolverTimeout as exc:
+        print(f"verdict: timeout after {args.budget_ms} ms ({exc.phase})")
         return 0
     info = verdict.info
     print(

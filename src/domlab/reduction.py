@@ -11,8 +11,9 @@ The two surgery tools work relative to a dominating set X:
   neighborhood meets Y in exactly one anchor t1; the detach transform
   cuts each chosen b from its anchor and splices a fresh buffer vertex
   into every other edge at b.  `check_detach_fact` audits the transform
-  for every choice of at most two such vertices at once, as tests on
-  closed-neighbourhood bitmasks of g; no transformed graph is built.
+  for every choice of at most two such vertices at once, as bitmask
+  tests on g; no transformed graph is built.  Both tools decide each edge
+  or vertex with bit tests on the member mask.
 
 Audit results are uniform `AuditVerdict` values, so the sweep harness can
 serialize them without knowing the details.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
-from .domination import closed_masks, is_dominating
+from .domination import is_dominating
 from .graphs import Edge, Graph, delete_edges, edge_key
 
 @dataclass(frozen=True)
@@ -79,24 +80,33 @@ def find_forbidden_core(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-def removable_edges(g: Graph, members: Iterable[int]) -> frozenset[Edge]:
-    """Edges that are individually safe to delete while `members` dominates."""
-    x = frozenset(members)
-    for v in x:
+def _mask_and_hits(g: Graph, members: Iterable[int]) -> tuple[int, list[int]]:
+    """Bitmask of `members` and, per vertex, how many neighbours it has
+    among them; a member outside 0..n-1 raises ValueError."""
+    mask = 0
+    hits = [0] * g.n
+    for v in members:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
+        if not mask >> v & 1:
+            mask |= 1 << v
+            for w in g.adj[v]:
+                hits[w] += 1
+    return mask, hits
+
+
+def removable_edges(g: Graph, members: Iterable[int]) -> frozenset[Edge]:
+    """Edges that are individually safe to delete while `members` dominates.
+
+    An edge with one endpoint in X is safe when the outside endpoint keeps
+    a second X-neighbour, that is, has at least two.
+    """
+    x, hits = _mask_and_hits(g, members)
     out = set()
     for u, v in g.edges():
-        u_in, v_in = u in x, v in x
-        if u_in and v_in:
+        u_in = x >> u & 1
+        if u_in == x >> v & 1 or hits[v if u_in else u] >= 2:
             out.add((u, v))
-        elif not u_in and not v_in:
-            out.add((u, v))
-        else:
-            outside = v if u_in else u
-            inside = u if u_in else v
-            if any(w in x for w in g.adj[outside] if w != inside):
-                out.add((u, v))
     return frozenset(out)
 
 
@@ -129,18 +139,11 @@ def detachable_vertices(g: Graph, anchors: Iterable[int]) -> frozenset[int]:
     """Vertices whose closed neighborhood meets `anchors` in exactly one vertex.
 
     Each such b has a unique anchor t1 in Y: b is adjacent to t1 and
-    N[b] - {t1} avoids Y entirely.
+    N[b] - {t1} avoids Y entirely.  So b is detachable exactly when b is
+    outside Y and has exactly one neighbour in Y.
     """
-    y = frozenset(anchors)
-    for v in y:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    out = set()
-    for t1 in sorted(y):
-        for b in g.adj[t1]:
-            if all(w not in y for w in g.closed_neighborhood(b) if w != t1):
-                out.add(b)
-    return frozenset(out)
+    y, hits = _mask_and_hits(g, anchors)
+    return frozenset(b for b in range(g.n) if hits[b] == 1 and not y >> b & 1)
 
 
 def check_detach_fact(g: Graph, anchors: Iterable[int]) -> AuditVerdict:
@@ -155,8 +158,8 @@ def check_detach_fact(g: Graph, anchors: Iterable[int]) -> AuditVerdict:
     (choices audited) and `vacuous`; a failure's witness names the first
     failing `chosen` and its first `undominated` vertex.
 
-    Both sides are tests on the closed-neighbourhood masks of g, with
-    `cover` = N[Y] and `full` the mask of every vertex:
+    Both sides are bitmask tests, with `cover` = N[Y], read off the
+    neighbour counts of Y, and `full` the mask of every vertex:
 
     * P and Y are disjoint, since N[b] meets Y only in t1 and b != t1.
       The edges between Y and V - P are untouched in g - P, so Y dominates
@@ -175,14 +178,14 @@ def check_detach_fact(g: Graph, anchors: Iterable[int]) -> AuditVerdict:
     evaluates both tests for every choice, so its counts and witness are
     those of the audit that builds g - P and the transform as graphs.
     """
-    y = frozenset(anchors)
+    y = tuple(anchors)
     pool = sorted(detachable_vertices(g, y))
-    masks = closed_masks(g)
     full = (1 << g.n) - 1
-    ymask = cover = 0
-    for t in y:
-        ymask |= 1 << t
-        cover |= masks[t]
+    ymask, hits = _mask_and_hits(g, y)
+    cover = ymask
+    for b, count in enumerate(hits):
+        if count:
+            cover |= 1 << b
     transforms = vacuous = 0
     for chosen in sorted(c for k in range(3) for c in combinations(pool, k)):
         p = 0

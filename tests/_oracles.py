@@ -2,15 +2,16 @@
 
 The last sections keep earlier, slower implementations of the exact
 kernels, of the seamless link test and link replay, of the seamless
-families and their pruning, of edge deletion and of the detach audit
-verbatim, as differential oracles for the code that replaced them.
+families and their pruning, of edge deletion, of the surgery tools'
+set-based edge and vertex tests and of the detach audit verbatim, as
+differential oracles for the code that replaced them.
 `family_fault` checks a built family against the definition of a link.
 """
 
 from collections import Counter, deque
 from itertools import combinations, permutations
 
-from domlab import Cycle, Graph, detachable_vertices, is_connected, is_dominating
+from domlab import Cycle, Graph, is_connected, is_dominating
 # `domlab verify` needs this oracle at run time, so its one copy lives there
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
 from domlab.domination import _certificate, closed_masks
@@ -560,6 +561,44 @@ def delete_edges_by_full_rebuild(g: Graph, edges) -> Graph:
     return Graph(g.n, adj)
 
 
+# --- earlier surgery tools: frozensets and closed neighbourhoods -----------
+
+
+def removable_edges_by_sets(g: Graph, members) -> frozenset[Edge]:
+    """Edges that are individually safe to delete while `members` dominates."""
+    x = frozenset(members)
+    for v in x:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    out = set()
+    for u, v in g.edges():
+        u_in, v_in = u in x, v in x
+        if u_in and v_in:
+            out.add((u, v))
+        elif not u_in and not v_in:
+            out.add((u, v))
+        else:
+            outside = v if u_in else u
+            inside = u if u_in else v
+            if any(w in x for w in g.adj[outside] if w != inside):
+                out.add((u, v))
+    return frozenset(out)
+
+
+def detachable_vertices_by_sets(g: Graph, anchors) -> frozenset[int]:
+    """Vertices whose closed neighborhood meets `anchors` in exactly one vertex."""
+    y = frozenset(anchors)
+    for v in y:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    out = set()
+    for t1 in sorted(y):
+        for b in g.adj[t1]:
+            if all(w not in y for w in g.closed_neighborhood(b) if w != t1):
+                out.add(b)
+    return frozenset(out)
+
+
 # --- earlier detach audit: both graphs built per choice -------------------
 
 
@@ -616,7 +655,7 @@ def check_detach_choice(g: Graph, anchors, chosen) -> AuditVerdict:
     """
     y = frozenset(anchors)
     picked = frozenset(chosen)
-    allowed = detachable_vertices(g, y)
+    allowed = detachable_vertices_by_sets(g, y)
     if not picked <= allowed:
         bad = sorted(picked - allowed)[0]
         raise ValueError(f"vertex {bad} is not detachable for this anchor set")
@@ -643,7 +682,7 @@ def detach_audit_by_transforms(g: Graph, anchors) -> AuditVerdict:
     """`check_detach_choice` over the sorted choices of at most two
     detachable vertices, summed in the form of `check_detach_fact`."""
     y = frozenset(anchors)
-    pool = sorted(detachable_vertices(g, y))
+    pool = sorted(detachable_vertices_by_sets(g, y))
     transforms = vacuous = 0
     for chosen in sorted(c for k in range(3) for c in combinations(pool, k)):
         verdict = check_detach_choice(g, y, chosen)

@@ -141,23 +141,23 @@ def test_check_detach_fact_examples():
         check_detach_choice(named_graph("p4"), {1, 3}, {2})
 
 
-def counting_pool_calls(monkeypatch, module) -> list:
-    """Record each `detachable_vertices` call that `module` makes."""
+def counting_pool_calls(monkeypatch, module, name="detachable_vertices") -> list:
+    """Record each call `module` makes to its pool function `name`."""
     calls = []
-    original = module.detachable_vertices
+    original = getattr(module, name)
 
     def counted(g, anchors):
         calls.append(anchors)
         return original(g, anchors)
 
-    monkeypatch.setattr(module, "detachable_vertices", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_check_detach_fact_validates_once(monkeypatch):
     import _oracles
 
-    calls = counting_pool_calls(monkeypatch, _oracles)
+    calls = counting_pool_calls(monkeypatch, _oracles, "detachable_vertices_by_sets")
     verdict = check_detach_choice(named_graph("c6"), {0, 3}, {1})
     assert verdict.holds and not verdict.vacuous  # the transform ran
     assert len(calls) == 1

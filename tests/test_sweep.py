@@ -192,7 +192,8 @@ def test_cli_gamma_and_idom(capsys):
 def test_cli_solver_reports_its_timeout(capsys, command):
     # an exact solve on 60 cubic vertices takes far longer than 1 ms
     assert cli.main([command, encode_graph6(random_cubic(60, 1)), "--budget-ms", "1"]) == 0
-    assert capsys.readouterr().out == "timeout after 1 ms\n"
+    phase = {"gamma": "domination solve", "idom": "independent domination solve"}[command]
+    assert capsys.readouterr().out == f"timeout after 1 ms ({phase})\n"
 
 
 def test_cli_parse_failure_exits_2(capsys):
@@ -266,7 +267,10 @@ def test_cli_csg_budget_bounds_the_cycle_listing():
     done = subprocess.run([sys.executable, "-m", "domlab.cli", "csg", line, "--budget-ms", "100"],
                           capture_output=True, text=True, timeout=5, env=env)
     assert done.returncode == 0
-    assert done.stdout == "verdict: timeout after 100 ms\n"
+    # the listing alone takes about 40 ms on a 2-vCPU VM, so the budget
+    # runs out while linking; a slower machine may stop in the listing
+    assert done.stdout in {f"verdict: timeout after 100 ms ({phase})\n"
+                           for phase in ("link graph", "cycle listing")}
 
 
 def test_cli_csg_prints_a_truncated_mark_search(monkeypatch, capsys):

@@ -5,8 +5,10 @@ see called (`exercises`); a traced run that misses one is reported as
 incorrect.  This test sweeps the first corpus file of `family-n10` seed 1
 with every check, at `--jobs 1` and with a fresh cache, under
 `perfbench/spans.py`'s `Tracer`, so a change that stops calling one of
-those layers fails here and not only in the traced benchmark.  Both files
-are only read and run; nothing under `perfbench/` is written.
+those layers fails here and not only in the traced benchmark.  The same
+traced sweep pins the surgery audits' work counts, which noise cannot
+move.  Both files are only read and run; nothing under `perfbench/` is
+written.
 """
 
 import runpy
@@ -14,11 +16,14 @@ import sys
 from pathlib import Path
 
 import domlab.cli
+from domlab import domination
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_family_workload_calls_every_exercised_layer(tmp_path, monkeypatch):
+def traced_family_chunk(tmp_path, monkeypatch):
+    """Sweep chunk 0 of `family-n10` seed 1 under the `Tracer`; returns the
+    workload, the tracer, per-layer calls and `closed_masks` calls."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
         workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
@@ -32,6 +37,19 @@ def test_family_workload_calls_every_exercised_layer(tmp_path, monkeypatch):
             "--out", str(tmp_path / "out.jsonl"), "--summary", str(tmp_path / "summary.csv"),
             "--cache", str(tmp_path / "cache.jsonl")]
 
+    tables = []
+    original = domination.closed_masks
+
+    def counted(g):
+        tables.append(g.n)
+        return original(g)
+
+    for name, module in list(sys.modules.items()):
+        if name == "domlab" or name.startswith("domlab."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+
     tracer = spans["Tracer"]()
     try:
         tracer.install()
@@ -41,7 +59,28 @@ def test_family_workload_calls_every_exercised_layer(tmp_path, monkeypatch):
 
     calls = {name: row["calls"] for name, row in tracer.layer_totals().items()}
     calls.update({t: tracer.counts[f"{t}.calls"] for t in spans["COUNT_LAYERS"]})
+    return w, tracer, calls, len(tables)
+
+
+def test_family_workload_calls_every_exercised_layer(tmp_path, monkeypatch):
+    w, tracer, calls, _ = traced_family_chunk(tmp_path, monkeypatch)
     assert [name for name in w.exercises if calls[name] < 1] == []
     # one detach audit, and one pool listing, per minimum dominating set
     dsets = tracer.counts["domination.enumerate_min_dsets.dsets"]
     assert calls["reduction.check_detach_fact"] == calls["reduction.detachable_vertices"] == dsets
+
+
+def test_family_workload_surgery_work_is_pinned(tmp_path, monkeypatch):
+    # Deterministic counts on the chunk's 10 cubic graphs.  A change that
+    # lowers a count lowers its pin here; one that raises it says why.
+    _, tracer, calls, tables = traced_family_chunk(tmp_path, monkeypatch)
+    # one g - e per edge that some set of the graph can remove
+    assert calls["graphs.delete_edges"] == 150
+    assert calls["domination.is_dominating"] == 1_499
+    assert tracer.counts["domination.enumerate_min_dsets.dsets"] == 141
+    assert calls["reduction.check_detach_fact"] == 141
+    assert calls["reduction.detachable_vertices"] == 141
+    assert calls["reduction.removable_edges"] == 141
+    # the solvers build the closed-neighbourhood tables; the surgery
+    # audits build none
+    assert tables == 24
