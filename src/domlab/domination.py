@@ -54,33 +54,28 @@ class DominationCertificate:
     size: int
 
 
-def closed_masks(g: Graph) -> list[int]:
-    """Bitmask of N[v] per vertex."""
-    masks = []
-    for v in range(g.n):
-        m = 1 << v
-        for u in g.adj[v]:
-            m |= 1 << u
-        masks.append(m)
-    return masks
-
-
-def is_dominating(g: Graph, members: Iterable[int]) -> bool:
-    """True iff the closed neighborhood of `members` covers every vertex."""
+def undominated(g: Graph, members: Iterable[int]) -> int:
+    """Bitmask of the vertices outside the closed neighborhood of `members`;
+    a member outside 0..n-1 raises ValueError."""
     cover = 0
     for v in members:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-        cover |= 1 << v
-        for u in g.adj[v]:
-            cover |= 1 << u
-    return cover == (1 << g.n) - 1
+        cover |= g.masks[v]
+    return ((1 << g.n) - 1) & ~cover
+
+
+def is_dominating(g: Graph, members: Iterable[int]) -> bool:
+    """True iff the closed neighborhood of `members` covers every vertex."""
+    return not undominated(g, members)
 
 
 def induced_edge_count(g: Graph, members: Iterable[int]) -> int:
     """Number of edges inside the induced subgraph on `members`."""
     inside = set(members)
-    return sum(1 for v in inside for u in g.adj[v] if u in inside) // 2
+    mask = sum(1 << v for v in inside)
+    # each member's N[v] meets the set in v and its neighbours inside it
+    return sum((g.masks[v] & mask).bit_count() - 1 for v in inside) // 2
 
 
 def _certificate(g: Graph, members: Iterable[int], independent: bool = False) -> DominationCertificate:
@@ -94,7 +89,7 @@ def _certificate(g: Graph, members: Iterable[int], independent: bool = False) ->
 
 def _dominating_sets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Every dominating k-set of g, in lexicographic order."""
-    masks = closed_masks(g)
+    masks = g.masks
     full = (1 << g.n) - 1
     for combo in combinations(range(g.n), k):
         cover = 0
@@ -118,7 +113,7 @@ def gamma_bruteforce(g: Graph) -> DominationCertificate:
     return _certificate(g, next(chain.from_iterable(_dominating_sets(g, k) for k in sizes)))
 
 
-def _greedy_cover(masks: list[int]) -> list[int]:
+def _greedy_cover(masks: tuple[int, ...]) -> list[int]:
     full = (1 << len(masks)) - 1
     chosen: list[int] = []
     dominated = 0
@@ -135,7 +130,7 @@ def _greedy_cover(masks: list[int]) -> list[int]:
     return chosen
 
 
-def _first_independent(masks: list[int]) -> list[int]:
+def _first_independent(masks: tuple[int, ...]) -> list[int]:
     """The lexicographically first maximal independent set."""
     chosen: list[int] = []
     dominated = 0
@@ -147,7 +142,7 @@ def _first_independent(masks: list[int]) -> list[int]:
 
 
 def _lower_bound(
-    masks: list[int],
+    masks: tuple[int, ...],
     closed: list[tuple[int, ...]],
     undominated: int,
     admissible: int,
@@ -191,15 +186,14 @@ def _lower_bound(
     return max(count, -(-charge // scale))
 
 
-def _search_tables(g: Graph) -> tuple[list[int], list[tuple[int, ...]], int]:
+def _search_tables(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], int]:
     """Closed-neighborhood masks, sorted closed neighborhoods, and the
     least common multiple of 1..max degree + 1 (every possible gain)."""
-    masks = closed_masks(g)
     closed = [tuple(sorted((v, *g.adj[v]))) for v in range(g.n)]
-    return masks, closed, lcm(*range(1, g.max_degree() + 2))
+    return g.masks, closed, lcm(*range(1, g.max_degree() + 2))
 
 
-def _gamma_branch(masks: list[int], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
+def _gamma_branch(masks: tuple[int, ...], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
     """The useful candidates of the undominated vertex that has fewest
     (least id among ties; the scan stops at one, a forced move).
 
@@ -238,7 +232,7 @@ def _gamma_branch(masks: list[int], closed: list[tuple[int, ...]], undominated: 
     return pick
 
 
-def _idom_branch(masks: list[int], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
+def _idom_branch(masks: tuple[int, ...], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
     """The admissible candidates of the undominated vertex that has fewest
     (least id among ties; the scan stops at one, a forced move).
 
@@ -265,8 +259,8 @@ def _idom_branch(masks: list[int], closed: list[tuple[int, ...]], undominated: i
 
 def _branch_and_bound(
     g: Graph,
-    start: Callable[[list[int]], list[int]],
-    branch: Callable[[list[int], list[tuple[int, ...]], int], list[int]],
+    start: Callable[[tuple[int, ...]], list[int]],
+    branch: Callable[[tuple[int, ...], list[tuple[int, ...]], int], list[int]],
     stay: int,
     floor: int,
     deadline: float | None,

@@ -2,7 +2,8 @@
 
 Vertex ids always run 0..n-1.  Graphs are immutable: every edit returns a
 new value, so instances can be shared freely across threads and used as
-dictionary keys.
+dictionary keys.  Each graph also carries `masks`, the bitmask of N[v] per
+vertex, built once with the graph; every domination test reads it.
 
 Named fixture graphs use a fixed numbering:
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable
@@ -41,19 +42,23 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Adjacency is a tuple of strictly increasing neighbor tuples, so every
-    iteration over the graph is deterministic.
+    iteration over the graph is deterministic.  `masks` is derived from
+    `adj`, so equality, hashing and repr ignore it.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
+        masks = []
         for v, row in enumerate(self.adj):
             prev = -1
+            mask = 1 << v
             for u in row:
                 if u <= prev:
                     raise ValueError(f"neighbors of {v} not strictly increasing")
@@ -64,6 +69,10 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {v}")
                 if v not in self.adj[u]:
                     raise ValueError(f"edge {v}-{u} lacks its mirror")
+                mask |= 1 << u
+            masks.append(mask)
+        # the class is frozen, so the derived field is set past its guard
+        object.__setattr__(self, "masks", tuple(masks))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
@@ -92,9 +101,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max((len(row) for row in self.adj), default=0)
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(self.adj[v]) | {v}
 
 
 def is_connected(g: Graph) -> bool:

@@ -13,7 +13,7 @@ The two surgery tools work relative to a dominating set X:
   into every other edge at b.  `check_detach_fact` audits the transform
   for every choice of at most two such vertices at once, as bitmask
   tests on g; no transformed graph is built.  Both tools decide each edge
-  or vertex with bit tests on the member mask.
+  or vertex with bit tests on the member mask and the graph's N[v] masks.
 
 Audit results are uniform `AuditVerdict` values, so the sweep harness can
 serialize them without knowing the details.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
-from .domination import is_dominating
+from .domination import is_dominating, undominated
 from .graphs import Edge, Graph, delete_edges, edge_key
 
 @dataclass(frozen=True)
@@ -80,32 +80,28 @@ def find_forbidden_core(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-def _mask_and_hits(g: Graph, members: Iterable[int]) -> tuple[int, list[int]]:
-    """Bitmask of `members` and, per vertex, how many neighbours it has
-    among them; a member outside 0..n-1 raises ValueError."""
+def _member_mask(g: Graph, members: Iterable[int]) -> int:
+    """Bitmask of `members`; a member outside 0..n-1 raises ValueError."""
     mask = 0
-    hits = [0] * g.n
     for v in members:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-        if not mask >> v & 1:
-            mask |= 1 << v
-            for w in g.adj[v]:
-                hits[w] += 1
-    return mask, hits
+        mask |= 1 << v
+    return mask
 
 
 def removable_edges(g: Graph, members: Iterable[int]) -> frozenset[Edge]:
     """Edges that are individually safe to delete while `members` dominates.
 
     An edge with one endpoint in X is safe when the outside endpoint keeps
-    a second X-neighbour, that is, has at least two.
+    a second X-neighbour, that is, has at least two; N[w] of an outside w
+    meets X in exactly its X-neighbours.
     """
-    x, hits = _mask_and_hits(g, members)
+    x = _member_mask(g, members)
     out = set()
     for u, v in g.edges():
         u_in = x >> u & 1
-        if u_in == x >> v & 1 or hits[v if u_in else u] >= 2:
+        if u_in == x >> v & 1 or (g.masks[v if u_in else u] & x).bit_count() >= 2:
             out.add((u, v))
     return frozenset(out)
 
@@ -125,13 +121,13 @@ def check_removal_fact(g: Graph, members: Iterable[int], removed: Iterable[Edge]
     if not chosen <= allowed:
         bad = sorted(chosen - allowed)[0]
         raise ValueError(f"edge {bad} is not removable for this set")
-    stripped = delete_edges(g, chosen)
-    for v in range(g.n):
-        if v not in x and not any(w in x for w in stripped.adj[v]):
-            return AuditVerdict(
-                holds=False,
-                witness={"undominated": v, "removed": sorted(map(list, chosen))},
-            )
+    stranded = undominated(delete_edges(g, chosen), x)
+    if stranded:
+        first = (stranded & -stranded).bit_length() - 1
+        return AuditVerdict(
+            holds=False,
+            witness={"undominated": first, "removed": sorted(map(list, chosen))},
+        )
     return AuditVerdict(holds=True, info={"removed": len(chosen)})
 
 
@@ -142,8 +138,8 @@ def detachable_vertices(g: Graph, anchors: Iterable[int]) -> frozenset[int]:
     N[b] - {t1} avoids Y entirely.  So b is detachable exactly when b is
     outside Y and has exactly one neighbour in Y.
     """
-    y, hits = _mask_and_hits(g, anchors)
-    return frozenset(b for b in range(g.n) if hits[b] == 1 and not y >> b & 1)
+    y = _member_mask(g, anchors)
+    return frozenset(b for b in range(g.n) if not y >> b & 1 and (g.masks[b] & y).bit_count() == 1)
 
 
 def check_detach_fact(g: Graph, anchors: Iterable[int]) -> AuditVerdict:
@@ -158,8 +154,8 @@ def check_detach_fact(g: Graph, anchors: Iterable[int]) -> AuditVerdict:
     (choices audited) and `vacuous`; a failure's witness names the first
     failing `chosen` and its first `undominated` vertex.
 
-    Both sides are bitmask tests, with `cover` = N[Y], read off the
-    neighbour counts of Y, and `full` the mask of every vertex:
+    Both sides are bitmask tests, with `cover` = N[Y], the union of the
+    members' rows of `g.masks`, and `full` the mask of every vertex:
 
     * P and Y are disjoint, since N[b] meets Y only in t1 and b != t1.
       The edges between Y and V - P are untouched in g - P, so Y dominates
@@ -179,15 +175,18 @@ def check_detach_fact(g: Graph, anchors: Iterable[int]) -> AuditVerdict:
     those of the audit that builds g - P and the transform as graphs.
     """
     y = tuple(anchors)
-    pool = sorted(detachable_vertices(g, y))
+    pool = sorted(detachable_vertices(g, y))  # range-checks Y
     full = (1 << g.n) - 1
-    ymask, hits = _mask_and_hits(g, y)
-    cover = ymask
-    for b, count in enumerate(hits):
-        if count:
-            cover |= 1 << b
+    ymask = cover = 0
+    for v in y:
+        ymask |= 1 << v
+        cover |= g.masks[v]
+    # the choices in lexicographic order: (), (a,), (a, b), (a, c), ..., (b,), ...
+    choices = [()]
+    for i, a in enumerate(pool):
+        choices += [(a,)] + [(a, b) for b in pool[i + 1:]]
     transforms = vacuous = 0
-    for chosen in sorted(c for k in range(3) for c in combinations(pool, k)):
+    for chosen in choices:
         p = 0
         for b in chosen:
             p |= 1 << b
@@ -229,14 +228,13 @@ def check_pair_separation(g: Graph, members: Iterable[int]) -> AuditVerdict:
             info={"induced_edges": len(induced), "size": len(x)},
         )
     for v1, v2 in induced:
-        hood = g.closed_neighborhood(v1) | g.closed_neighborhood(v2)
+        hood = g.masks[v1] | g.masks[v2]
         for w in inside:
             if w in (v1, v2):
                 continue
-            common = sorted(hood & g.closed_neighborhood(w))
+            common = hood & g.masks[w]
             if common:
-                return AuditVerdict(
-                    holds=False,
-                    witness={"edge": [v1, v2], "member": w, "common": common},
-                )
+                witness = {"edge": [v1, v2], "member": w,
+                           "common": [v for v in range(g.n) if common >> v & 1]}
+                return AuditVerdict(holds=False, witness=witness)
     return AuditVerdict(holds=True, info={"induced_edges": len(induced), "size": len(x)})

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cycles import Cycle
-from .domination import check_deadline, is_dominating
+from .domination import check_deadline, is_dominating, undominated
 from .graphs import Graph
 from .reduction import AuditVerdict
 
@@ -368,17 +368,17 @@ def family_dset_audit(
             if assignments is None:
                 truncated = True
                 continue
-            # the singleton components of g minus the group's union
-            union = {v for c in group for v in c.vertices}
-            lone = [r for r in range(g.n) if r not in union and all(w in union for w in g.adj[r])]
+            # the singleton components of g minus the group's union: their
+            # neighbours all lie in the union, so they are pairwise
+            # non-adjacent and each joins exactly when `chosen` misses it
+            union = sum(1 << v for v in {v for c in group for v in c.vertices})
+            lone = [r for r in range(g.n) if g.masks[r] & ~union == 1 << r]
             for chosen in assignments:
                 tried += 1
                 if tried % 64 == 0:
                     check_deadline(deadline, "family audit")
-                candidate = set(chosen)
-                for r in lone:
-                    if not any(w in candidate for w in g.adj[r]):
-                        candidate.add(r)
+                missed = undominated(g, chosen)
+                candidate = set(chosen).union(r for r in lone if missed >> r & 1)
                 if is_dominating(g, candidate):
                     key = (len(candidate), sorted(candidate))
                     if best is None or key < best:

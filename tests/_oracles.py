@@ -14,10 +14,22 @@ from itertools import combinations, permutations
 from domlab import Cycle, Graph, is_connected, is_dominating
 # `domlab verify` needs this oracle at run time, so its one copy lives there
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
-from domlab.domination import _certificate, closed_masks
+from domlab.domination import _certificate
 from domlab.graphs import Edge, _disjoint_paths, _split_network, edge_key
 from domlab.reduction import AuditVerdict
 from domlab.seams import CycleCollection, EarLink, _link_components, try_ear_link
+
+
+def closed_masks(g: Graph) -> list[int]:
+    """Bitmask of N[v] per vertex, built from the adjacency rows; it shares
+    nothing with `Graph.masks`."""
+    masks = []
+    for v in range(g.n):
+        m = 1 << v
+        for u in g.adj[v]:
+            m |= 1 << u
+        masks.append(m)
+    return masks
 
 
 def cycles_by_permutation(g: Graph) -> set[tuple[int, ...]]:
@@ -594,7 +606,7 @@ def detachable_vertices_by_sets(g: Graph, anchors) -> frozenset[int]:
     out = set()
     for t1 in sorted(y):
         for b in g.adj[t1]:
-            if all(w not in y for w in g.closed_neighborhood(b) if w != t1):
+            if all(w not in y for w in (b, *g.adj[b]) if w != t1):
                 out.add(b)
     return frozenset(out)
 

@@ -9,6 +9,7 @@ from domlab import (
     Graph,
     SolverTimeout,
     delete_edges,
+    detachable_vertices,
     enumerate_min_dsets,
     gamma_bruteforce,
     gamma_exact,
@@ -17,6 +18,7 @@ from domlab import (
     is_dominating,
     named_graph,
     random_cubic,
+    removable_edges,
 )
 from domlab import domination
 from domlab.domination import (
@@ -25,6 +27,7 @@ from domlab.domination import (
     _idom_branch,
     _search_tables,
     induced_edge_count,
+    undominated,
 )
 
 from _oracles import dominating_sets_of_size
@@ -38,6 +41,19 @@ def test_is_dominating():
     assert is_dominating(named_graph("c6"), {0, 3})
     with pytest.raises(ValueError):
         is_dominating(k4, {7})
+    # c6 minus N[0] = {5, 0, 1} leaves {2, 3, 4}
+    assert undominated(named_graph("c6"), [0]) == 0b011100
+    assert undominated(k4, []) == 0b1111
+
+
+@pytest.mark.parametrize("tool", [is_dominating, removable_edges, detachable_vertices])
+@pytest.mark.parametrize("bad", [10, -1])
+def test_a_member_outside_the_graph_is_rejected(tool, bad):
+    # the member n indexes past the N[v] table and -1 would wrap to its
+    # last row, so the range check must come first
+    pete = named_graph("petersen")
+    with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+        tool(pete, [0, bad])
 
 
 def test_gamma_bruteforce_fixtures():
@@ -105,6 +121,10 @@ def test_enumerate_min_dsets():
     assert enumerate_min_dsets(empty, 0) == DsetEnumeration((frozenset(),), False)
     assert enumerate_min_dsets(empty, 0, limit=0) == DsetEnumeration((), True)
     assert enumerate_min_dsets(k4, 1, limit=0) == DsetEnumeration((), True)
+    # exactly `limit` sets is not a truncation; one more than `limit` is
+    every = tuple(frozenset({v}) for v in range(4))
+    assert enumerate_min_dsets(k4, 1, limit=4) == DsetEnumeration(every, False)
+    assert enumerate_min_dsets(k4, 1, limit=3) == DsetEnumeration(every[:3], True)
 
 
 def test_certificate_fields():

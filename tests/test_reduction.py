@@ -89,7 +89,7 @@ def test_detachable_avoids_anchor_set():
                 anchors = [t for t in g.adj[b] if t in dset]
                 assert anchors
                 t1 = min(anchors)
-                hood = set(g.closed_neighborhood(b)) - {t1}
+                hood = {b, *g.adj[b]} - {t1}
                 assert not hood & dset
 
 
@@ -203,3 +203,12 @@ def test_check_pair_separation():
     assert vac.vacuous  # only two members, no third to clash with
     with pytest.raises(ValueError):
         check_pair_separation(Graph.from_edges(5, [(0, i) for i in range(1, 5)]), {0})
+    # only domination is re-validated, so a set that is not minimum can
+    # fail; on the path 0-1-2-3-4, N[0] | N[1] meets N[3] in vertex 2
+    p5 = named_graph("p5")
+    clash = check_pair_separation(p5, {0, 1, 3})
+    assert not clash.holds
+    assert clash.witness == {"edge": [0, 1], "member": 3, "common": [2]}
+    # N[1] | N[2] meets N[3] in 2 and 3, listed in increasing order
+    clash = check_pair_separation(p5, {1, 2, 3})
+    assert clash.witness == {"edge": [1, 2], "member": 3, "common": [2, 3]}

@@ -273,6 +273,18 @@ def test_cli_csg_budget_bounds_the_cycle_listing():
                            for phase in ("link graph", "cycle listing")}
 
 
+def test_cli_csg_budget_stops_inside_the_cycle_listing():
+    # this graph has 61,478 0-mod-3 cycles, which take about 4.5 s to list
+    # on a 2-vCPU VM, so a 100 ms budget runs out in the listing's own
+    # deadline reads
+    line = encode_graph6(random_cubic(36, 1))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "domlab.cli", "csg", line, "--budget-ms", "100"],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert done.returncode == 0
+    assert done.stdout == "verdict: timeout after 100 ms (cycle listing)\n"
+
+
 def test_cli_csg_prints_a_truncated_mark_search(monkeypatch, capsys):
     monkeypatch.setattr(seams, "ASSIGNMENT_CAP", 1)
     assert cli.main(["csg", "petersen"]) == 0

@@ -16,14 +16,15 @@ import sys
 from pathlib import Path
 
 import domlab.cli
-from domlab import domination
+from domlab.graphs import Graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def traced_family_chunk(tmp_path, monkeypatch):
     """Sweep chunk 0 of `family-n10` seed 1 under the `Tracer`; returns the
-    workload, the tracer, per-layer calls and `closed_masks` calls."""
+    workload, the tracer, per-layer calls and `Graph` constructions, each
+    of which builds one N[v] mask table."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
         workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
@@ -38,17 +39,13 @@ def traced_family_chunk(tmp_path, monkeypatch):
             "--cache", str(tmp_path / "cache.jsonl")]
 
     tables = []
-    original = domination.closed_masks
+    original = Graph.__post_init__
 
     def counted(g):
+        original(g)
         tables.append(g.n)
-        return original(g)
 
-    for name, module in list(sys.modules.items()):
-        if name == "domlab" or name.startswith("domlab."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    monkeypatch.setattr(Graph, "__post_init__", counted)
 
     tracer = spans["Tracer"]()
     try:
@@ -81,6 +78,6 @@ def test_family_workload_surgery_work_is_pinned(tmp_path, monkeypatch):
     assert calls["reduction.check_detach_fact"] == 141
     assert calls["reduction.detachable_vertices"] == 141
     assert calls["reduction.removable_edges"] == 141
-    # the solvers build the closed-neighbourhood tables; the surgery
-    # audits build none
-    assert tables == 24
+    # each graph builds its N[v] table once: the 10 parsed graphs and the
+    # 150 g - e graphs, and no solver or audit builds another
+    assert tables == 160
