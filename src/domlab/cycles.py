@@ -9,7 +9,6 @@ once that has passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .domination import check_deadline
 from .graphs import Graph
@@ -33,16 +32,6 @@ class Cycle:
             raise ValueError("cycle vertices must be distinct")
         if v[0] != min(v) or v[1] > v[-1]:
             raise ValueError("cycle is not in canonical rotation/reflection")
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence[int]) -> "Cycle":
-        """Canonicalize any rotation/direction of a vertex cycle."""
-        seq = tuple(seq)
-        pivot = seq.index(min(seq))
-        rotated = seq[pivot:] + seq[:pivot]
-        if rotated[1] > rotated[-1]:
-            rotated = rotated[:1] + tuple(reversed(rotated[1:]))
-        return cls(rotated)
 
     def __len__(self) -> int:
         return len(self.vertices)

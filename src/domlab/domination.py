@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph
 
-BRUTE_FORCE_LIMIT = 24
-# largest n `enumerate_min_dsets` runs on; the checks' enumeration gate reads it
+# largest n the subset scan runs on, for `gamma_bruteforce` and
+# `enumerate_min_dsets`; the checks' enumeration gate reads it
 ENUM_GUARD = 24
 
 
@@ -106,8 +106,8 @@ def gamma_bruteforce(g: Graph) -> DominationCertificate:
     n <= 24; this is the test oracle for gamma_exact.  The sizes start at
     ceil(n / (max degree + 1)), as each member dominates at most that many.
     """
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force solver is guarded to n <= {BRUTE_FORCE_LIMIT}")
+    if g.n > ENUM_GUARD:
+        raise ValueError(f"brute-force solver is guarded to n <= {ENUM_GUARD}")
     sizes = range(-(-g.n // (g.max_degree() + 1)), g.n + 1)
     # the whole vertex set dominates, so some size has a first hit
     return _certificate(g, next(chain.from_iterable(_dominating_sets(g, k) for k in sizes)))

@@ -10,10 +10,11 @@ The two surgery tools work relative to a dominating set X:
 * `detachable_vertices(g, y)` lists the vertices b whose closed
   neighborhood meets Y in exactly one anchor t1; the detach transform
   cuts each chosen b from its anchor and splices a fresh buffer vertex
-  into every other edge at b.  `check_detach_fact` audits the transform
-  for every choice of at most two such vertices at once, as bitmask
-  tests on g; no transformed graph is built.  Both tools decide each edge
-  or vertex with bit tests on the member mask and the graph's N[v] masks.
+  into every other edge at b.  `check_detach_fact` counts the choices of
+  at most two such vertices and decides all of them with one domination
+  test of Y on g, which its docstring proves equivalent; no transformed
+  graph is built.  Both tools decide each edge or vertex with bit tests
+  on the member mask and the graph's N[v] masks.
 
 Audit results are uniform `AuditVerdict` values, so the sweep harness can
 serialize them without knowing the details.
@@ -144,66 +145,36 @@ def detachable_vertices(g: Graph, anchors: Iterable[int]) -> frozenset[int]:
 
 def check_detach_fact(g: Graph, anchors: Iterable[int]) -> AuditVerdict:
     """The detach fact for one anchor set Y and every choice P of at most
-    two detachable vertices, in lexicographic order of P.
+    two of its k detachable vertices: 1 + k + k(k - 1)/2 choices.
 
     The detach transform cuts each b in P from its anchor t1, the one
     vertex of N[b] in Y, and subdivides every other edge at b with a fresh
     buffer vertex.  The fact: if Y dominates g - P, then Y + P dominates
-    the transform.  A choice whose hypothesis fails counts as vacuous; the
-    verdict is vacuous when every choice is.  `info` counts `transforms`
-    (choices audited) and `vacuous`; a failure's witness names the first
-    failing `chosen` and its first `undominated` vertex.
-
-    Both sides are bitmask tests, with `cover` = N[Y], the union of the
-    members' rows of `g.masks`, and `full` the mask of every vertex:
+    the transform.  Both sides reduce to "Y dominates g":
 
     * P and Y are disjoint, since N[b] meets Y only in t1 and b != t1.
       The edges between Y and V - P are untouched in g - P, so Y dominates
-      g - P iff every vertex outside P is in N[Y]:
-      `full & ~P & ~cover == 0`.
+      g - P iff every vertex outside P is in N[Y].  Each b is adjacent to
+      its anchor, so P lies in N[Y] too: the hypothesis holds iff Y
+      dominates g.
     * In the transform every buffer made for b keeps its edge to b, which
       is in P.  An original vertex v outside Y + P keeps each edge to Y
       (no endpoint is in P) and loses each edge to P to a buffer, so its
       neighbours in Y + P are exactly its neighbours in Y.  Hence Y + P
       dominates the transform iff every original vertex outside Y + P is
-      in N[Y]: `full & ~(Y | P) & ~cover == 0`.
+      in N[Y], which the hypothesis gives.
 
-    Each b is adjacent to its anchor, so P lies in N[Y] as well, and both
-    tests hold exactly when Y dominates g: the fact never fails, and a
-    choice is vacuous exactly when Y is not dominating.  The audit still
-    evaluates both tests for every choice, so its counts and witness are
-    those of the audit that builds g - P and the transform as graphs.
+    So the fact never fails, and one test of Y decides every choice.
+    `info` counts the choices as `transforms`, and as `vacuous` those
+    whose hypothesis fails: all of them when Y leaves a vertex
+    undominated, else none.  The verdict is vacuous when every choice is.
     """
     y = tuple(anchors)
-    pool = sorted(detachable_vertices(g, y))  # range-checks Y
-    full = (1 << g.n) - 1
-    ymask = cover = 0
-    for v in y:
-        ymask |= 1 << v
-        cover |= g.masks[v]
-    # the choices in lexicographic order: (), (a,), (a, b), (a, c), ..., (b,), ...
-    choices = [()]
-    for i, a in enumerate(pool):
-        choices += [(a,)] + [(a, b) for b in pool[i + 1:]]
-    transforms = vacuous = 0
-    for chosen in choices:
-        p = 0
-        for b in chosen:
-            p |= 1 << b
-        transforms += 1
-        if full & ~p & ~cover:
-            vacuous += 1
-            continue
-        stranded = full & ~(ymask | p) & ~cover
-        if stranded:
-            first = (stranded & -stranded).bit_length() - 1
-            return AuditVerdict(
-                holds=False,
-                witness={"undominated": first, "chosen": list(chosen)},
-                info={"transforms": transforms, "vacuous": vacuous},
-            )
+    k = len(detachable_vertices(g, y))  # range-checks Y
+    transforms = 1 + k + k * (k - 1) // 2
+    vacuous = transforms if undominated(g, y) else 0
     info = {"transforms": transforms, "vacuous": vacuous}
-    return AuditVerdict(holds=True, vacuous=vacuous == transforms, info=info)
+    return AuditVerdict(holds=True, vacuous=bool(vacuous), info=info)
 
 
 def check_pair_separation(g: Graph, members: Iterable[int]) -> AuditVerdict:

@@ -4,7 +4,7 @@ One JSONL record per input graph, in input order regardless of
 parallelism.  Records are byte-stable: keys sorted, compact separators,
 and no timing fields unless explicitly requested, so two runs of the same
 sweep diff clean.  The cache is an append-only JSONL file keyed by
-(graph6, check, code version); one rule, `_cacheable`, decides what it
+(graph6, check, code digest); one rule, `_cacheable`, decides what it
 stores and serves, and a line that does not parse or breaks the rule is
 skipped with a warning.  Only a sweep that starts a helper process loads
 `multiprocessing`.
@@ -12,6 +12,7 @@ skipped with a warning.  Only a sweep that starts a helper process loads
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -20,8 +21,8 @@ import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass
 from math import ceil
+from pathlib import Path
 
-from . import __version__
 from .checks import CHECKS, Check, Facts
 from .domination import SolverTimeout
 from .graph6 import parse_graph6
@@ -33,6 +34,19 @@ _BASE_SET = frozenset(BASE_FIELDS)
 DEFAULT_CHECKS = tuple(CHECKS)
 # One summary column per piece status; a violation counts under "violations".
 SUMMARY_COLUMNS = ("holds", "vacuous", "violations", "skipped", "timeout")
+
+
+def source_digest(package: Path) -> str:
+    """Short digest of the name and bytes of every `*.py` file in `package`."""
+    h = hashlib.sha256()
+    for path in sorted(package.glob("*.py")):
+        data = path.read_bytes()
+        h.update(b"%s:%d:%s" % (path.name.encode(), len(data), data))
+    return h.hexdigest()[:8]
+
+
+# the cache key's code version: a change to any source byte misses every older verdict
+CODE_DIGEST = source_digest(Path(__file__).parent)
 
 
 def _solved(facts: Facts, name: str) -> int | None:
@@ -114,7 +128,7 @@ def open_text(path: str, mode: str, role: str):
 
 
 class VerdictCache:
-    """Append-only JSONL cache keyed by (graph6, check, version)."""
+    """Append-only JSONL cache keyed by (graph6, check, `CODE_DIGEST`)."""
 
     def __init__(self, path: str):
         self.entries: dict[tuple[str, str, str], dict] = {}
@@ -139,16 +153,16 @@ class VerdictCache:
 
     def get(self, line: str, names: tuple[str, ...]) -> dict[str, dict]:
         """The cached pieces of `line` among `names`, in a new dict."""
-        found = {name: self.entries.get((line, name, __version__)) for name in names}
+        found = {name: self.entries.get((line, name, CODE_DIGEST)) for name in names}
         return {name: piece for name, piece in found.items() if piece is not None}
 
     def put(self, fh, line: str, pieces: dict[str, dict]) -> None:
         """Append to `fh` each of `pieces` that the cache may hold and lacks."""
         for check, piece in pieces.items():
-            key = (line, check, __version__)
+            key = (line, check, CODE_DIGEST)
             if key not in self.entries and _cacheable(check, piece):
                 self.entries[key] = piece
-                fh.write(json.dumps({"g": line, "c": check, "v": __version__, "r": piece}) + "\n")
+                fh.write(json.dumps({"g": line, "c": check, "v": CODE_DIGEST, "r": piece}) + "\n")
 
 
 Payload = tuple[str, tuple[str, ...], int | None]

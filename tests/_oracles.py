@@ -20,6 +20,16 @@ from domlab.reduction import AuditVerdict
 from domlab.seams import CycleCollection, EarLink, _link_components, try_ear_link
 
 
+def cycle_from_sequence(seq) -> Cycle:
+    """The canonical `Cycle` of any rotation or direction of a vertex cycle."""
+    seq = tuple(seq)
+    pivot = seq.index(min(seq))
+    rotated = seq[pivot:] + seq[:pivot]
+    if rotated[1] > rotated[-1]:
+        rotated = rotated[:1] + tuple(reversed(rotated[1:]))
+    return Cycle(rotated)
+
+
 def closed_masks(g: Graph) -> list[int]:
     """Bitmask of N[v] per vertex, built from the adjacency rows; it shares
     nothing with `Graph.masks`."""
@@ -286,7 +296,7 @@ def _cycle_from_edge_set(edges: set[Edge]) -> Cycle | None:
         walk.append(nxt)
     if len(walk) != len(nbrs):
         return None
-    return Cycle.from_sequence(walk)
+    return cycle_from_sequence(walk)
 
 
 def _cycle_edges(c: Cycle) -> list[Edge]:

@@ -25,6 +25,7 @@ from domlab.domination import (
     DsetEnumeration,
     _gamma_branch,
     _idom_branch,
+    _lower_bound,
     _search_tables,
     induced_edge_count,
     undominated,
@@ -213,6 +214,44 @@ def test_expired_deadline_stops_before_the_search(monkeypatch):
     for solver, phase in ((gamma_exact, "domination"), (idom_exact, "independent domination")):
         with pytest.raises(SolverTimeout, match=f"^{phase} solve exceeded its budget$"):
             solver(random_cubic(60, 1), deadline=time.monotonic() - 1)
+
+
+def test_a_small_solve_reads_its_deadline_once(monkeypatch):
+    # the search reads the deadline every 1,024 nodes, so a solve of fewer
+    # nodes reads it once, on entry
+    reads, bounds = [], []
+    original_check, original_bound = domination.check_deadline, domination._lower_bound
+
+    def check(deadline, phase):
+        reads.append(phase)
+        original_check(deadline, phase)
+
+    def bound(*args):
+        bounds.append(args)
+        return original_bound(*args)
+
+    monkeypatch.setattr(domination, "check_deadline", check)
+    monkeypatch.setattr(domination, "_lower_bound", bound)
+    gamma_exact(random_cubic(40, 1), deadline=time.monotonic() + 600)
+    assert 1 < len(bounds) < 1024  # a search of many nodes, but fewer than 1,024
+    assert reads == ["domination solve"]
+
+
+def test_lower_bound_reads_no_row_once_packing_meets_the_need():
+    # one undominated vertex is a packing of size 1, which meets need = 1
+    # before its candidate row is read
+    g = named_graph("petersen")
+    masks, closed, scale = _search_tables(g)
+    read = []
+
+    class Recorded(list):
+        def __getitem__(self, i):
+            read.append(i)
+            return super().__getitem__(i)
+
+    full = (1 << g.n) - 1
+    assert _lower_bound(masks, Recorded(closed), full, full, scale, 1) == 1
+    assert read == []
 
 
 def test_edge_deletion_never_lowers_gamma():

@@ -6,10 +6,14 @@ graph over module-qualified top-level names.  A name is reached from
 definition (the `CHECKS` registry, the `__main__` guard), through any
 reference in the body of a reached definition: a bare name resolved
 through the module's own definitions and its imports from the package,
-or `module.attr` on an imported package module.  A top-level function
-or class, public or private, that only unit tests call is reported by
+or `module.attr` on an imported package module.  A reached class brings
+its bases, decorators, fields and dunder methods; each other method or
+property of it is reached only once a reached body reads an attribute of
+that name (`x.name`, on any object).  A top-level function or class, or
+a method, public or private, that only unit tests call is reported by
 name.  The walk is type-blind, so it errs towards reaching: a local
-variable that shadows a module-level name counts as a reference to it.
+variable that shadows a module-level name counts as a reference to it,
+and any attribute read of a method's name reaches it.
 """
 
 import ast
@@ -63,15 +67,39 @@ def _references(node: ast.AST, bindings: dict[str, tuple]) -> set[tuple[str, str
     return found
 
 
-def unreached_names() -> list[str]:
-    modules = _modules()
+def _is_method(stmt: ast.stmt) -> bool:
+    """A non-dunder method or property, reached by attribute name only."""
+    return isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        stmt.name.startswith("__") and stmt.name.endswith("__"))
+
+
+def _attributes(node: ast.AST) -> set[str]:
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def unreached_names(modules: dict[str, ast.Module] | None = None) -> list[str]:
+    modules = _modules() if modules is None else modules
     bindings = {name: _bindings(name, tree, modules) for name, tree in modules.items()}
     bodies: dict[tuple[str, str], list[ast.AST]] = {}
+    methods: dict[tuple[str, str], list[tuple[str, tuple[str, str]]]] = {}
     roots = {ROOT}
     for name, tree in modules.items():
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.FunctionDef):
                 bodies.setdefault((name, stmt.name), []).append(stmt)
+            elif isinstance(stmt, ast.ClassDef):
+                # the class body without its methods, which count on their own
+                key = (name, stmt.name)
+                body = bodies.setdefault(key, [])
+                body += [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+                for inner in stmt.body:
+                    if _is_method(inner):
+                        method = (name, f"{stmt.name}.{inner.name}")
+                        bodies.setdefault(method, []).append(inner)
+                        methods.setdefault(key, []).append((inner.name, method))
+                    else:
+                        body.append(inner)
             elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
             else:
@@ -87,6 +115,8 @@ def unreached_names() -> list[str]:
         return key
 
     reached: set[tuple[str, str]] = set()
+    read: set[str] = set()  # attribute names that reached bodies read
+    waiting: dict[str, list[tuple[str, str]]] = {}  # attribute name -> methods
     todo = [resolve(r) for r in roots]
     while todo:
         key = todo.pop()
@@ -95,9 +125,31 @@ def unreached_names() -> list[str]:
         reached.add(key)
         for node in bodies.get(key, ()):
             todo.extend(resolve(r) for r in _references(node, bindings[key[0]]))
+            for attr in _attributes(node) - read:
+                read.add(attr)
+                todo.extend(waiting.pop(attr, ()))
+        for attr, method in methods.get(key, ()):
+            if attr in read:
+                todo.append(method)
+            else:
+                waiting.setdefault(attr, []).append(method)
     return sorted(f"{m}.{n}" for m, n in set(bodies) - reached)
 
 
 def test_every_function_and_class_is_reached():
     unreached = unreached_names()
     assert not unreached, "reached only from tests: " + ", ".join(unreached)
+
+
+def test_a_method_is_reached_only_through_an_attribute_of_its_name():
+    source = {
+        "cli": "from .shapes import Box\n\ndef main():\n    return Box().size\n",
+        "shapes": ("class Box:\n"
+                   "    def __init__(self):\n        self.unused = 0\n"
+                   "    @property\n    def size(self):\n        return self.grow()\n"
+                   "    def grow(self):\n        return 2\n"
+                   "    def unused(self):\n        return 3\n"),
+    }
+    modules = {name: ast.parse(text) for name, text in source.items()}
+    # `size` is read by main and `grow` by size; an assignment reads nothing
+    assert unreached_names(modules) == ["shapes.Box.unused"]

@@ -174,6 +174,8 @@ def test_detach_audit_counts():
     c6 = check_detach_fact(named_graph("c6"), {0, 3})
     assert c6.holds and not c6.vacuous
     assert c6.info == {"transforms": 11, "vacuous": 0}
+    # the anchors are read twice, so a one-shot iterator must give the same
+    assert check_detach_fact(named_graph("c6"), iter([0, 3])) == c6
     p4 = check_detach_fact(named_graph("p4"), {1, 3})
     assert p4.holds and not p4.vacuous
     assert p4.info == {"transforms": 2, "vacuous": 0}

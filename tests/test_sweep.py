@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from domlab import Graph, __version__, cli, encode_graph6, named_graph, random_cubic, seams, sweep
+from domlab import Graph, cli, encode_graph6, named_graph, random_cubic, seams, sweep
 from domlab.checks import CHECKS, Check, Facts
 from domlab.cli import generate_corpus
 from domlab.sweep import (
+    CODE_DIGEST,
     DEFAULT_CHECKS,
     VerdictCache,
     piece_status,
@@ -76,6 +77,18 @@ def test_cache_roundtrip(tmp_path):
     ]
 
 
+def test_code_digest_changes_with_one_source_byte(tmp_path):
+    package = Path(sweep.__file__).parent
+    for path in package.glob("*.py"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    assert sweep.source_digest(tmp_path) == CODE_DIGEST
+    target = tmp_path / "reduction.py"
+    data = bytearray(target.read_bytes())
+    data[-2] ^= 1
+    target.write_bytes(bytes(data))
+    assert sweep.source_digest(tmp_path) != CODE_DIGEST
+
+
 def test_cache_keyed_by_version(tmp_path):
     cache = tmp_path / "cache.jsonl"
     run_sweep(FIXTURE_LINES[:1], checks=("third_bound",), cache_path=str(cache))
@@ -99,8 +112,15 @@ def test_cache_base_with_gamma_above_idom_is_corrupt(tmp_path, capsys):
     plain = capsys.readouterr().out
     # K4 is `C~`; every key is present, but no graph has gamma above idom
     cache = tmp_path / "cache.jsonl"
-    cache.write_text('{"g":"C~","c":"base","v":"0.1.0","r":{"n":4,"m":6,"connectivity":3,'
-                     '"cubic":true,"gamma":2,"idom":1,"reed_bound":2}}\n', encoding="utf-8")
+    base = {"n": 4, "m": 6, "connectivity": 3, "cubic": True, "gamma": 1, "idom": 1, "reed_bound": 2}
+    row = {"g": "C~", "c": "base", "v": CODE_DIGEST, "r": base}
+    # under the live key the true row is served ...
+    cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1", "--checks", "third_bound",
+                     "--cache", str(cache)]) == 0
+    assert "cache_hits=1" in capsys.readouterr().err
+    # ... and the same row with gamma above idom is not
+    cache.write_text(json.dumps({**row, "r": {**base, "gamma": 2}}) + "\n", encoding="utf-8")
     assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1", "--cache", str(cache)]) == 0
     out, err = capsys.readouterr()
     assert "warning: ignored 1 corrupt cache lines" in err
@@ -122,7 +142,7 @@ def test_cache_row_missing_what_its_readers_index_is_corrupt(tmp_path, capsys, c
     assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1"]) == 0
     plain = capsys.readouterr().out
     cache = tmp_path / "cache.jsonl"
-    row = {"g": line, "c": check, "v": __version__, "r": piece}
+    row = {"g": line, "c": check, "v": CODE_DIGEST, "r": piece}
     cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
     assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1", "--cache", str(cache)]) == 0
     out, err = capsys.readouterr()
@@ -139,7 +159,7 @@ def test_cache_put_writes_only_what_the_cache_may_serve(tmp_path):
         cache.put(fh, "C~", {"base": UNSOLVED_BASE, "third_bound": {"timeout": True}})
         cache.put(fh, "C~", {"mod3_cycle_exists": skip})
     rows = [json.loads(raw) for raw in path.read_text().splitlines()]
-    assert rows == [{"g": "C~", "c": "mod3_cycle_exists", "v": __version__, "r": skip}]
+    assert rows == [{"g": "C~", "c": "mod3_cycle_exists", "v": CODE_DIGEST, "r": skip}]
     assert VerdictCache(str(path)).get("C~", ("base", "third_bound", "mod3_cycle_exists")) == {
         "mod3_cycle_exists": skip}
 
