@@ -72,7 +72,7 @@ def cmd_csg(args: argparse.Namespace) -> int:
             for c in fam.cycles:
                 print(f"  cycle {'-'.join(map(str, c.vertices))}")
             for j, (group, marks) in enumerate(marked):
-                shown = "truncated" if marks is None else (_fmt_set(marks[0]) if marks else "none")
+                shown = _fmt_set(marks[0]) if marks else "none"
                 print(f"  exclusive {j}: cycles={len(group)} assignment={shown}")
         verdict = CHECKS["family_dset"].evaluate(facts)
     except SolverTimeout as exc:

@@ -27,13 +27,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cycles import Cycle
-from .domination import check_deadline, is_dominating, undominated
+from .domination import check_deadline, undominated
 from .graphs import Graph
 from .reduction import AuditVerdict
-
-
-# search-node cap of the mark-assignment search, which returns None past it
-ASSIGNMENT_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -278,50 +274,43 @@ def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
     return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(sorted(kept), pairs))
 
 
-def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...] | None:
-    """Every mark set spaced on all the given cycles, sorted; None past the cap.
+def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...]:
+    """Every mark set spaced on all the given cycles, sorted.
 
-    Backtracking over one residue-class choice per cycle, in the given
-    order; a vertex shared by two cycles must be marked consistently,
-    which prunes hard.  Groups from `prune_nonexclusive` come in
-    link-graph BFS order, so shared vertices bind early.  The result does
-    not depend on the order, but the node count that reaches
-    ASSIGNMENT_CAP does; past it every call returns at once.
+    Each residue class of the first cycle starts one branch; every later
+    cycle takes the one class that agrees with the marks already decided,
+    and a branch ends where none does.  This needs each cycle after the
+    first to share an edge with an earlier one, as the link-graph BFS
+    order of `prune_nonexclusive`'s groups guarantees (linked cycles
+    share s - 1 >= 1 edges).  Both ends of that edge are decided and
+    consecutive on the cycle, and the three classes mark two consecutive
+    positions in three different ways, so at most one class agrees.  A
+    cycle that two classes fit shares no edge with the cycles before it:
+    ValueError names its index, as it does for an empty sequence.  So the
+    search is three chains of at most k steps on k cycles, with no cap,
+    and it returns at most three sets.
     """
-    decided: dict[int, bool] = {}
-    found: set[frozenset[int]] = set()
-    spent = 0
-
-    def place(idx: int) -> None:
-        nonlocal spent
-        spent += 1
-        if spent > ASSIGNMENT_CAP:
-            return
-        if idx == len(cycles):
-            found.add(frozenset(v for v, inside in decided.items() if inside))
-            return
-        cyc = cycles[idx].vertices
-        for offset in range(3):
-            claim: dict[int, bool] = {}
-            for pos, v in enumerate(cyc):
-                inside = pos % 3 == offset
-                if v not in decided:
-                    claim[v] = inside
-                elif decided[v] != inside:
-                    break
-            else:
-                decided.update(claim)
-                place(idx + 1)
-                for v in claim:
-                    del decided[v]
-
-    place(0)
-    return None if spent > ASSIGNMENT_CAP else tuple(sorted(found, key=sorted))
+    if not cycles:
+        raise ValueError("spaced marks need at least one cycle")
+    classes = [[{v: pos % 3 == r for pos, v in enumerate(c.vertices)} for r in range(3)] for c in cycles]
+    found = []
+    for first in classes[0]:
+        decided = dict(first)
+        for idx in range(1, len(cycles)):
+            fits = [marks for marks in classes[idx]
+                    if all(decided.get(v, inside) == inside for v, inside in marks.items())]
+            if len(fits) > 1:
+                raise ValueError(f"cycle {idx} shares no edge with an earlier cycle")
+            if not fits:
+                break
+            decided.update(fits[0])
+        else:
+            found.append(frozenset(v for v, inside in decided.items() if inside))
+    return tuple(sorted(found, key=sorted))
 
 
-# an exclusive group and its spaced mark sets, None where the search
-# reached ASSIGNMENT_CAP
-MarkedGroup = tuple[tuple[Cycle, ...], tuple[frozenset[int], ...] | None]
+# an exclusive group and its spaced mark sets
+MarkedGroup = tuple[tuple[Cycle, ...], tuple[frozenset[int], ...]]
 
 
 def exclusive_groups(
@@ -348,47 +337,50 @@ def family_dset_audit(
 
     `groups` are the marked exclusive groups of g's seamless families
     (`exclusive_groups(seamless_families(mod3_cycles(g)))`).  Pipeline:
-    extend each group's spaced mark sets by the leftover singleton
-    vertices they fail to dominate, and keep the best dominating
-    candidate; a group without mark sets marks the verdict truncated.
-    Holds iff some candidate dominates with exactly `gamma` = gamma(g)
-    vertices; either way the verdict reports candidate size against gamma.
+    extend each group's spaced mark sets by the lone vertices they fail
+    to dominate, and keep the best dominating candidate.  Holds iff some
+    candidate dominates with exactly `gamma` = gamma(g) vertices; either
+    way the verdict reports candidate size against gamma.
+
+    One domination test per mark set decides its candidate.  Spaced marks
+    dominate every vertex of the group's cycles: each has a mark within
+    one step along its cycle.  A lone vertex is a singleton component of
+    g minus the cycles' union, so its neighbours all lie on the cycles
+    and adding it newly dominates only itself.  Hence the marks plus the
+    lone vertices they miss dominate exactly when every missed vertex is
+    lone, and the candidate then has len(chosen) + |missed| vertices.
 
     The claim is stated for 3-connected graphs; the `family_dset` check
     gates on that, and the pipeline itself runs on any graph.
     """
     best: tuple[int, list[int]] | None = None
     tried = 0
-    truncated = False
     collections = 0
     for family in groups:
         check_deadline(deadline, "family audit")
         for group, assignments in family:
             collections += 1
-            if assignments is None:
-                truncated = True
-                continue
-            # the singleton components of g minus the group's union: their
-            # neighbours all lie in the union, so they are pairwise
-            # non-adjacent and each joins exactly when `chosen` misses it
             union = sum(1 << v for v in {v for c in group for v in c.vertices})
-            lone = [r for r in range(g.n) if g.masks[r] & ~union == 1 << r]
+            lone = sum(1 << r for r in range(g.n) if g.masks[r] & ~union == 1 << r)
             for chosen in assignments:
                 tried += 1
                 if tried % 64 == 0:
                     check_deadline(deadline, "family audit")
                 missed = undominated(g, chosen)
-                candidate = set(chosen).union(r for r in lone if missed >> r & 1)
-                if is_dominating(g, candidate):
-                    key = (len(candidate), sorted(candidate))
-                    if best is None or key < best:
-                        best = key
+                if missed & ~lone:
+                    continue
+                size = len(chosen) + missed.bit_count()
+                if best is None or size <= best[0]:
+                    candidate = sorted(chosen.union(r for r in range(g.n) if missed >> r & 1))
+                    if best is None or (size, candidate) < best:
+                        best = (size, candidate)
     info = {
         "gamma": gamma,
         "families": len(groups),
         "collections": collections,
         "assignments": tried,
-        "truncated": truncated,
+        # the mark search has no cap; the key stays until the next schema change
+        "truncated": False,
         "candidate_size": best[0] if best else None,
         "candidate": best[1] if best else None,
     }

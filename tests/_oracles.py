@@ -2,8 +2,9 @@
 
 The last sections keep earlier, slower implementations of the exact
 kernels, of the seamless link test and link replay, of the seamless
-families and their pruning, of edge deletion, of the surgery tools'
-set-based edge and vertex tests and of the detach audit verbatim, as
+families and their pruning, of the mark search (without its cap) and
+the family audit's candidate test, of edge deletion, of the surgery
+tools' set-based edge and vertex tests and of the detach audit, as
 differential oracles for the code that replaced them.
 `family_fault` checks a built family against the definition of a link.
 """
@@ -564,6 +565,66 @@ def prune_nonexclusive_by_fixpoint(fam):
         del kept[min(lacking, key=lambda li: fam.cycles[kept[li]].vertices)]
     pairs = ((l.base, l.derived) for l in fam.links)
     return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(kept, pairs))
+
+
+# --- earlier mark search: backtracking over residue classes -----------------
+
+
+def spaced_assignments_by_search(cycles) -> tuple[frozenset[int], ...]:
+    """Every mark set spaced on all the given cycles, sorted: backtracking
+    over one residue-class choice per cycle, in any cycle order and with
+    no cap.  A vertex shared by two cycles must be marked the same way on
+    both."""
+    decided: dict[int, bool] = {}
+    found: set[frozenset[int]] = set()
+
+    def place(idx: int) -> None:
+        if idx == len(cycles):
+            found.add(frozenset(v for v, inside in decided.items() if inside))
+            return
+        cyc = cycles[idx].vertices
+        for offset in range(3):
+            claim: dict[int, bool] = {}
+            for pos, v in enumerate(cyc):
+                inside = pos % 3 == offset
+                if v not in decided:
+                    claim[v] = inside
+                elif decided[v] != inside:
+                    break
+            else:
+                decided.update(claim)
+                place(idx + 1)
+                for v in claim:
+                    del decided[v]
+
+    place(0)
+    return tuple(sorted(found, key=sorted))
+
+
+def in_link_order(fam) -> tuple:
+    """A family's cycles in link-graph BFS order from its first cycle, so
+    each cycle after the first is linked to an earlier one."""
+    [order] = _link_components(range(len(fam.cycles)), ((l.base, l.derived) for l in fam.links))
+    return tuple(fam.cycles[i] for i in order)
+
+
+def family_candidate_by_domination_tests(g: Graph, groups):
+    """The family audit's best (size, sorted candidate), or None, from
+    adjacency sets: each mark set plus the lone vertices it leaves
+    undominated, kept when `is_dominating` accepts it."""
+    best = None
+    for family in groups:
+        for group, assignments in family:
+            union = {v for c in group for v in c.vertices}
+            lone = [r for r in range(g.n) if r not in union and set(g.adj[r]) <= union]
+            for chosen in assignments:
+                reached = set(chosen).union(*(g.adj[v] for v in chosen))
+                candidate = set(chosen).union(r for r in lone if r not in reached)
+                if is_dominating(g, candidate):
+                    key = (len(candidate), sorted(candidate))
+                    if best is None or key < best:
+                        best = key
+    return best
 
 
 # --- earlier edge deletion: every row rebuilt --------------------------------

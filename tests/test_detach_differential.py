@@ -1,11 +1,13 @@
 """Differential tests of the mask detach audit against the graph-building one.
 
-`check_detach_fact` audits every choice of at most two detachable vertices
-for one anchor set with closed-neighbourhood masks.  The oracle builds the
-vertex-deleted graph and the detached transform for each choice, in the
-same sorted order.  Verdict, vacuous flag, both counts and the witness
-must agree, for minimum dominating sets and for arbitrary anchor sets,
-which are often not dominating and so reach the vacuous branch.
+`check_detach_fact` decides every choice of at most two detachable
+vertices for one anchor set with one mask test of the set, and counts the
+choices without visiting them (its docstring proves both sides reduce to
+"the set dominates g").  The oracle builds the vertex-deleted graph and
+the detached transform for each choice, in sorted order.  Verdict,
+vacuous flag and both counts must agree, for minimum dominating sets and
+for arbitrary anchor sets, which are often not dominating and so reach
+the vacuous branch.
 """
 
 import pytest

@@ -26,7 +26,7 @@ from domlab.seams import (
     try_ear_link,
 )
 
-from _oracles import cycle_from_sequence, family_fault, has_mark_every_third
+from _oracles import cycle_from_sequence, family_fault, has_mark_every_third, in_link_order
 
 
 def families_of(g: Graph):
@@ -277,11 +277,21 @@ def test_prune_dense_family():
     ]
 
 
-def test_spaced_assignments_return_none_past_the_cap(monkeypatch):
-    group = prune_nonexclusive(families_of(named_graph("petersen"))[0])[0]
-    assert spaced_assignments(group)
-    monkeypatch.setattr(seams, "ASSIGNMENT_CAP", 1)
-    assert spaced_assignments(group) is None
+def test_spaced_assignments_reject_a_cycle_without_an_earlier_edge():
+    # the prism's listing starts with its two triangles, which share no
+    # vertex, so every class fits the second one; in link-graph BFS order
+    # each cycle is linked to an earlier one
+    fam = families_of(named_graph("prism"))[0]
+    assert [c.vertices for c in fam.cycles[:2]] == [(0, 1, 2), (3, 4, 5)]
+    with pytest.raises(ValueError, match="^cycle 1 shares no edge with an earlier cycle$"):
+        spaced_assignments(fam.cycles)
+    assert spaced_assignments(in_link_order(fam)) == ()
+    # two triangles on one vertex: where the first leaves it unmarked,
+    # two classes of the second fit
+    with pytest.raises(ValueError, match="^cycle 1 shares no edge"):
+        spaced_assignments((Cycle((0, 1, 2)), Cycle((0, 3, 4))))
+    with pytest.raises(ValueError, match="at least one cycle"):
+        spaced_assignments(())
 
 
 def test_assignments():
@@ -334,7 +344,7 @@ def test_link_graph_stops_at_its_deadline():
 def test_spaced_assignments_are_valid_everywhere():
     for name in ("k4", "prism", "petersen", "c9"):
         for fam in families_of(named_graph(name)):
-            for cycles in (fam.cycles, *prune_nonexclusive(fam)):
+            for cycles in (in_link_order(fam), *prune_nonexclusive(fam)):
                 for marks in spaced_assignments(cycles):
                     assert all(has_mark_every_third(c, marks) for c in cycles)
 
@@ -375,6 +385,6 @@ def test_petersen_full_family_has_no_assignment():
     # thirty heavily overlapping cycles admit no consistent mark classes;
     # only the pruned exclusive groups do
     fam = families_of(named_graph("petersen"))[0]
-    assert spaced_assignments(fam.cycles) == ()
+    assert spaced_assignments(in_link_order(fam)) == ()
     for group in prune_nonexclusive(fam):
         assert spaced_assignments(group) != ()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from domlab import Graph, cli, encode_graph6, named_graph, random_cubic, seams, sweep
+from domlab import Graph, cli, encode_graph6, named_graph, prune_nonexclusive, random_cubic, seams, sweep
 from domlab.checks import CHECKS, Check, Facts
 from domlab.cli import generate_corpus
 from domlab.sweep import (
@@ -21,7 +21,7 @@ from domlab.sweep import (
     summary_to_csv,
 )
 
-from _oracles import family_fault
+from _oracles import family_fault, spaced_assignments_by_search
 
 
 FIXTURE_LINES = [encode_graph6(named_graph(n)) for n in ("k4", "c6", "prism")]
@@ -305,12 +305,19 @@ def test_cli_csg_budget_stops_inside_the_cycle_listing():
     assert done.stdout == "verdict: timeout after 100 ms (cycle listing)\n"
 
 
-def test_cli_csg_prints_a_truncated_mark_search(monkeypatch, capsys):
-    monkeypatch.setattr(seams, "ASSIGNMENT_CAP", 1)
-    assert cli.main(["csg", "petersen"]) == 0
-    out = capsys.readouterr().out
-    assert "  exclusive 0: cycles=1 assignment=truncated\n  exclusive 1: cycles=1 assignment=truncated\n" in out
-    assert out.endswith("verdict: holds=False gamma=3 candidate_size=None candidate=None\n")
+@pytest.mark.parametrize("graph", ["k4", "prism", "petersen", "theta(2,2,2)"])
+def test_cli_csg_prints_each_group_with_its_first_mark_set(capsys, graph):
+    # the mark search has no cap, so every group shows a set or "none",
+    # the first set of the backtracking search
+    assert cli.main(["csg", graph]) == 0
+    shown = [line.split("assignment=")[1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  exclusive ")]
+    expected = []
+    for fam in Facts(cli._resolve_graph(graph)).families:
+        for group in prune_nonexclusive(fam):
+            marks = spaced_assignments_by_search(group)
+            expected.append("{" + ",".join(map(str, sorted(marks[0]))) + "}" if marks else "none")
+    assert shown == expected and expected
 
 
 def test_cli_sweep_rejects_an_unknown_check(capsys):
@@ -380,12 +387,12 @@ def test_cli_sweep_misspelt_check_keeps_the_output_file(capsys, tmp_path):
     assert out.read_text() == "kept\n"
 
 
-def test_assignment_cap_truncates_the_family_verdict(monkeypatch):
-    monkeypatch.setattr(seams, "ASSIGNMENT_CAP", 1)
-    verdict = CHECKS["family_dset"].evaluate(Facts(named_graph("petersen")))
-    assert not verdict.holds
-    assert verdict.info["truncated"] is True and verdict.info["candidate"] is None
-    line = encode_graph6(named_graph("petersen"))
+@pytest.mark.parametrize("graph", ["k4", "prism", "petersen"])
+def test_family_verdict_keeps_truncated_false(graph):
+    # the key stays in records, always false, until the next schema change
+    verdict = CHECKS["family_dset"].evaluate(Facts(named_graph(graph)))
+    assert verdict.info["truncated"] is False
+    line = encode_graph6(named_graph(graph))
     piece = run_sweep([line], checks=("family_dset",), jobs=1).records[0]["checks"]["family_dset"]
     assert piece == verdict.to_json()
 
