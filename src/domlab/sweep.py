@@ -3,11 +3,12 @@
 One JSONL record per input graph, in input order regardless of
 parallelism.  Records are byte-stable: keys sorted, compact separators,
 and no timing fields unless explicitly requested, so two runs of the same
-sweep diff clean.  The cache is an append-only JSONL file keyed by
-(graph6, check, code digest); one rule, `_cacheable`, decides what it
-stores and serves, and a line that does not parse or breaks the rule is
-skipped with a warning.  Only a sweep that starts a helper process loads
-`multiprocessing`.
+sweep diff clean.  The cache is an append-only JSONL file with one line
+per computed graph, `{"g": graph6, "v": code digest, "r": {check: piece}}`.
+A line of older code is skipped unread; one rule, `_cacheable`, decides
+what a line may hold, and a line that does not parse or breaks the rule is
+skipped whole with a warning.  Only a sweep that starts a helper process
+loads `multiprocessing`.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ def open_text(path: str, mode: str, role: str):
 
 
 class VerdictCache:
-    """Append-only JSONL cache keyed by (graph6, check, `CODE_DIGEST`)."""
+    """Append-only JSONL cache: one line per graph, pieces keyed by check,
+    served only under the live `CODE_DIGEST`."""
 
     def __init__(self, path: str):
-        self.entries: dict[tuple[str, str, str], dict] = {}
+        self.entries: dict[str, dict[str, dict]] = {}
         corrupt = 0
         if os.path.exists(path):
             with open_text(path, "r", "cache") as fh:
@@ -141,9 +143,12 @@ class VerdictCache:
                         continue
                     try:
                         row = json.loads(raw)
-                        key = (row["g"], row["c"], row["v"])
-                        if _cacheable(row["c"], row["r"]):
-                            self.entries[key] = row["r"]
+                        if row["v"] != CODE_DIGEST:
+                            continue  # older code's verdicts are never served, so never read
+                        line, pieces = row["g"], row["r"]
+                        if isinstance(line, str) and isinstance(pieces, dict) and all(
+                                _cacheable(check, piece) for check, piece in pieces.items()):
+                            self.entries.setdefault(line, {}).update(pieces)
                             continue
                     except (json.JSONDecodeError, KeyError, TypeError):
                         pass
@@ -153,16 +158,18 @@ class VerdictCache:
 
     def get(self, line: str, names: tuple[str, ...]) -> dict[str, dict]:
         """The cached pieces of `line` among `names`, in a new dict."""
-        found = {name: self.entries.get((line, name, CODE_DIGEST)) for name in names}
-        return {name: piece for name, piece in found.items() if piece is not None}
+        have = self.entries.get(line, {})
+        return {name: have[name] for name in names if name in have}
 
     def put(self, fh, line: str, pieces: dict[str, dict]) -> None:
-        """Append to `fh` each of `pieces` that the cache may hold and lacks."""
-        for check, piece in pieces.items():
-            key = (line, check, CODE_DIGEST)
-            if key not in self.entries and _cacheable(check, piece):
-                self.entries[key] = piece
-                fh.write(json.dumps({"g": line, "c": check, "v": CODE_DIGEST, "r": piece}) + "\n")
+        """Append to `fh` one line holding each of `pieces` that the cache
+        may hold and lacks, and nothing when there is none."""
+        have = self.entries.setdefault(line, {})
+        new = {check: piece for check, piece in pieces.items()
+               if check not in have and _cacheable(check, piece)}
+        if new:
+            have.update(new)
+            fh.write(json.dumps({"g": line, "v": CODE_DIGEST, "r": new}) + "\n")
 
 
 Payload = tuple[str, tuple[str, ...], int | None]
@@ -320,8 +327,12 @@ def piece_status(piece: dict) -> str:
     return "holds" if piece["holds"] else "violation"
 
 
+# the encoder `json.dumps` would build anew on every record
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def record_to_jsonl(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _RECORD_ENCODER.encode(record)
 
 
 def summary_to_csv(summary: dict) -> str:

@@ -89,13 +89,17 @@ def test_code_digest_changes_with_one_source_byte(tmp_path):
     assert sweep.source_digest(tmp_path) != CODE_DIGEST
 
 
-def test_cache_keyed_by_version(tmp_path):
+def test_cache_keyed_by_version(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     run_sweep(FIXTURE_LINES[:1], checks=("third_bound",), cache_path=str(cache))
     stale = cache.read_text().replace('"v": "', '"v": "0.0.-')
-    cache.write_text(stale, encoding="utf-8")
+    # a line in the layout of caches that held one check per line
+    [row] = [json.loads(raw) for raw in stale.splitlines()]
+    per_check = {"g": row["g"], "c": "base", "v": row["v"], "r": row["r"]["base"]}
+    cache.write_text(stale + json.dumps(per_check) + "\n", encoding="utf-8")
     rerun = run_sweep(FIXTURE_LINES[:1], checks=("third_bound",), cache_path=str(cache))
     assert rerun.summary["cache_hits"] == 0
+    assert "corrupt" not in capsys.readouterr().err  # stale lines are skipped, not counted
 
 
 def test_cache_survives_corruption(tmp_path, capsys):
@@ -113,14 +117,14 @@ def test_cache_base_with_gamma_above_idom_is_corrupt(tmp_path, capsys):
     # K4 is `C~`; every key is present, but no graph has gamma above idom
     cache = tmp_path / "cache.jsonl"
     base = {"n": 4, "m": 6, "connectivity": 3, "cubic": True, "gamma": 1, "idom": 1, "reed_bound": 2}
-    row = {"g": "C~", "c": "base", "v": CODE_DIGEST, "r": base}
-    # under the live key the true row is served ...
+    row = {"g": "C~", "v": CODE_DIGEST, "r": {"base": base}}
+    # under the live digest the true line is served ...
     cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
     assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1", "--checks", "third_bound",
                      "--cache", str(cache)]) == 0
     assert "cache_hits=1" in capsys.readouterr().err
-    # ... and the same row with gamma above idom is not
-    cache.write_text(json.dumps({**row, "r": {**base, "gamma": 2}}) + "\n", encoding="utf-8")
+    # ... and the same line with gamma above idom is not
+    cache.write_text(json.dumps({**row, "r": {"base": {**base, "gamma": 2}}}) + "\n", encoding="utf-8")
     assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1", "--cache", str(cache)]) == 0
     out, err = capsys.readouterr()
     assert "warning: ignored 1 corrupt cache lines" in err
@@ -142,7 +146,7 @@ def test_cache_row_missing_what_its_readers_index_is_corrupt(tmp_path, capsys, c
     assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1"]) == 0
     plain = capsys.readouterr().out
     cache = tmp_path / "cache.jsonl"
-    row = {"g": line, "c": check, "v": CODE_DIGEST, "r": piece}
+    row = {"g": line, "v": CODE_DIGEST, "r": {check: piece}}
     cache.write_text(json.dumps(row) + "\n", encoding="utf-8")
     assert cli.main(["sweep", "--corpus", "random-cubic n=4 count=1", "--cache", str(cache)]) == 0
     out, err = capsys.readouterr()
@@ -159,9 +163,94 @@ def test_cache_put_writes_only_what_the_cache_may_serve(tmp_path):
         cache.put(fh, "C~", {"base": UNSOLVED_BASE, "third_bound": {"timeout": True}})
         cache.put(fh, "C~", {"mod3_cycle_exists": skip})
     rows = [json.loads(raw) for raw in path.read_text().splitlines()]
-    assert rows == [{"g": "C~", "c": "mod3_cycle_exists", "v": CODE_DIGEST, "r": skip}]
+    assert rows == [{"g": "C~", "v": CODE_DIGEST, "r": {"mod3_cycle_exists": skip}}]
     assert VerdictCache(str(path)).get("C~", ("base", "third_bound", "mod3_cycle_exists")) == {
         "mod3_cycle_exists": skip}
+
+
+def k4_cache_line(tmp_path) -> dict:
+    """The one cache line a cold sweep of K4 under `third_bound` writes."""
+    cache = tmp_path / "k4.jsonl"
+    run_sweep(FIXTURE_LINES[:1], checks=("third_bound",), cache_path=str(cache))
+    [raw] = cache.read_text().splitlines()
+    return json.loads(raw)
+
+
+@pytest.mark.parametrize("malformed", [
+    lambda good: [],
+    lambda good: "x",
+    lambda good: {"g": good["g"], "r": good["r"]},  # no "v"
+    lambda good: {**good, "r": list(good["r"].items())},
+    lambda good: {**good, "g": [good["g"]]},
+    lambda good: {**good, "r": {**good["r"], "claw_free_equal": {"timeout": True}}},
+], ids=["list", "string", "no-v", "r-list", "g-list", "one-bad-piece"])
+def test_malformed_cache_line_counts_once_and_serves_nothing(tmp_path, capsys, malformed):
+    good = k4_cache_line(tmp_path)
+    assert set(good["r"]) == {"base", "third_bound"}
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(malformed(good)) + "\n", encoding="utf-8")
+    rerun = run_sweep(FIXTURE_LINES[:1], checks=("third_bound",), cache_path=str(cache))
+    assert f"warning: ignored 1 corrupt cache lines in {cache}" in capsys.readouterr().err
+    assert rerun.summary["cache_hits"] == 0
+
+
+def test_cache_lines_of_one_graph_merge_and_the_later_wins(tmp_path):
+    good = k4_cache_line(tmp_path)
+    later = {"skipped": "a later line"}
+    rows = [{**good, "r": {"base": good["r"]["base"]}},
+            {**good, "r": {"third_bound": good["r"]["third_bound"]}},
+            {**good, "r": {"third_bound": later}}]
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert VerdictCache(str(cache)).get(good["g"], ("base", "third_bound", "claw_free_equal")) == {
+        "base": good["r"]["base"], "third_bound": later}
+
+
+def test_cache_appends_one_line_per_computed_graph(tmp_path):
+    lines = generate_corpus("random-cubic n=8 count=4 seed=3") + FIXTURE_LINES
+    assert len(set(lines)) == len(lines)
+    cache = tmp_path / "cache.jsonl"
+
+    def appended(batch: list[str]) -> int:
+        before = len(cache.read_text().splitlines()) if cache.exists() else 0
+        run_sweep(batch, cache_path=str(cache))
+        return len(cache.read_text().splitlines()) - before
+
+    assert appended(lines[::2]) == len(lines[::2])
+    assert appended(lines) == len(lines[1::2])  # only the graphs not yet cached
+    assert appended(lines) == 0
+
+
+def test_partial_sweeps_fill_one_cache_that_a_warm_rerun_reads_whole(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    lines = generate_corpus("random-cubic n=8 count=3 seed=3") + FIXTURE_LINES
+    cold = run_sweep(lines)
+    want = ([record_to_jsonl(r) for r in cold.records], summary_to_csv(cold.summary))
+
+    def output(result) -> tuple[list[str], str]:
+        return [record_to_jsonl(r) for r in result.records], summary_to_csv(result.summary)
+
+    partial = st.tuples(st.lists(st.sampled_from(range(len(lines))), unique=True, min_size=1),
+                        st.lists(st.sampled_from(DEFAULT_CHECKS), unique=True),
+                        st.sampled_from([1, 2]))
+
+    @settings(max_examples=10)
+    @given(st.lists(partial, min_size=1, max_size=3), st.sampled_from([1, 2]))
+    def fill_then_rerun(sweeps, jobs):
+        cache = tmp_path / "cache.jsonl"
+        cache.unlink(missing_ok=True)
+        for picks, checks, sweep_jobs in sweeps:
+            run_sweep([lines[i] for i in sorted(picks)], checks=tuple(checks), jobs=sweep_jobs,
+                      cache_path=str(cache))
+        assert output(run_sweep(lines, jobs=jobs, cache_path=str(cache))) == want
+        warm = run_sweep(lines, jobs=jobs, cache_path=str(cache))
+        assert warm.summary["cache_misses"] == 0
+        assert output(warm) == want
+
+    fill_then_rerun()
 
 
 def test_jsonl_is_sorted_and_compact():
@@ -620,7 +709,7 @@ def test_timeout_reaches_only_checks_that_read_gamma_or_idom(tmp_path):
     assert claw["holds"] and claw["vacuous"] and "claw" in claw["info"]
     assert rec["checks"]["third_bound"] == {"timeout": True, "phase": "domination solve"}
     cached = [json.loads(raw) for raw in cache.read_text().splitlines()]
-    assert [row["c"] for row in cached] == ["claw_free_equal"]
+    assert [list(row["r"]) for row in cached] == [["claw_free_equal"]]
     rerun = run_sweep([line], checks=checks, budget_ms=200, cache_path=str(cache))
     assert rerun.summary["cache_hits"] == 1
     assert rerun.records[0]["checks"]["claw_free_equal"] == claw
