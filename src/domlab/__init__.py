@@ -41,7 +41,6 @@ from .reduction import (
 from .cycles import Cycle, mod3_cycles
 from .seams import (
     CycleCollection,
-    EarLink,
     family_dset_audit,
     prune_nonexclusive,
     seamless_families,
@@ -80,7 +79,6 @@ __all__ = [
     "Cycle",
     "mod3_cycles",
     "CycleCollection",
-    "EarLink",
     "family_dset_audit",
     "prune_nonexclusive",
     "seamless_families",

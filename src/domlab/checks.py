@@ -191,22 +191,27 @@ def _core_free_equal(f: Facts) -> AuditVerdict:
 
 
 def _pair_separation(f: Facts) -> AuditVerdict:
-    """Every minimum-edge minimum dominating set separates its induced pairs."""
+    """Every minimum-edge minimum dominating set separates its induced pairs.
+
+    Every kept set has size gamma and induces `floor` edges, and
+    `check_pair_separation` calls a set vacuous exactly when it induces
+    no edge or has fewer than three members.  So either every kept set is
+    vacuous (floor = 0 or gamma < 3) and none is tested, or none is.
+    """
     keepers, floor = f.min_edge_dsets
-    vacuous = 0
-    for dset in keepers:
-        verdict = check_pair_separation(f.g, dset)
-        if not verdict.holds:
-            return verdict
-        if verdict.vacuous:
-            vacuous += 1
+    vacuous = floor == 0 or f.gamma < 3
+    if not vacuous:
+        for dset in keepers:
+            verdict = check_pair_separation(f.g, dset)
+            if not verdict.holds:
+                return verdict
     info = {
         "dsets": len(keepers),
-        "vacuous_dsets": vacuous,
+        "vacuous_dsets": len(keepers) if vacuous else 0,
         "min_induced_edges": floor,
         "truncated": f.min_dsets.truncated,
     }
-    return AuditVerdict(True, vacuous=vacuous == len(keepers), info=info)
+    return AuditVerdict(True, vacuous=vacuous, info=info)
 
 
 def _edge_removal(f: Facts) -> AuditVerdict:

@@ -21,7 +21,7 @@ from .sweep import (
     CACHE_ENV,
     DEFAULT_CHECKS,
     check_names,
-    open_text,
+    open_path,
     record_to_jsonl,
     records_to_csv,
     run_sweep,
@@ -150,8 +150,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # a misspelt check truncates no output; a bad output path fails before any graph is computed
     check_names(checks)
     with ExitStack() as stack:
-        out = stack.enter_context(open_text(args.out, "w", "output")) if args.out else sys.stdout
-        summary = stack.enter_context(open_text(args.summary, "w", "summary")) if args.summary else sys.stderr
+        out = stack.enter_context(open_path(args.out, "w", "output")) if args.out else sys.stdout
+        summary = stack.enter_context(open_path(args.summary, "w", "summary")) if args.summary else sys.stderr
         result = run_sweep(
             lines,
             checks=checks,

@@ -4,10 +4,11 @@ Two 0-mod-3 cycles connect without seam when one equals the other with a
 single arc swapped for a single ear: the derived cycle is (base minus the
 replaced arc) plus the ear, whose interior avoids the base entirely.
 Such an ear is unique when it exists: it holds every derived edge that
-is not a base edge, so `try_ear_link` finds it in one pass over the
-derived cycle.  Whether two listed cycles link at all is decided by
-counting what they share: s vertices and s - 1 edges, with s >= 2 (the
-lemma in `seamless_families`), two integer ANDs on per-cycle bitmasks.
+is not a base edge, so `try_ear_link` tests for it in one pass over the
+derived cycle, and a link is kept as its (base, derived) index pair.
+Whether two listed cycles link at all is decided by counting what they
+share: s vertices and s - 1 edges, with s >= 2 (the lemma in
+`seamless_families`), two integer ANDs on per-cycle bitmasks.
 A `CycleCollection` is one component of that link graph, so its links
 are seamless and connect it by construction.  Pruning splits a family
 into exclusive groups: tuples of its cycles in which every cycle owns
@@ -32,30 +33,9 @@ from .graphs import Graph
 from .reduction import AuditVerdict
 
 
-@dataclass(frozen=True)
-class EarLink:
-    """One seamless step: derived = (base minus replaced_arc) plus ear.
-
-    Both paths run from the same first to the same last vertex; the ear's
-    interior is disjoint from the base cycle.
-    """
-
-    base: int
-    derived: int
-    ear: tuple[int, ...]
-    replaced_arc: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.ear) < 2 or len(self.replaced_arc) < 2:
-            raise ValueError("ear and replaced arc need two endpoints each")
-        if self.ear[0] == self.ear[-1]:
-            raise ValueError("an ear is a path, not a cycle")
-        if (self.ear[0], self.ear[-1]) != (self.replaced_arc[0], self.replaced_arc[-1]):
-            raise ValueError("ear and replaced arc must share their endpoints")
-
-
-def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: int) -> EarLink | None:
-    """Seamless link from base to derived, or None, in one pass over derived.
+def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: int) -> tuple[int, int] | None:
+    """The link (base_index, derived_index) when base links seamlessly to
+    derived, or None, in one pass over derived.
 
     The ear runs from an on-base position i of derived to the next
     on-base position j, and the kept arc from j round to i must be a
@@ -70,11 +50,9 @@ def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: in
     not a base edge.  The first such vertex is the one candidate; the
     kept-arc test rejects it when a second gap or a second chord exists.
     That test reads base from the kept arc's first vertex in direction
-    +1, then -1 (at most one can match on three or more vertices), and
-    the replaced arc continues in the matching direction from the ear's
-    first vertex round to its last.  Trying every pair of on-base
-    positions in order finds this same split first, since no other pair
-    succeeds.
+    +1, then -1; the rest of base in the matching direction is the
+    replaced arc.  Trying every pair of on-base positions in order finds
+    this same split first, since no other pair succeeds.
     """
     bv, dv = base.vertices, derived.vertices
     if bv == dv:
@@ -92,15 +70,12 @@ def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: in
         j = (j + 1) % n
     if j == i:  # derived meets base in this one vertex
         return None
-    turned = dv[j:] + dv[:j]  # derived from j: the kept arc, then the ear
     cut = (i - j) % n + 1
-    kept = turned[:cut]
+    kept = (dv[j:] + dv[:j])[:cut]  # derived from j: the kept arc, then the ear
     p = where[dv[j]]
     ahead = bv[p:] + bv[:p]
-    for walk in (ahead, ahead[:1] + ahead[:0:-1]):
-        if walk[:cut] == kept:
-            ear = turned[cut - 1 :] + turned[:1]
-            return EarLink(base_index, derived_index, ear, walk[cut - 1 :] + walk[:1])
+    if kept in (ahead[:cut], (ahead[:1] + ahead[:0:-1])[:cut]):
+        return base_index, derived_index
     return None
 
 
@@ -143,7 +118,7 @@ class CycleCollection:
     """
 
     cycles: tuple[Cycle, ...]
-    links: tuple[EarLink, ...]
+    links: tuple[tuple[int, int], ...]  # (base, derived) indexes into cycles
 
     def __post_init__(self) -> None:
         if not self.cycles:
@@ -153,7 +128,7 @@ class CycleCollection:
         if any(len(c) % 3 for c in self.cycles):
             raise ValueError("every cycle length must be divisible by 3")
         k = len(self.cycles)
-        if any(not (0 <= link.base < k and 0 <= link.derived < k) for link in self.links):
+        if any(not (0 <= a < k and 0 <= b < k) for a, b in self.links):
             raise ValueError("link refers to a cycle outside the collection")
 
     @property
@@ -210,8 +185,8 @@ def seamless_families(
     replaced arc.  If S = V(B), B is K plus the edge joining K's ends, a
     replaced arc of one edge; read from D, that edge is a chord ear.
 
-    Only linked pairs reach `try_ear_link`, still the only function that
-    builds an `EarLink`.  The families are the connected components of the link
+    Only linked pairs reach `try_ear_link`, which returns each link as
+    its index pair.  The families are the connected components of the link
     graph, ordered by their smallest member: growing a family from a seed
     until no listed cycle links to it reaches exactly the seed's
     component.  Each family's links are built once, in pair order, with
@@ -231,7 +206,7 @@ def seamless_families(
                 pairs.append((a, b))
     members = [sorted(order) for order in _link_components(range(k), pairs)]
     place = {i: (f, pos) for f, family in enumerate(members) for pos, i in enumerate(family)}
-    links: list[list[EarLink]] = [[] for _ in members]
+    links: list[list[tuple[int, int]]] = [[] for _ in members]
     for built, (a, b) in enumerate(pairs):
         if built % 1024 == 0:
             check_deadline(deadline, "link graph")
@@ -270,8 +245,7 @@ def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
             uses.subtract(vertices)
         else:
             kept.append(i)
-    pairs = ((link.base, link.derived) for link in fam.links)
-    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(sorted(kept), pairs))
+    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(sorted(kept), fam.links))
 
 
 def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...]:

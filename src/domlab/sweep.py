@@ -120,10 +120,10 @@ def _cacheable(check: str, piece) -> bool:
     return verdict or "skipped" in piece
 
 
-def open_text(path: str, mode: str, role: str):
-    """`open(path, mode)` in UTF-8, raising an OSError as a ValueError naming the path."""
+def open_path(path: str, mode: str, role: str):
+    """`open(path, mode)`, text in UTF-8, raising an OSError as a ValueError naming the path."""
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise ValueError(f"cannot open {role} {path}: {exc.strerror}") from None
 
@@ -136,7 +136,7 @@ class VerdictCache:
         self.entries: dict[str, dict[str, dict]] = {}
         corrupt = 0
         if os.path.exists(path):
-            with open_text(path, "r", "cache") as fh:
+            with open_path(path, "rb", "cache") as fh:
                 for raw in fh:
                     raw = raw.strip()
                     if not raw:
@@ -150,8 +150,8 @@ class VerdictCache:
                                 _cacheable(check, piece) for check, piece in pieces.items()):
                             self.entries.setdefault(line, {}).update(pieces)
                             continue
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        pass
+                    except (ValueError, RecursionError, KeyError, TypeError):
+                        pass  # not UTF-8 or not JSON (ValueError), or nested too deep to decode
                     corrupt += 1
         if corrupt:
             print(f"warning: ignored {corrupt} corrupt cache lines in {path}", file=sys.stderr)
@@ -278,7 +278,7 @@ def run_sweep(
     wanted = (BASE_KEY, *checks)
 
     # the cache file is opened before any graph is computed
-    with open_text(cache_path, "a", "cache") if cache else nullcontext() as cache_fh:
+    with open_path(cache_path, "a", "cache") if cache else nullcontext() as cache_fh:
         # each graph's pieces: the cache's first, then the computed ones
         graphs = [cache.get(line, wanted) if cache else {} for line in lines]
         hits = sum(map(len, graphs))

@@ -1,15 +1,18 @@
 """Independent brute-force oracles used only by the tests.
 
 The last sections keep earlier, slower implementations of the exact
-kernels, of the seamless link test and link replay, of the seamless
+kernels, of the seamless link test (which builds each link's ear and
+replaced arc as an `EarLink`) and link replay, of the seamless
 families and their pruning, of the mark search (without its cap) and
 the family audit's candidate test, of edge deletion, of the surgery
-tools' set-based edge and vertex tests and of the detach audit, as
-differential oracles for the code that replaced them.
+tools' set-based edge and vertex tests, of the detach audit and of the
+pair-separation check that tests every kept set, as differential
+oracles for the code that replaced them.
 `family_fault` checks a built family against the definition of a link.
 """
 
 from collections import Counter, deque
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from domlab import Cycle, Graph, is_connected, is_dominating
@@ -17,8 +20,8 @@ from domlab import Cycle, Graph, is_connected, is_dominating
 from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_cut_enumeration
 from domlab.domination import _certificate
 from domlab.graphs import Edge, _disjoint_paths, _split_network, edge_key
-from domlab.reduction import AuditVerdict
-from domlab.seams import CycleCollection, EarLink, _link_components, try_ear_link
+from domlab.reduction import AuditVerdict, check_pair_separation
+from domlab.seams import CycleCollection, _link_components, try_ear_link
 
 
 def cycle_from_sequence(seq) -> Cycle:
@@ -274,6 +277,28 @@ def idom_exact_packing(g: Graph):
 # --- earlier link test and link replay -------------------------------------
 
 
+@dataclass(frozen=True)
+class EarLink:
+    """One seamless step: derived = (base minus replaced_arc) plus ear.
+
+    Both paths run from the same first to the same last vertex; the ear's
+    interior is disjoint from the base cycle.
+    """
+
+    base: int
+    derived: int
+    ear: tuple[int, ...]
+    replaced_arc: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.ear) < 2 or len(self.replaced_arc) < 2:
+            raise ValueError("ear and replaced arc need two endpoints each")
+        if self.ear[0] == self.ear[-1]:
+            raise ValueError("an ear is a path, not a cycle")
+        if (self.ear[0], self.ear[-1]) != (self.replaced_arc[0], self.replaced_arc[-1]):
+            raise ValueError("ear and replaced arc must share their endpoints")
+
+
 def _path_edges(path: tuple[int, ...]) -> list[Edge]:
     return [edge_key(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
@@ -315,33 +340,49 @@ def replay_link_by_edge_sets(base: Cycle, link: EarLink) -> Cycle | None:
     return _cycle_from_edge_set(edges)
 
 
+def ear_fault(base: Cycle, derived: Cycle, link: EarLink) -> str | None:
+    """The first way `link` fails to derive `derived` from `base`, or None.
+
+    Read from the definition alone, with no `seams` code: the ear is a
+    simple path whose interior avoids base; the replaced arc is a simple
+    path of base edges between the ear's ends; and swapping the arc's
+    edges for the ear's rebuilds the derived cycle.
+    """
+    ear, arc = link.ear, link.replaced_arc
+    if len(set(ear)) != len(ear) or set(ear[1:-1]) & set(base.vertices):
+        return f"ear {ear} is no simple path whose interior avoids {base.vertices}"
+    if (
+        (arc[0], arc[-1]) != (ear[0], ear[-1])
+        or len(set(arc)) != len(arc)
+        or not set(_path_edges(arc)) <= set(_cycle_edges(base))
+    ):
+        return f"replaced arc {arc} is no path of edges of {base.vertices} between {ear[0]} and {ear[-1]}"
+    if replay_link_by_edge_sets(base, link) != derived:
+        return f"swapping {arc} for {ear} in {base.vertices} does not rebuild {derived.vertices}"
+    return None
+
+
 def family_fault(fam) -> str | None:
     """The first way `fam` breaks the definition of a seamless family,
     or None when it meets it.
 
-    Read from the definition alone, with no `seams` code: every ear is a
-    simple path whose interior avoids its base; every replaced arc is a
-    simple path of base edges between the ear's ends; swapping the arc's
-    edges for the ear's rebuilds the derived cycle; and the links connect
-    all the family's cycles.
+    Each link (a, b) must lead from cycle a to cycle b: the split oracle
+    `try_ear_link_by_splits`, which shares no code with `seams`, builds
+    its ear and replaced arc, and `ear_fault` checks them.  The links
+    must also connect all the family's cycles.
     """
-    for link in fam.links:
-        base, derived = fam.cycles[link.base], fam.cycles[link.derived]
-        ear, arc = link.ear, link.replaced_arc
-        if len(set(ear)) != len(ear) or set(ear[1:-1]) & set(base.vertices):
-            return f"ear {ear} is no simple path whose interior avoids {base.vertices}"
-        if (
-            (arc[0], arc[-1]) != (ear[0], ear[-1])
-            or len(set(arc)) != len(arc)
-            or not set(_path_edges(arc)) <= set(_cycle_edges(base))
-        ):
-            return f"replaced arc {arc} is no path of edges of {base.vertices} between {ear[0]} and {ear[-1]}"
-        if replay_link_by_edge_sets(base, link) != derived:
-            return f"swapping {arc} for {ear} in {base.vertices} does not rebuild {derived.vertices}"
+    for a, b in fam.links:
+        base, derived = fam.cycles[a], fam.cycles[b]
+        link = try_ear_link_by_splits(base, derived, a, b)
+        if link is None:
+            return f"no ear leads from {base.vertices} to {derived.vertices}"
+        fault = ear_fault(base, derived, link)
+        if fault is not None:
+            return fault
     nbrs: dict[int, set[int]] = {i: set() for i in range(len(fam.cycles))}
-    for link in fam.links:
-        nbrs[link.base].add(link.derived)
-        nbrs[link.derived].add(link.base)
+    for a, b in fam.links:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     reached, queue = {0}, deque([0])
     while queue:
         for j in nbrs[queue.popleft()] - reached:
@@ -427,12 +468,10 @@ def seamless_families_by_pair_tests(cycles):
         if link is not None:
             links.append(link)
     families = []
-    pairs = [(l.base, l.derived) for l in links]
-    for order in _link_components(range(len(cycles)), pairs):
+    for order in _link_components(range(len(cycles)), links):
         members = sorted(order)
         pos = {i: li for li, i in enumerate(members)}
-        own = [EarLink(pos[l.base], pos[l.derived], l.ear, l.replaced_arc)
-               for l in links if l.base in pos]
+        own = [(pos[a], pos[b]) for a, b in links if a in pos]
         families.append(CycleCollection(tuple(cycles[i] for i in members), tuple(own)))
     return tuple(families)
 
@@ -445,14 +484,7 @@ def _collection_from(cycles, indexes, pair_link):
         for b in range(a + 1, len(indexes)):
             link = pair_link(indexes[a], indexes[b])
             if link is not None:
-                links.append(
-                    EarLink(
-                        base=pos[link.base],
-                        derived=pos[link.derived],
-                        ear=link.ear,
-                        replaced_arc=link.replaced_arc,
-                    )
-                )
+                links.append((pos[link.base], pos[link.derived]))
     return CycleCollection(tuple(local), tuple(links))
 
 
@@ -563,8 +595,7 @@ def prune_nonexclusive_by_fixpoint(fam):
         if not lacking:
             break
         del kept[min(lacking, key=lambda li: fam.cycles[kept[li]].vertices)]
-    pairs = ((l.base, l.derived) for l in fam.links)
-    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(kept, pairs))
+    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(kept, fam.links))
 
 
 # --- earlier mark search: backtracking over residue classes -----------------
@@ -604,7 +635,7 @@ def spaced_assignments_by_search(cycles) -> tuple[frozenset[int], ...]:
 def in_link_order(fam) -> tuple:
     """A family's cycles in link-graph BFS order from its first cycle, so
     each cycle after the first is linked to an earlier one."""
-    [order] = _link_components(range(len(fam.cycles)), ((l.base, l.derived) for l in fam.links))
+    [order] = _link_components(range(len(fam.cycles)), fam.links)
     return tuple(fam.cycles[i] for i in order)
 
 
@@ -776,3 +807,27 @@ def detach_audit_by_transforms(g: Graph, anchors) -> AuditVerdict:
         vacuous += verdict.vacuous
     info = {"transforms": transforms, "vacuous": vacuous}
     return AuditVerdict(True, vacuous=vacuous == transforms, info=info)
+
+
+# --- earlier pair separation: every kept set tested --------------------------
+
+
+def pair_separation_by_sets(f) -> AuditVerdict:
+    """The `tight_pair_separation` verdict on `Facts` f, with
+    `check_pair_separation` run on every kept set and the vacuous ones
+    counted."""
+    keepers, floor = f.min_edge_dsets
+    vacuous = 0
+    for dset in keepers:
+        verdict = check_pair_separation(f.g, dset)
+        if not verdict.holds:
+            return verdict
+        if verdict.vacuous:
+            vacuous += 1
+    info = {
+        "dsets": len(keepers),
+        "vacuous_dsets": vacuous,
+        "min_induced_edges": floor,
+        "truncated": f.min_dsets.truncated,
+    }
+    return AuditVerdict(True, vacuous=vacuous == len(keepers), info=info)

@@ -58,8 +58,8 @@ def assert_group_is_exclusive(fam, group, survivors) -> None:
     frontier = [index[group[0]]]
     while frontier:
         i = frontier.pop()
-        for link in fam.links:
-            for a, b in ((link.base, link.derived), (link.derived, link.base)):
+        for base, derived in fam.links:
+            for a, b in ((base, derived), (derived, base)):
                 if a == i and b in inside and b not in reached:
                     reached.add(b)
                     frontier.append(b)

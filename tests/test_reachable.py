@@ -7,13 +7,16 @@ definition (the `CHECKS` registry, the `__main__` guard), through any
 reference in the body of a reached definition: a bare name resolved
 through the module's own definitions and its imports from the package,
 or `module.attr` on an imported package module.  A reached class brings
-its bases, decorators, fields and dunder methods; each other method or
-property of it is reached only once a reached body reads an attribute of
-that name (`x.name`, on any object).  A top-level function or class, or
-a method, public or private, that only unit tests call is reported by
+its bases, decorators, field declarations and dunder methods; each other
+method or property of it is reached only once a reached body reads an
+attribute of that name (`x.name`, on any object).  A field of a reached
+dataclass is reached the same way, except that a read in its own class's
+`__post_init__` does not count: a field that only its own validation
+reads feeds nothing.  A top-level function or class, or a method, field
+or property, public or private, that only unit tests read is reported by
 name.  The walk is type-blind, so it errs towards reaching: a local
 variable that shadows a module-level name counts as a reference to it,
-and any attribute read of a method's name reaches it.
+and any attribute read of a member's name reaches it.
 """
 
 import ast
@@ -73,6 +76,12 @@ def _is_method(stmt: ast.stmt) -> bool:
         stmt.name.startswith("__") and stmt.name.endswith("__"))
 
 
+def _is_dataclass(stmt: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in stmt.decorator_list)
+
+
 def _attributes(node: ast.AST) -> set[str]:
     return {sub.attr for sub in ast.walk(node)
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
@@ -82,7 +91,8 @@ def unreached_names(modules: dict[str, ast.Module] | None = None) -> list[str]:
     modules = _modules() if modules is None else modules
     bindings = {name: _bindings(name, tree, modules) for name, tree in modules.items()}
     bodies: dict[tuple[str, str], list[ast.AST]] = {}
-    methods: dict[tuple[str, str], list[tuple[str, tuple[str, str]]]] = {}
+    # class -> (attribute name, member, the reader that does not reach it)
+    members: dict[tuple[str, str], list[tuple[str, tuple[str, str], tuple | None]]] = {}
     roots = {ROOT}
     for name, tree in modules.items():
         for stmt in tree.body:
@@ -97,9 +107,14 @@ def unreached_names(modules: dict[str, ast.Module] | None = None) -> list[str]:
                     if _is_method(inner):
                         method = (name, f"{stmt.name}.{inner.name}")
                         bodies.setdefault(method, []).append(inner)
-                        methods.setdefault(key, []).append((inner.name, method))
-                    else:
-                        body.append(inner)
+                        members.setdefault(key, []).append((inner.name, method, None))
+                        continue
+                    body.append(inner)
+                    if (_is_dataclass(stmt) and isinstance(inner, ast.AnnAssign)
+                            and isinstance(inner.target, ast.Name)):
+                        field = (name, f"{stmt.name}.{inner.target.id}")
+                        bodies.setdefault(field, [])
+                        members.setdefault(key, []).append((inner.target.id, field, ("__post_init__", key)))
             elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
             else:
@@ -115,8 +130,9 @@ def unreached_names(modules: dict[str, ast.Module] | None = None) -> list[str]:
         return key
 
     reached: set[tuple[str, str]] = set()
-    read: set[str] = set()  # attribute names that reached bodies read
-    waiting: dict[str, list[tuple[str, str]]] = {}  # attribute name -> methods
+    # attribute name -> its readers: reached bodies, or ("__post_init__", class)
+    readers: dict[str, set[tuple]] = {}
+    waiting: dict[str, list[tuple[tuple[str, str], tuple | None]]] = {}  # attribute name -> members
     todo = [resolve(r) for r in roots]
     while todo:
         key = todo.pop()
@@ -125,14 +141,19 @@ def unreached_names(modules: dict[str, ast.Module] | None = None) -> list[str]:
         reached.add(key)
         for node in bodies.get(key, ()):
             todo.extend(resolve(r) for r in _references(node, bindings[key[0]]))
-            for attr in _attributes(node) - read:
-                read.add(attr)
-                todo.extend(waiting.pop(attr, ()))
-        for attr, method in methods.get(key, ()):
-            if attr in read:
-                todo.append(method)
+            reader = ("__post_init__", key) if getattr(node, "name", None) == "__post_init__" else key
+            for attr in _attributes(node):
+                readers.setdefault(attr, set()).add(reader)
+                pending = waiting.pop(attr, [])
+                todo.extend(member for member, skip in pending if skip != reader)
+                blocked = [(member, skip) for member, skip in pending if skip == reader]
+                if blocked:
+                    waiting[attr] = blocked
+        for attr, member, skip in members.get(key, ()):
+            if readers.get(attr, set()) - {skip}:
+                todo.append(member)
             else:
-                waiting.setdefault(attr, []).append(method)
+                waiting.setdefault(attr, []).append((member, skip))
     return sorted(f"{m}.{n}" for m, n in set(bodies) - reached)
 
 
@@ -153,3 +174,20 @@ def test_a_method_is_reached_only_through_an_attribute_of_its_name():
     modules = {name: ast.parse(text) for name, text in source.items()}
     # `size` is read by main and `grow` by size; an assignment reads nothing
     assert unreached_names(modules) == ["shapes.Box.unused"]
+
+
+def test_a_field_read_only_by_its_own_validation_is_unreached():
+    source = {
+        "cli": "from .shapes import Pair, Plain\n\ndef main():\n    return Pair(1, 2).low, Plain()\n",
+        "shapes": ("from dataclasses import dataclass\n\n"
+                   "@dataclass(frozen=True)\nclass Pair:\n    low: int\n    high: int\n"
+                   "    def __post_init__(self):\n"
+                   "        if self.low > self.high or Span(1).width < 0:\n"
+                   "            raise ValueError\n\n"
+                   "@dataclass\nclass Span:\n    width: int\n\n"
+                   "class Plain:\n    size: int\n"),
+    }
+    modules = {name: ast.parse(text) for name, text in source.items()}
+    # `low` is read by main; `width` by another class's validation; `size`
+    # is no dataclass field
+    assert unreached_names(modules) == ["shapes.Pair.high"]

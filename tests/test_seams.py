@@ -20,13 +20,20 @@ from domlab import seams
 from domlab.checks import CHECKS, Facts
 from domlab.seams import (
     CycleCollection,
-    EarLink,
     _link_components,
     exclusive_groups,
     try_ear_link,
 )
 
-from _oracles import cycle_from_sequence, family_fault, has_mark_every_third, in_link_order
+from _oracles import (
+    EarLink,
+    cycle_from_sequence,
+    ear_fault,
+    family_fault,
+    has_mark_every_third,
+    in_link_order,
+    try_ear_link_by_splits,
+)
 
 
 def families_of(g: Graph):
@@ -41,7 +48,7 @@ def test_try_ear_link_triangle_pair():
     base = Cycle((0, 2, 3))
     derived = Cycle((1, 2, 3))
     link = try_ear_link(base, derived, 0, 1)
-    assert link is not None
+    assert link == (0, 1)
     assert family_fault(CycleCollection((base, derived), (link,))) is None
     # identical cycles never link
     assert try_ear_link(base, base, 0, 0) is None
@@ -53,9 +60,9 @@ def test_try_ear_link_prism_triangle_to_hexagon():
     tri = Cycle((0, 1, 2))
     hexagon = cycle_from_sequence((0, 1, 4, 3, 5, 2))
     link = try_ear_link(tri, hexagon, 0, 1)
-    assert link is not None
-    assert set(link.ear[1:-1]) == {3, 4, 5}
+    assert link == (0, 1)
     assert family_fault(CycleCollection((tri, hexagon), (link,))) is None
+    assert set(try_ear_link_by_splits(tri, hexagon, 0, 1).ear[1:-1]) == {3, 4, 5}
 
 
 def test_earlink_validation():
@@ -70,7 +77,7 @@ def test_family_oracle_rejects_an_ear_that_revisits_a_vertex():
     # 1-6-2 for the ear gives back c itself: the ear is rejected first
     c = Cycle((0, 5, 1, 6, 2, 7))
     link = EarLink(0, 1, (1, 5, 1, 6, 2), (1, 6, 2))
-    fault = family_fault(CycleCollection((c, Cycle((0, 5, 1, 8, 2, 7))), (link,)))
+    fault = ear_fault(c, Cycle((0, 5, 1, 8, 2, 7)), link)
     assert fault is not None and fault.startswith("ear (1, 5, 1, 6, 2) is no simple path")
 
 
@@ -79,7 +86,7 @@ def test_family_oracle_rejects_a_broken_arc_replay_or_link_graph():
     spliced = cycle_from_sequence((0, 6, 2, 3, 4, 5))
 
     def fault(link, derived=spliced):
-        return family_fault(CycleCollection((c, derived), (link,)))
+        return ear_fault(c, derived, link)
 
     assert fault(EarLink(0, 1, (0, 6, 2), (0, 1, 2))) is None
     assert fault(EarLink(0, 1, (2, 6, 0), (2, 1, 0))) is None
@@ -90,8 +97,12 @@ def test_family_oracle_rejects_a_broken_arc_replay_or_link_graph():
     assert fault(EarLink(0, 1, (0, 6, 2), (0, 1, 2)), Cycle((0, 6, 2, 3, 4, 7))).startswith("swapping")
     # an ear through the base
     assert fault(EarLink(0, 1, (0, 6, 2, 7, 4), (0, 1, 2, 3, 4))).startswith("ear")
+    assert family_fault(CycleCollection((c, spliced), ((0, 1),))) is None
     unlinked = CycleCollection((c, spliced), ())
     assert family_fault(unlinked) == "links reach 1 of the 2 cycles"
+    # a pair that no ear joins: the two cycles share only the vertex 0
+    apart = CycleCollection((Cycle((0, 1, 2)), Cycle((0, 3, 4))), ((0, 1),))
+    assert family_fault(apart) == "no ear leads from (0, 1, 2) to (0, 3, 4)"
 
 
 def test_collection_rejects_a_repeated_cycle():
@@ -107,7 +118,7 @@ def test_collection_checks_the_shape_of_its_input():
     with pytest.raises(ValueError, match="divisible by 3"):
         CycleCollection((tri, Cycle((0, 1, 2, 3))), ())
     with pytest.raises(ValueError, match="outside the collection"):
-        CycleCollection((tri, hexagon), (EarLink(0, 2, (0, 6, 2), (0, 1, 2)),))
+        CycleCollection((tri, hexagon), ((0, 2),))
 
 
 def test_seamless_families_fixtures():
@@ -136,13 +147,17 @@ def test_chord_ear_links_to_a_cycle_on_the_base_vertices():
     # S = V(derived): s = 6 shared vertices, 5 shared edges, and the ear is
     # the chord 5-0
     (fam,) = seamless_families([NONAGON, HEXAGON_ON_NONAGON])
-    assert fam.links == (EarLink(0, 1, (5, 0), (5, 6, 7, 8, 0)),)
+    assert fam.links == ((0, 1),)
+    assert family_fault(fam) is None
+    assert try_ear_link_by_splits(NONAGON, HEXAGON_ON_NONAGON, 0, 1) == EarLink(0, 1, (5, 0), (5, 6, 7, 8, 0))
 
 
 def test_one_edge_replaced_arc_links_to_a_cycle_through_the_base():
     # S = V(base): the replaced arc is the base edge 5-0
     (fam,) = seamless_families([HEXAGON_ON_NONAGON, NONAGON])
-    assert fam.links == (EarLink(0, 1, (5, 6, 7, 8, 0), (5, 0)),)
+    assert fam.links == ((0, 1),)
+    assert family_fault(fam) is None
+    assert try_ear_link_by_splits(HEXAGON_ON_NONAGON, NONAGON, 0, 1) == EarLink(0, 1, (5, 6, 7, 8, 0), (5, 0))
 
 
 def test_cycles_sharing_one_vertex_do_not_link():
@@ -230,9 +245,9 @@ def test_collection_links_replay():
         for fam in families_of(named_graph(name)):
             assert fam.links or len(fam.cycles) == 1
             assert family_fault(fam) is None, name
-            for link in fam.links:
-                assert len(fam.cycles[link.base]) % 3 == 0
-                assert len(fam.cycles[link.derived]) % 3 == 0
+            for a, b in fam.links:
+                assert len(fam.cycles[a]) % 3 == 0
+                assert len(fam.cycles[b]) % 3 == 0
 
 
 def test_prune_nonexclusive_k4():

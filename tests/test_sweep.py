@@ -132,6 +132,21 @@ def test_cache_base_with_gamma_above_idom_is_corrupt(tmp_path, capsys):
     assert out == plain
 
 
+@pytest.mark.parametrize("junk", [b"\xff\xfe bad bytes\n", b"[" * 200_000 + b"\n"], ids=["not-utf8", "deep"])
+def test_cache_line_that_cannot_be_decoded_is_corrupt(tmp_path, capsys, junk):
+    # bytes that are not UTF-8 once ended the sweep with exit 2, and a
+    # nesting too deep for the decoder with a RecursionError
+    argv = ["sweep", "--corpus", "random-cubic n=4 count=1", "--checks", "third_bound"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(junk)
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    out, err = capsys.readouterr()
+    assert f"warning: ignored 1 corrupt cache lines in {cache}" in err
+    assert out == plain
+
+
 UNSOLVED_BASE = {"n": 4, "m": 6, "connectivity": 3, "cubic": True, "gamma": None, "idom": None, "reed_bound": 2}
 
 

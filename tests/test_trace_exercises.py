@@ -73,7 +73,7 @@ def test_family_workload_surgery_work_is_pinned(tmp_path, monkeypatch):
     _, tracer, calls, tables = traced_family_chunk(tmp_path, monkeypatch)
     # one g - e per edge that some set of the graph can remove
     assert calls["graphs.delete_edges"] == 150
-    assert calls["domination.is_dominating"] == 1_463
+    assert calls["domination.is_dominating"] == 1_357
     assert tracer.counts["domination.enumerate_min_dsets.dsets"] == 141
     assert calls["reduction.check_detach_fact"] == 141
     assert calls["reduction.detachable_vertices"] == 141
