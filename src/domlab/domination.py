@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, islice
 from math import lcm
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph
@@ -141,14 +143,39 @@ def _first_independent(masks: tuple[int, ...]) -> list[int]:
     return chosen
 
 
-def _lower_bound(
-    masks: tuple[int, ...],
-    closed: list[tuple[int, ...]],
-    undominated: int,
-    admissible: int,
-    scale: int,
-    need: int,
-) -> int:
+@dataclass(frozen=True, slots=True)
+class _SearchTables:
+    """What the searches read of a graph, built once per graph (see
+    `_search_tables`): N[v] as the mask `masks[v]`, as the tuple
+    `closed[v]` (v, then its neighbors) and as `rows[v]`, the masks of
+    `closed[v]`; `ball[v]`, the mask of N[N[v]]; `full`, the mask of every
+    vertex; and `scale`, the least common multiple of 1..max degree + 1,
+    so of every possible gain."""
+
+    masks: tuple[int, ...]
+    closed: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    ball: tuple[int, ...]
+    full: int
+    scale: int
+
+
+def _search_tables(g: Graph) -> _SearchTables:
+    """The search tables of g, built on first use and kept on the graph."""
+    tables = g.search
+    if tables is None:
+        masks = g.masks
+        closed = tuple((v, *row) for v, row in enumerate(g.adj))
+        rows = tuple(tuple(map(masks.__getitem__, near)) for near in closed)
+        ball = tuple(reduce(or_, row) for row in rows)
+        tables = _SearchTables(masks, closed, rows, ball, (1 << g.n) - 1,
+                               lcm(*range(1, g.max_degree() + 2)))
+        # the class is frozen, so the kept field is set past its guard
+        object.__setattr__(g, "search", tables)
+    return tables
+
+
+def _lower_bound(t: _SearchTables, undominated: int, admissible: int, need: int) -> int:
     """Lower bound on the dominators still needed for `undominated`.
 
     The larger of two bounds.  Packing: undominated vertices with pairwise
@@ -156,10 +183,14 @@ def _lower_bound(
     Fractional cover: a dominator c covers gain(c) = |N[c] & undominated|
     vertices, so charging each undominated u 1 / (max gain over the
     admissible c in N[u]) never charges more than the dominators used.
-    Only members of `admissible` may be dominators; `scale` is a common
-    multiple of every possible gain, so the sum is exact in integers.
-    Returns min(bound, need), stopping as soon as the bound reaches `need`.
+    Only members of `admissible` may be dominators; when that is every
+    vertex, the gains are read off `rows[u]` with no admissibility test.
+    `scale` is a common multiple of every possible gain, so the sum is
+    exact in integers.  Returns min(bound, need), stopping as soon as the
+    bound reaches `need`.
     """
+    masks, closed, rows, scale = t.masks, t.closed, t.rows, t.scale
+    every = admissible == t.full
     packed = 0
     count = 0
     charge = 0
@@ -175,25 +206,29 @@ def _lower_bound(
             if count >= need:
                 return need
         top = 0
-        for c in closed[u]:
-            if admissible >> c & 1:
-                gain = (masks[c] & undominated).bit_count()
+        if every:
+            for m in rows[u]:
+                gain = (m & undominated).bit_count()
                 if gain > top:
                     top = gain
+        else:
+            for c in closed[u]:
+                if admissible >> c & 1:
+                    gain = (masks[c] & undominated).bit_count()
+                    if gain > top:
+                        top = gain
         charge += scale // top
         if charge > limit:
             return need
     return max(count, -(-charge // scale))
 
 
-def _search_tables(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], int]:
-    """Closed-neighborhood masks, sorted closed neighborhoods, and the
-    least common multiple of 1..max degree + 1 (every possible gain)."""
-    closed = [tuple(sorted((v, *g.adj[v]))) for v in range(g.n)]
-    return g.masks, closed, lcm(*range(1, g.max_degree() + 2))
+# The state a gamma node hands its children: each vertex's useful list, the
+# undominated vertices whose list is stale, and the node's undominated set.
+_Lists = tuple[list[list[int]], int, int]
 
 
-def _gamma_branch(masks: tuple[int, ...], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
+def _gamma_branch(t: _SearchTables, undominated: int, carried: _Lists | None) -> tuple[list[int], _Lists]:
     """The useful candidates of the undominated vertex that has fewest
     (least id among ties; the scan stops at one, a forced move).
 
@@ -201,45 +236,73 @@ def _gamma_branch(masks: tuple[int, ...], closed: list[tuple[int, ...]], undomin
     its cover lies inside the cover of another candidate in N[u], and of
     equal covers only the least id is.  They come in decreasing cover
     size, least id first.
+
+    `carried` is the parent's state (None at the root).  The list of u
+    reads only the undominated vertices in N[N[u]], so it changes only
+    when the choice since the parent dominated one of them, that is, when
+    u lies in `ball[v]` for a newly dominated v.  Those lists, and the ones
+    the parent's scan left stale, are recomputed as the scan reaches them;
+    the rest are the parent's.  Returns the pick and the state for this
+    node's children.
     """
-    cover = [m & undominated for m in masks]
-    order = [-x.bit_count() for x in cover]
+    closed, rows = t.closed, t.rows
+    if carried is None:
+        lists: list[list[int]] = [[] for _ in closed]
+        stale = undominated
+    else:
+        parent, stale, before = carried
+        lists = parent[:]
+        newly = before ^ undominated
+        ball = t.ball
+        while newly:
+            low = newly & -newly
+            newly ^= low
+            stale |= ball[low.bit_length() - 1]
+        stale &= undominated
     pick: list[int] = []
-    fewest = len(masks) + 2  # len(kept) + 1 never reaches it: the first vertex is taken
+    fewest = len(lists) + 1
     rest = undominated
     while rest:
         low = rest & -rest
         rest ^= low
-        # in decreasing cover size, a candidate is useful unless a useful one
-        # before it holds its cover; stop once u cannot beat `fewest`
-        kept: list[int] = []
-        held: list[int] = []
-        for c in sorted(closed[low.bit_length() - 1], key=order.__getitem__):
-            x = cover[c]
-            for y in held:
-                if x | y == y:
-                    break
-            else:
-                if len(kept) + 1 == fewest:
-                    break
-                kept.append(c)
-                held.append(x)
+        u = low.bit_length() - 1
+        if stale & low:
+            stale ^= low
+            # in that order a candidate is useful unless a useful one before it holds its cover
+            ranked = []
+            for c, m in zip(closed[u], rows[u]):
+                x = m & undominated
+                ranked.append((-x.bit_count(), c, x))
+            ranked.sort()
+            kept = []
+            held = []
+            for _, c, x in ranked:
+                for y in held:
+                    if x | y == y:
+                        break
+                else:
+                    kept.append(c)
+                    held.append(x)
+            lists[u] = kept
         else:
+            kept = lists[u]
+        if len(kept) < fewest:
             pick = kept
             fewest = len(kept)
             if fewest == 1:
                 break
-    return pick
+    return pick, (lists, stale, undominated)
 
 
-def _idom_branch(masks: tuple[int, ...], closed: list[tuple[int, ...]], undominated: int) -> list[int]:
+def _idom_branch(t: _SearchTables, undominated: int, carried: None) -> tuple[list[int], None]:
     """The admissible candidates of the undominated vertex that has fewest
     (least id among ties; the scan stops at one, a forced move).
 
     With dominated == N[chosen], the admissible candidates of u are
     N[u] & undominated.  They come in decreasing cover size (N[c] &
-    undominated), least id first.
+    undominated), least id first.  No state is handed down.
     """
+    masks = t.masks
     pick = -1
     fewest = len(masks) + 1
     rest = undominated
@@ -253,14 +316,14 @@ def _idom_branch(masks: tuple[int, ...], closed: list[tuple[int, ...]], undomina
             fewest = size
             if size == 1:
                 break
-    return sorted((c for c in closed[pick] if undominated >> c & 1),
-                  key=lambda c: -(masks[c] & undominated).bit_count())
+    return sorted((c for c in t.closed[pick] if undominated >> c & 1),
+                  key=lambda c: (-(masks[c] & undominated).bit_count(), c)), None
 
 
 def _branch_and_bound(
     g: Graph,
     start: Callable[[tuple[int, ...]], list[int]],
-    branch: Callable[[tuple[int, ...], list[tuple[int, ...]], int], list[int]],
+    branch: Callable[[_SearchTables, int, object], tuple[list[int], object]],
     stay: int,
     floor: int,
     deadline: float | None,
@@ -275,7 +338,8 @@ def _branch_and_bound(
     once the incumbent has size `floor`, a known lower bound; a leaf
     replaces a larger incumbent; otherwise the node is pruned when the
     chosen count plus `_lower_bound` over the admissible vertices reaches
-    the incumbent, and else it tries each candidate of `branch`.
+    the incumbent, and else it tries each candidate of `branch`, handing
+    each child the state `branch` returned with them.
 
     The result is deterministic and minimum, not lexicographically least:
     the first leaf of the least size in this branch order, or the start
@@ -283,12 +347,12 @@ def _branch_and_bound(
     ancestors of a leaf smaller than the incumbent, so it does not change
     the result.  `deadline` is read every 1,024 nodes.
     """
-    masks, closed, scale = _search_tables(g)
-    full = (1 << g.n) - 1
+    t = _search_tables(g)
+    masks, full = t.masks, t.full
     best = start(masks)
     ticks = 0
 
-    def search(chosen: list[int], dominated: int) -> None:
+    def search(chosen: list[int], dominated: int, carried: object) -> None:
         nonlocal best, ticks
         if len(best) == floor:
             return
@@ -301,14 +365,15 @@ def _branch_and_bound(
             return
         undominated = full ^ dominated
         need = len(best) - len(chosen)
-        if _lower_bound(masks, closed, undominated, undominated | stay, scale, need) >= need:
+        if _lower_bound(t, undominated, undominated | stay, need) >= need:
             return
-        for c in branch(masks, closed, undominated):
+        pick, carried = branch(t, undominated, carried)
+        for c in pick:
             chosen.append(c)
-            search(chosen, dominated | masks[c])
+            search(chosen, dominated | masks[c], carried)
             chosen.pop()
 
-    search([], 0)
+    search([], 0, None)
     return best
 
 

@@ -43,12 +43,15 @@ class Graph:
 
     Adjacency is a tuple of strictly increasing neighbor tuples, so every
     iteration over the graph is deterministic.  `masks` is derived from
-    `adj`, so equality, hashing and repr ignore it.
+    `adj`, and `search` holds the exact solvers' tables once one has run
+    (`domination._search_tables`), so equality, hashing and repr ignore
+    both.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    search: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -188,9 +191,45 @@ def _disjoint_paths(
     return flow
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Vertex connectivity by Menger's theorem on Esfahanian and Hakimi's
-    flow pairs.
+def _cubic_connectivity(g: Graph) -> int:
+    """Vertex connectivity of a connected cubic graph from its cycle space.
+
+    In a cubic graph kappa equals the edge connectivity lambda (D. B. West,
+    Introduction to Graph Theory, Thm 4.1.11), which is 1, 2 or 3.  Give
+    each non-tree edge of a BFS tree its own bit and each tree edge the XOR
+    of the bits of the fundamental cycles through it.  An edge whose label
+    is 0 lies on no cycle, a bridge; otherwise two edges form a cut exactly
+    when their labels are equal (the cycle-space test of Pritchard and
+    Thurimella, ACM TALG 7, 2011), and a tree edge shares its label with a
+    non-tree edge when that edge's cycle is the only one through it.
+    """
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    label = [0] * g.n  # per vertex, then per tree edge to its parent
+    labels = []
+    bit = 1
+    for v in order:
+        for w in g.adj[v]:
+            if parent[w] == -1:
+                parent[w] = v
+                order.append(w)
+            elif w > v and parent[v] != w and parent[w] != v:
+                label[v] ^= bit
+                label[w] ^= bit
+                labels.append(bit)
+                bit <<= 1
+    for v in reversed(order[1:]):
+        labels.append(label[v])
+        label[parent[v]] ^= label[v]
+    if 0 in labels:
+        return 1
+    return 2 if len(set(labels)) < len(labels) else 3
+
+
+def _flow_connectivity(g: Graph) -> int:
+    """Vertex connectivity of a connected, non-complete graph by Menger's
+    theorem on Esfahanian and Hakimi's flow pairs.
 
     kappa is the least number of internally disjoint paths between two
     non-adjacent vertices, and the minimum degree delta bounds it from
@@ -203,15 +242,8 @@ def vertex_connectivity(g: Graph) -> int:
     kappa paths.  So flows from v to each non-neighbor and between each
     non-adjacent pair of v's neighbors, at most n - delta - 1 +
     C(delta, 2) of them, reach kappa (A. H. Esfahanian and S. L. Hakimi,
-    Networks 14, 1984).  Complete graphs (including a single vertex)
-    return n-1, disconnected graphs 0.
+    Networks 14, 1984).
     """
-    if g.n == 0:
-        raise ValueError("vertex connectivity needs at least one vertex")
-    if g.m == g.n * (g.n - 1) // 2:
-        return g.n - 1
-    if not is_connected(g):
-        return 0
     network = _split_network(g)
     v = min(range(g.n), key=g.degree)
     best = g.degree(v)
@@ -220,6 +252,20 @@ def vertex_connectivity(g: Graph) -> int:
     for s, t in pairs:
         best = min(best, _disjoint_paths(network, s, t, best))
     return best
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Vertex connectivity: complete graphs (including a single vertex)
+    return n-1, disconnected graphs 0, cubic graphs read it from the cycle
+    space (`_cubic_connectivity`) and every other graph runs the flows of
+    `_flow_connectivity`."""
+    if g.n == 0:
+        raise ValueError("vertex connectivity needs at least one vertex")
+    if g.m == g.n * (g.n - 1) // 2:
+        return g.n - 1
+    if not is_connected(g):
+        return 0
+    return _cubic_connectivity(g) if is_cubic(g) else _flow_connectivity(g)
 
 
 def delete_edges(g: Graph, edges: Iterable[Edge]) -> Graph:

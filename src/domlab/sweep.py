@@ -4,8 +4,8 @@ One JSONL record per input graph, in input order regardless of
 parallelism.  Records are byte-stable: keys sorted, compact separators,
 and no timing fields unless explicitly requested, so two runs of the same
 sweep diff clean.  The cache is an append-only JSONL file with one line
-per computed graph, `{"g": graph6, "v": code digest, "r": {check: piece}}`.
-A line of older code is skipped unread; one rule, `_cacheable`, decides
+per computed graph, `{"v": code digest, "g": graph6, "r": {check: piece}}`.
+A line of older code is skipped unread, undecoded when its digest leads it; one rule, `_cacheable`, decides
 what a line may hold, and a line that does not parse or breaks the rule is
 skipped whole with a warning.  Only a sweep that starts a helper process
 loads `multiprocessing`.
@@ -135,12 +135,13 @@ class VerdictCache:
     def __init__(self, path: str):
         self.entries: dict[str, dict[str, dict]] = {}
         corrupt = 0
+        live = b'{"v": "%s"' % CODE_DIGEST.encode()
         if os.path.exists(path):
             with open_path(path, "rb", "cache") as fh:
                 for raw in fh:
                     raw = raw.strip()
-                    if not raw:
-                        continue
+                    if not raw or raw.startswith(b'{"v": "') and not raw.startswith(live):
+                        continue  # older code's line, as `put` writes it: skipped undecoded
                     try:
                         row = json.loads(raw)
                         if row["v"] != CODE_DIGEST:
@@ -169,7 +170,7 @@ class VerdictCache:
                if check not in have and _cacheable(check, piece)}
         if new:
             have.update(new)
-            fh.write(json.dumps({"g": line, "v": CODE_DIGEST, "r": new}) + "\n")
+            fh.write(json.dumps({"v": CODE_DIGEST, "g": line, "r": new}) + "\n")
 
 
 Payload = tuple[str, tuple[str, ...], int | None]

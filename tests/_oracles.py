@@ -1,7 +1,10 @@
 """Independent brute-force oracles used only by the tests.
 
+`domination_by_frontier_dp` gives gamma and i by dynamic programming
+over a vertex order, sharing no code or idea with the branch-and-bound.
 The last sections keep earlier, slower implementations of the exact
-kernels, of the seamless link test (which builds each link's ear and
+kernels (the gamma branch list rescanned at every node among them), of
+the seamless link test (which builds each link's ear and
 replaced arc as an `EarLink`) and link replay, of the seamless
 families and their pruning, of the mark search (without its cap) and
 the family audit's candidate test, of edge deletion, of the surgery
@@ -272,6 +275,151 @@ def idom_exact_packing(g: Graph):
     search([], 0, 0)
     return _certificate(g, best, independent=True)
 
+
+
+# --- dynamic programming over a vertex order ---------------------------------
+# Shares no code or idea with the branch-and-bound solvers: no bound, no
+# branching on a vertex, no bitmask (after Telle and Proskurowski, SIAM J.
+# Discrete Math. 10, 1997).
+
+IN, DOMINATED, OPEN = 0, 1, 2
+
+
+def least_frontier_order(g: Graph) -> list[int]:
+    """A vertex order of small width, the most placed vertices that have
+    an unplaced neighbour after any placement.
+
+    From each start vertex the order places next the unplaced vertex that
+    leaves the fewest such vertices, then the one with fewest unplaced
+    neighbours, then the least id; of those orders the one of least width
+    is kept, least start among ties.
+    """
+    best: list[int] = list(range(g.n))
+    best_width = g.n + 1
+    for start in range(g.n):
+        left = [len(row) for row in g.adj]  # unplaced neighbours
+        placed = [False] * g.n
+        order: list[int] = []
+        frontier = width = 0
+        v = start
+        while True:
+            placed[v] = True
+            order.append(v)
+            for w in g.adj[v]:
+                left[w] -= 1
+                if placed[w] and not left[w]:
+                    frontier -= 1
+            frontier += left[v] > 0
+            width = max(width, frontier)
+            if width >= best_width or len(order) == g.n:
+                break
+            v = min((u for u in range(g.n) if not placed[u]),
+                    key=lambda u: ((left[u] > 0) - sum(placed[w] and left[w] == 1 for w in g.adj[u]),
+                                   left[u], u))
+        if width < best_width:
+            best, best_width = order, width
+    return best
+
+
+def domination_by_frontier_dp(g: Graph, independent: bool = False) -> int:
+    """gamma(g), or i(g) when `independent`, by dynamic programming over
+    `least_frontier_order`.
+
+    A state gives each frontier vertex (placed, with an unplaced neighbour)
+    one of IN (in the set D), DOMINATED (out of D, with a placed neighbour
+    in D) or OPEN, and holds the fewest members of D among the placed
+    vertices.  Placing v either puts it in D, which dominates its placed
+    neighbours, or leaves it DOMINATED or OPEN by its placed neighbours.
+    A vertex leaves the frontier once its last neighbour is placed, and
+    only when it is not OPEN.  With `independent`, v joins D only when no
+    placed neighbour is in D.
+    """
+    order = least_frontier_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    # the step after which v has no unplaced neighbour
+    last = {v: max([pos[v]] + [pos[w] for w in g.adj[v]]) for v in range(g.n)}
+    frontier: list[int] = []
+    states = {(): 0}
+    for i, v in enumerate(order):
+        near = [j for j, w in enumerate(frontier) if g.has_edge(v, w)]
+        keep = [j for j, w in enumerate(frontier) if last[w] > i]
+        leave = [j for j, w in enumerate(frontier) if last[w] <= i]
+        stays = last[v] > i
+        after: dict[tuple[int, ...], int] = {}
+        for state, size in states.items():
+            seen = any(state[j] == IN for j in near)
+            for join in (False, True):
+                if join and independent and seen:
+                    continue
+                codes = list(state)
+                if join:
+                    for j in near:
+                        if codes[j] == OPEN:
+                            codes[j] = DOMINATED
+                    mine = IN
+                else:
+                    mine = DOMINATED if seen else OPEN
+                if any(codes[j] == OPEN for j in leave) or (mine == OPEN and not stays):
+                    continue
+                key = tuple(codes[j] for j in keep) + ((mine,) if stays else ())
+                if after.get(key, g.n + 1) > size + join:
+                    after[key] = size + join
+        frontier = [frontier[j] for j in keep] + ([v] if stays else [])
+        states = after
+    return states[()]
+
+
+def gamma_branch_rescanned(g: Graph, undominated: int) -> list[int]:
+    """The branch list of `domination._gamma_branch` as it was before the
+    lists were handed down the search: every node rescans every candidate
+    of every undominated vertex it reaches.
+
+    The useful candidates of the undominated vertex that has fewest (least
+    id among ties; the scan stops at one, a forced move).  A candidate c in
+    N[u] covers N[c] & undominated; it is useful unless its cover lies
+    inside the cover of another candidate in N[u], and of equal covers only
+    the least id is.  They come in decreasing cover size, least id first.
+    """
+    masks = closed_masks(g)
+    closed = [sorted((v, *row)) for v, row in enumerate(g.adj)]
+    cover = [m & undominated for m in masks]
+    order = [-x.bit_count() for x in cover]
+    pick: list[int] = []
+    fewest = len(masks) + 2  # len(kept) + 1 never reaches it: the first vertex is taken
+    rest = undominated
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        kept: list[int] = []
+        held: list[int] = []
+        for c in sorted(closed[low.bit_length() - 1], key=order.__getitem__):
+            x = cover[c]
+            for y in held:
+                if x | y == y:
+                    break
+            else:
+                if len(kept) + 1 == fewest:
+                    break
+                kept.append(c)
+                held.append(x)
+        else:
+            pick = kept
+            fewest = len(kept)
+            if fewest == 1:
+                break
+    return pick
+
+
+def useful_candidates(g: Graph, u: int, undominated: set[int]) -> list[int]:
+    """The useful candidates of u by the sets they cover: c in N[u] is
+    useful unless another candidate covers a strict superset of its cover,
+    or the same cover with a lesser id; in decreasing cover size, least id
+    first."""
+    near = sorted((u, *g.adj[u]))
+    cover = {c: {c, *g.adj[c]} & undominated for c in near}
+    kept = [c for c in near
+            if not any(cover[c] < cover[d] or cover[c] == cover[d] and d < c for d in near)]
+    return sorted(kept, key=lambda c: (-len(cover[c]), c))
 
 
 # --- earlier link test and link replay -------------------------------------

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 from math import ceil
 from pathlib import Path
 
@@ -138,13 +139,13 @@ def test_forced_move_on_a_pendant_vertex():
     # 2 have three useful candidates each, but N[3] = {3, 4} lies inside
     # N[4], so 4 is forced and the scan stops at 3
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 4), (4, 5), (5, 0), (3, 4)])
-    masks, closed, _ = _search_tables(g)
+    t = _search_tables(g)
     full = 0b111111
-    assert _gamma_branch(masks, closed, full) == [4]
+    assert _gamma_branch(t, full, None)[0] == [4]
     # i keeps both candidates of 3, the larger cover first
-    assert _idom_branch(masks, closed, full) == [4, 3]
+    assert _idom_branch(t, full, None) == ([4, 3], None)
     # with 5 chosen, 4 is dominated, so only 3 can dominate 3
-    assert _idom_branch(masks, closed, full ^ masks[5]) == [3]
+    assert _idom_branch(t, full ^ t.masks[5], None) == ([3], None)
     assert gamma_exact(g).size == 2 and idom_exact(g).size == 2
 
 
@@ -154,8 +155,7 @@ def test_skipped_candidate_is_covered_by_another():
     # incomparable and equal in size, so both are tried, 1 first.  Every
     # other vertex has three useful candidates.
     g = Graph.from_edges(6, [(0, 1), (0, 5), (1, 2), (1, 5), (2, 4), (3, 4), (3, 5)])
-    masks, closed, _ = _search_tables(g)
-    assert _gamma_branch(masks, closed, 0b111111) == [1, 5]
+    assert _gamma_branch(_search_tables(g), 0b111111, None)[0] == [1, 5]
     assert gamma_exact(g).size == gamma_bruteforce(g).size == 2
 
 
@@ -205,6 +205,25 @@ def test_search_work_is_pinned(monkeypatch):
     assert calls == {"_lower_bound": 4251, "_gamma_branch": 579, "_idom_branch": 1382}
 
 
+def test_search_tables_are_built_once_per_graph(monkeypatch):
+    # gamma's certificate induces an edge here, so both i solves search,
+    # on the tables the gamma solve built
+    built = []
+    make = domination._SearchTables
+
+    def counted(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(domination, "_SearchTables", counted)
+    g = random_cubic(40, 3)
+    gamma = gamma_exact(g)
+    assert induced_edge_count(g, gamma.members)
+    idom_exact(g, gamma=gamma)
+    idom_exact(g)
+    assert len(built) == 1 and g.search is _search_tables(g)
+
+
 def test_expired_deadline_stops_before_the_search(monkeypatch):
     def no_search(g):
         raise AssertionError("search tables built past the deadline")
@@ -241,7 +260,7 @@ def test_lower_bound_reads_no_row_once_packing_meets_the_need():
     # one undominated vertex is a packing of size 1, which meets need = 1
     # before its candidate row is read
     g = named_graph("petersen")
-    masks, closed, scale = _search_tables(g)
+    t = _search_tables(g)
     read = []
 
     class Recorded(list):
@@ -249,8 +268,10 @@ def test_lower_bound_reads_no_row_once_packing_meets_the_need():
             read.append(i)
             return super().__getitem__(i)
 
-    full = (1 << g.n) - 1
-    assert _lower_bound(masks, Recorded(closed), full, full, scale, 1) == 1
+    recorded = replace(t, closed=Recorded(t.closed), rows=Recorded(t.rows))
+    # every vertex admissible (gamma), and only the undominated ones (i)
+    assert _lower_bound(recorded, t.full, t.full, 1) == 1
+    assert _lower_bound(recorded, t.full, t.full ^ 1, 1) == 1
     assert read == []
 
 

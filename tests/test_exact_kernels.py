@@ -1,12 +1,14 @@
 """Differential tests of the exact kernels against independent oracles.
 
 Connectivity is checked against networkx, the all-pairs flow and Even's
-source loop it replaced; gamma_exact and idom_exact, the latter also
-started from gamma's certificate, must return the sizes of the
-packing-bound solvers they replaced and of brute force, with sets that
-dominate (and, for i, are independent);
-delete_edges must return the graph, or raise the error, of the full
-rebuild it replaced.
+source loop it replaced, and on cubic graphs the cycle-space path also
+against the flows forced on the same graph; gamma_exact and idom_exact,
+the latter also started from gamma's certificate, must return the sizes
+of the packing-bound solvers they replaced, of brute force and of the
+dynamic program over a vertex order, with sets that dominate (and, for
+i, are independent); the branch lists handed down the gamma search must
+equal a rescan at every node; delete_edges must return the graph, or
+raise the error, of the full rebuild it replaced.
 """
 
 import random
@@ -31,18 +33,22 @@ from domlab import (
     graphs,
     idom_exact,
     is_dominating,
+    named_graph,
     parse_graph6,
     random_cubic,
     vertex_connectivity,
 )
 from domlab.domination import _lower_bound, _search_tables, induced_edge_count
-from domlab.graphs import _disjoint_paths, _split_network
+from domlab.graphs import _disjoint_paths, _flow_connectivity, _split_network, is_cubic
 
 from _oracles import (
     delete_edges_by_full_rebuild,
+    domination_by_frontier_dp,
+    gamma_branch_rescanned,
     gamma_exact_packing,
     idom_by_enumeration,
     idom_exact_packing,
+    useful_candidates,
     vertex_connectivity_all_pairs,
     vertex_connectivity_even,
 )
@@ -82,7 +88,7 @@ def test_connectivity_needs_the_neighbor_pairs():
 
 def test_connectivity_runs_esfahanian_hakimi_flow_count(monkeypatch):
     # n - delta - 1 flows from the least vertex of minimum degree, and at
-    # most C(delta, 2) between its neighbors
+    # most C(delta, 2) between its neighbors; a cubic graph runs none
     flows = []
 
     def counted(network, s, t, cap):
@@ -92,7 +98,9 @@ def test_connectivity_runs_esfahanian_hakimi_flow_count(monkeypatch):
     monkeypatch.setattr(graphs, "_disjoint_paths", counted)
     g = random_cubic(40, 1)
     assert vertex_connectivity(g) == 3
-    assert len(flows) <= 40 - 3 - 1 + 3
+    assert flows == []
+    assert _flow_connectivity(g) == 3
+    assert 40 - 3 - 1 <= len(flows) <= 40 - 3 - 1 + 3
 
 
 @settings(max_examples=150)
@@ -252,8 +260,8 @@ def remaining_optimum(masks, dominated, admissible, independent):
 @given(p=edge_prob, seed=seeds)
 def test_lower_bound_never_exceeds_remaining_optimum(n, p, seed):
     g = gnp_random(n, p, seed)
-    masks, closed, scale = _search_tables(g)
-    full = (1 << n) - 1
+    t = _search_tables(g)
+    masks, full = t.masks, t.full
     rng = random.Random(seed)
     cap = n + 1
 
@@ -262,10 +270,10 @@ def test_lower_bound_never_exceeds_remaining_optimum(n, p, seed):
     dominated = 0
     for v in chosen:
         dominated |= masks[v]
-    bound = _lower_bound(masks, closed, full ^ dominated, full, scale, cap)
+    bound = _lower_bound(t, full ^ dominated, full, cap)
     assert bound <= remaining_optimum(masks, dominated, full, independent=False)
     need = rng.randint(0, n)
-    assert _lower_bound(masks, closed, full ^ dominated, full, scale, need) == min(bound, need)
+    assert _lower_bound(t, full ^ dominated, full, need) == min(bound, need)
 
     # i: an independent partial choice; only vertices outside N[chosen]
     # may join it
@@ -274,5 +282,131 @@ def test_lower_bound_never_exceeds_remaining_optimum(n, p, seed):
         if not dominated >> v & 1 and rng.random() < 0.4:
             dominated |= masks[v]
     admissible = full ^ dominated
-    bound = _lower_bound(masks, closed, full ^ dominated, admissible, scale, cap)
+    bound = _lower_bound(t, full ^ dominated, admissible, cap)
     assert bound <= remaining_optimum(masks, dominated, admissible, independent=True)
+
+
+def assert_cubic_connectivity(g, kappa=None):
+    assert is_cubic(g)
+    got = vertex_connectivity(g)
+    assert got == nx_connectivity(g) == _flow_connectivity(g)
+    assert kappa is None or got == kappa
+
+
+def k4_less_an_edge(offset):
+    """K4 on offset..offset+3 without the edge offset+2 -- offset+3."""
+    return [(offset + a, offset + b) for a, b in combinations(range(4), 2) if (a, b) != (2, 3)]
+
+
+def test_cubic_connectivity_of_hand_built_graphs():
+    # a bridge 4-9 between two K4s with a subdivided edge
+    bridged = k4_less_an_edge(0) + [(2, 4), (3, 4)] + k4_less_an_edge(5) + [(7, 9), (8, 9), (4, 9)]
+    assert_cubic_connectivity(Graph.from_edges(10, bridged), 1)
+    # two K4s less an edge, joined by the 2-edge cut {2-6, 3-7}
+    paired = k4_less_an_edge(0) + k4_less_an_edge(4) + [(2, 6), (3, 7)]
+    assert_cubic_connectivity(Graph.from_edges(8, paired), 2)
+    # the 3-cube, 3-connected
+    cube = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
+    assert_cubic_connectivity(Graph.from_edges(8, cube), 3)
+    k33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    assert_cubic_connectivity(k33, 3)
+    for name in ("petersen", "prism", "k4"):
+        assert_cubic_connectivity(named_graph(name), 3)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(min_value=2, max_value=20).map(lambda k: 2 * k), seed=seeds)
+def test_cubic_connectivity_on_random_cubic(n, seed):
+    assert_cubic_connectivity(random_cubic(n, seed))
+
+
+def opened(g, offset):
+    """The edges of g shifted by `offset`, less its first edge, and that edge."""
+    (a, b), *rest = g.edges()
+    return [(u + offset, v + offset) for u, v in rest], (a + offset, b + offset)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(min_value=2, max_value=10).map(lambda k: 2 * k),
+       m=st.integers(min_value=2, max_value=10).map(lambda k: 2 * k),
+       seed=seeds, bridge=st.booleans())
+def test_cubic_connectivity_across_a_small_cut(n, m, seed, bridge):
+    # two random cubic graphs, each less one edge, joined by two edges (a
+    # 2-edge cut) or through two new vertices joined by a bridge
+    left, (a, b) = opened(random_cubic(n, seed), 0)
+    right, (c, d) = opened(random_cubic(m, seed + 1), n)
+    edges = left + right
+    if bridge:
+        x, y = n + m, n + m + 1
+        edges += [(a, x), (b, x), (c, y), (d, y), (x, y)]
+    else:
+        edges += [(a, c), (b, d)]
+    g = Graph.from_edges(n + m + 2 * bridge, edges)
+    assert_cubic_connectivity(g, 1 if bridge else None)
+    assert vertex_connectivity(g) <= 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dynamic_program_matches_the_solvers_on_cubic(seed):
+    g = random_cubic(40, seed)
+    assert domination_by_frontier_dp(g) == gamma_exact(g).size
+    assert domination_by_frontier_dp(g, independent=True) == idom_exact(g).size
+
+
+@settings(max_examples=40)
+@given(n=st.integers(min_value=0, max_value=20), p=edge_prob, seed=seeds)
+def test_dynamic_program_matches_the_solvers_on_gnp(n, p, seed):
+    g = gnp_random(n, p, seed)
+    gamma = gamma_exact(g)
+    assert domination_by_frontier_dp(g) == gamma.size
+    assert domination_by_frontier_dp(g, independent=True) == idom_exact(g).size == idom_exact(
+        g, gamma=gamma).size
+
+
+def gamma_with_checked_lists(g):
+    """gamma_exact(g), checking at every node that the handed-down branch
+    list equals a rescan, and that every list the node hands its children
+    and does not mark stale equals the useful candidates of its vertex;
+    returns the certificate and the node count."""
+    branch = domination._gamma_branch
+    nodes = []
+
+    def checked(t, undominated, carried):
+        pick, handed = branch(t, undominated, carried)
+        assert pick == gamma_branch_rescanned(g, undominated)
+        lists, stale, at = handed
+        assert at == undominated and not stale & ~undominated
+        open_ = {v for v in range(g.n) if undominated >> v & 1}
+        for u in open_:
+            if not stale >> u & 1:
+                assert lists[u] == useful_candidates(g, u, open_), (u, sorted(open_))
+        nodes.append(undominated)
+        return pick, handed
+
+    domination._gamma_branch = checked
+    try:
+        return gamma_exact(g), len(nodes)
+    finally:
+        domination._gamma_branch = branch
+
+
+@settings(max_examples=30)
+@given(n=st.integers(min_value=2, max_value=20).map(lambda k: 2 * k), seed=seeds)
+def test_handed_down_lists_match_a_rescan_on_cubic(n, seed):
+    g = random_cubic(n, seed)
+    gamma, _ = gamma_with_checked_lists(g)
+    assert gamma == gamma_exact(g)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(min_value=1, max_value=14), p=edge_prob, seed=seeds)
+def test_handed_down_lists_match_a_rescan_on_gnp(n, p, seed):
+    g = gnp_random(n, p, seed)
+    gamma, _ = gamma_with_checked_lists(g)
+    assert gamma == gamma_exact(g)
+
+
+def test_handed_down_lists_are_checked_deep_in_a_search():
+    # the checked search is not vacuous: n=40 seed 1 branches many times
+    gamma, nodes = gamma_with_checked_lists(random_cubic(40, 1))
+    assert nodes > 20 and gamma == gamma_exact(random_cubic(40, 1))

@@ -209,6 +209,32 @@ def test_malformed_cache_line_counts_once_and_serves_nothing(tmp_path, capsys, m
     assert rerun.summary["cache_hits"] == 0
 
 
+def test_stale_cache_lines_are_skipped_undecoded(tmp_path, monkeypatch, capsys):
+    good = k4_cache_line(tmp_path)
+    assert list(good) == ["v", "g", "r"]  # the digest leads every line `put` writes
+    other = "0" * 8 if CODE_DIGEST != "0" * 8 else "1" * 8
+    stale = json.dumps({**good, "v": other})
+    older_layout = json.dumps({"g": good["g"], "v": other, "r": good["r"]})
+    broken = '{"v": "%s", "g": ' % CODE_DIGEST
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("\n".join([stale] * 5 + [older_layout, json.dumps(good), broken]) + "\n",
+                     encoding="utf-8")
+    decoded = []
+    loads = json.loads
+
+    def counted(raw, *args, **kwargs):
+        decoded.append(raw)
+        return loads(raw, *args, **kwargs)
+
+    monkeypatch.setattr(sweep.json, "loads", counted)
+    cached = VerdictCache(str(cache))
+    # the five stale lines in `put`'s layout are never decoded; a line in
+    # another layout, the live line and the broken live line are, as before
+    assert len(decoded) == 3
+    assert f"warning: ignored 1 corrupt cache lines in {cache}" in capsys.readouterr().err
+    assert cached.get(good["g"], ("base", "third_bound")) == good["r"]
+
+
 def test_cache_lines_of_one_graph_merge_and_the_later_wins(tmp_path):
     good = k4_cache_line(tmp_path)
     later = {"skipped": "a later line"}
