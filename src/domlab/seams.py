@@ -3,12 +3,11 @@
 Two 0-mod-3 cycles connect without seam when one equals the other with a
 single arc swapped for a single ear: the derived cycle is (base minus the
 replaced arc) plus the ear, whose interior avoids the base entirely.
-Such an ear is unique when it exists: it holds every derived edge that
-is not a base edge, so `try_ear_link` tests for it in one pass over the
-derived cycle, and a link is kept as its (base, derived) index pair.
-Whether two listed cycles link at all is decided by counting what they
-share: s vertices and s - 1 edges, with s >= 2 (the lemma in
-`seamless_families`), two integer ANDs on per-cycle bitmasks.
+One rule decides it: two cycles link exactly when they share s >= 2
+vertices and s - 1 edges (the lemma proven in `seamless_families`).
+The pair scan applies it with two integer ANDs on per-cycle bitmasks,
+and `try_ear_link` applies it in one pass over the derived cycle and
+keeps a link as its (base, derived) index pair.
 A `CycleCollection` is one component of that link graph, so its links
 are seamless and connect it by construction.  Pruning splits a family
 into exclusive groups: tuples of its cycles in which every cycle owns
@@ -37,46 +36,23 @@ def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: in
     """The link (base_index, derived_index) when base links seamlessly to
     derived, or None, in one pass over derived.
 
-    The ear runs from an on-base position i of derived to the next
-    on-base position j, and the kept arc from j round to i must be a
-    contiguous arc of base.  Call the non-base derived vertices between
-    two consecutive on-base ones a gap.  With two or more gaps there is
-    no link, because the kept arc lies wholly on base; with exactly one,
-    the ear spans it.  With no gap the ear is a single edge, a chord of
-    base: it is not a base edge, else every derived edge would be one and
-    derived = base, while every kept edge is.  So in both cases the ear
-    holds exactly the derived edges that are not base edges, and it
-    starts at the only on-base derived vertex whose next derived edge is
-    not a base edge.  The first such vertex is the one candidate; the
-    kept-arc test rejects it when a second gap or a second chord exists.
-    That test reads base from the kept arc's first vertex in direction
-    +1, then -1; the rest of base in the matching direction is the
-    replaced arc.  Trying every pair of on-base positions in order finds
-    this same split first, since no other pair succeeds.
+    The pass counts the s derived vertices on base and the derived edges
+    whose ends are consecutive on base, which are the shared edges.  The
+    cycles link exactly when s >= 2 and those edges number s - 1: the
+    lemma proven in `seamless_families`.  Identical cycles share s edges.
     """
-    bv, dv = base.vertices, derived.vertices
-    if bv == dv:
-        return None
-    size, n = len(bv), len(dv)
-    where = {v: p for p, v in enumerate(bv)}
-    for i, v in enumerate(dv):
+    size = len(base.vertices)
+    where = {v: p for p, v in enumerate(base.vertices)}
+    shared = edges = 0
+    q = where.get(derived.vertices[-1])
+    for v in derived.vertices:
         p = where.get(v)
-        if p is not None and dv[(i + 1) % n] not in (bv[p - 1], bv[(p + 1) % size]):
-            break
-    else:
-        return None
-    j = (i + 1) % n
-    while dv[j] not in where:
-        j = (j + 1) % n
-    if j == i:  # derived meets base in this one vertex
-        return None
-    cut = (i - j) % n + 1
-    kept = (dv[j:] + dv[:j])[:cut]  # derived from j: the kept arc, then the ear
-    p = where[dv[j]]
-    ahead = bv[p:] + bv[:p]
-    if kept in (ahead[:cut], (ahead[:1] + ahead[:0:-1])[:cut]):
-        return base_index, derived_index
-    return None
+        if p is not None:
+            shared += 1
+            if q is not None and (p - q) % size in (1, size - 1):
+                edges += 1
+        q = p
+    return (base_index, derived_index) if shared > 1 and edges == shared - 1 else None
 
 
 def _link_components(members: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:

@@ -321,32 +321,35 @@ def least_frontier_order(g: Graph) -> list[int]:
     return best
 
 
-def domination_by_frontier_dp(g: Graph, independent: bool = False) -> int:
+def domination_by_frontier_dp(g: Graph, independent: bool = False, count: bool = False) -> int:
     """gamma(g), or i(g) when `independent`, by dynamic programming over
-    `least_frontier_order`.
+    `least_frontier_order`; with `count`, the number of minimum (independent)
+    dominating sets instead.
 
     A state gives each frontier vertex (placed, with an unplaced neighbour)
     one of IN (in the set D), DOMINATED (out of D, with a placed neighbour
     in D) or OPEN, and holds the fewest members of D among the placed
-    vertices.  Placing v either puts it in D, which dominates its placed
+    vertices, with the number of placed sets D that reach the state with
+    that few.  Placing v either puts it in D, which dominates its placed
     neighbours, or leaves it DOMINATED or OPEN by its placed neighbours.
     A vertex leaves the frontier once its last neighbour is placed, and
     only when it is not OPEN.  With `independent`, v joins D only when no
-    placed neighbour is in D.
+    placed neighbour is in D.  Each set D takes one path of choices, so
+    the counts add up without repeats.
     """
     order = least_frontier_order(g)
     pos = {v: i for i, v in enumerate(order)}
     # the step after which v has no unplaced neighbour
     last = {v: max([pos[v]] + [pos[w] for w in g.adj[v]]) for v in range(g.n)}
     frontier: list[int] = []
-    states = {(): 0}
+    states = {(): (0, 1)}
     for i, v in enumerate(order):
         near = [j for j, w in enumerate(frontier) if g.has_edge(v, w)]
         keep = [j for j, w in enumerate(frontier) if last[w] > i]
         leave = [j for j, w in enumerate(frontier) if last[w] <= i]
         stays = last[v] > i
-        after: dict[tuple[int, ...], int] = {}
-        for state, size in states.items():
+        after: dict[tuple[int, ...], tuple[int, int]] = {}
+        for state, (size, ways) in states.items():
             seen = any(state[j] == IN for j in near)
             for join in (False, True):
                 if join and independent and seen:
@@ -362,11 +365,15 @@ def domination_by_frontier_dp(g: Graph, independent: bool = False) -> int:
                 if any(codes[j] == OPEN for j in leave) or (mine == OPEN and not stays):
                     continue
                 key = tuple(codes[j] for j in keep) + ((mine,) if stays else ())
-                if after.get(key, g.n + 1) > size + join:
-                    after[key] = size + join
+                best, total = after.get(key, (g.n + 1, 0))
+                if size + join < best:
+                    after[key] = (size + join, ways)
+                elif size + join == best:
+                    after[key] = (best, total + ways)
         frontier = [frontier[j] for j in keep] + ([v] if stays else [])
         states = after
-    return states[()]
+    size, ways = states[()]
+    return ways if count else size
 
 
 def gamma_branch_rescanned(g: Graph, undominated: int) -> list[int]:

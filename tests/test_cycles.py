@@ -15,8 +15,10 @@ def test_cycle_canonical_form():
     assert c.vertices[0] == 0 and c.vertices[1] < c.vertices[-1]
     with pytest.raises(ValueError):
         Cycle((1, 0, 2))  # not canonical
-    with pytest.raises(ValueError):
-        Cycle((0, 1))  # too short
+    with pytest.raises(ValueError, match="a cycle needs at least 3 vertices"):
+        Cycle((0, 1))
+    with pytest.raises(ValueError, match="cycle vertices must be distinct"):
+        Cycle((0, 1, 1))
 
 
 def test_enumeration_matches_permutation_oracle():

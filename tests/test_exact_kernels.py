@@ -6,7 +6,8 @@ against the flows forced on the same graph; gamma_exact and idom_exact,
 the latter also started from gamma's certificate, must return the sizes
 of the packing-bound solvers they replaced, of brute force and of the
 dynamic program over a vertex order, with sets that dominate (and, for
-i, are independent); the branch lists handed down the gamma search must
+i, are independent); the program's count of minimum dominating sets must
+equal the enumeration's; the branch lists handed down the gamma search must
 equal a rescan at every node; delete_edges must return the graph, or
 raise the error, of the full rebuild it replaced.
 """
@@ -38,7 +39,7 @@ from domlab import (
     random_cubic,
     vertex_connectivity,
 )
-from domlab.domination import _lower_bound, _search_tables, induced_edge_count
+from domlab.domination import _lower_bound, _search_tables, enumerate_min_dsets, induced_edge_count
 from domlab.graphs import _disjoint_paths, _flow_connectivity, _split_network, is_cubic
 
 from _oracles import (
@@ -361,6 +362,27 @@ def test_dynamic_program_matches_the_solvers_on_gnp(n, p, seed):
     assert domination_by_frontier_dp(g) == gamma.size
     assert domination_by_frontier_dp(g, independent=True) == idom_exact(g).size == idom_exact(
         g, gamma=gamma).size
+
+
+def assert_counts_the_min_dsets(g):
+    gamma = gamma_exact(g).size
+    count = domination_by_frontier_dp(g, count=True)
+    assert len(enumerate_min_dsets(g, gamma).dsets) == count
+    assert not enumerate_min_dsets(g, gamma, limit=count).truncated
+    short = enumerate_min_dsets(g, gamma, limit=count - 1)
+    assert short.truncated and len(short.dsets) == count - 1
+
+
+@settings(max_examples=20)
+@given(n=st.sampled_from([4, 6, 8, 10, 12, 14, 16]), seed=seeds)
+def test_dynamic_program_counts_the_min_dsets_on_cubic(n, seed):
+    assert_counts_the_min_dsets(random_cubic(n, seed))
+
+
+@settings(max_examples=30)
+@given(n=st.integers(min_value=1, max_value=14), p=edge_prob, seed=seeds)
+def test_dynamic_program_counts_the_min_dsets_on_gnp(n, p, seed):
+    assert_counts_the_min_dsets(gnp_random(n, p, seed))
 
 
 def gamma_with_checked_lists(g):

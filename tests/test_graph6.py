@@ -26,8 +26,13 @@ def test_empty_and_singleton():
 
 
 def test_truncated_bit_vector():
-    with pytest.raises(Graph6ParseError, match="truncated"):
+    with pytest.raises(Graph6ParseError, match="truncated bit vector"):
         parse_graph6("B")
+    with pytest.raises(Graph6ParseError, match="truncated size header"):
+        parse_graph6("~??")
+    for line in ("", ">>graph6<<\n"):
+        with pytest.raises(Graph6ParseError, match="empty graph6 line"):
+            parse_graph6(line)
 
 
 def test_out_of_range_character_names_offset():

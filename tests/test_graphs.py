@@ -16,12 +16,18 @@ from _oracles import connectivity_by_cut_enumeration, delete_vertices
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
-        Graph(2, ((1,), ()))  # missing mirror
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 0)])  # loop
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 5)])  # out of range
+    for n, adj, error in ((-1, (), "vertex count must be non-negative"),
+                          (2, ((1,),), "adjacency has 1 rows for n=2"),
+                          (3, ((2, 1), (0,), (0,)), "neighbors of 0 not strictly increasing"),
+                          (2, ((2,), ()), "neighbor 2 of vertex 0 out of range"),
+                          (2, ((0,), ()), "self-loop at vertex 0"),
+                          (2, ((1,), ()), "edge 0-1 lacks its mirror")):
+        with pytest.raises(ValueError, match=error):
+            Graph(n, adj)
+    with pytest.raises(ValueError, match="self-loop at vertex 0"):
+        Graph.from_edges(2, [(0, 0)])
+    with pytest.raises(ValueError, match="edge 0-5 out of range for n=2"):
+        Graph.from_edges(2, [(0, 5)])
 
 
 def test_from_edges_deduplicates_and_sorts():
@@ -43,6 +49,8 @@ def test_named_graphs():
     assert (prism.n, prism.m) == (6, 9)
     theta = named_graph("theta(1,2,2)")
     assert (theta.n, theta.m) == (7, 8)
+    # a path of length 0 is the bare hub-hub edge
+    assert named_graph("theta(0,1,1)").edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     with pytest.raises(ValueError):
         named_graph("mystery")
     with pytest.raises(ValueError):

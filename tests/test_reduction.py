@@ -63,8 +63,10 @@ def test_check_removal_fact():
     assert check_removal_fact(c4, {0, 2}, [(0, 1), (2, 3)]).holds
     batch = check_removal_fact(c4, {0, 2}, removable_edges(c4, {0, 2}))
     assert not batch.holds and batch.witness["undominated"] in (1, 3)
-    with pytest.raises(ValueError):
-        check_removal_fact(named_graph("p3"), {1}, [(0, 1)])  # not removable
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is not removable for this set"):
+        check_removal_fact(named_graph("p3"), {1}, [(0, 1)])
+    with pytest.raises(ValueError, match="the given set does not dominate the graph"):
+        check_removal_fact(c4, {0}, [])
 
 
 def test_single_edge_removal_always_safe():
@@ -203,8 +205,10 @@ def test_check_pair_separation():
     star = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     vac = check_pair_separation(star, {0, 1})
     assert vac.vacuous  # only two members, no third to clash with
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="maximum degree <= 3"):
         check_pair_separation(Graph.from_edges(5, [(0, i) for i in range(1, 5)]), {0})
+    with pytest.raises(ValueError, match="the given set does not dominate the graph"):
+        check_pair_separation(named_graph("p5"), {0, 1})
     # only domination is re-validated, so a set that is not minimum can
     # fail; on the path 0-1-2-3-4, N[0] | N[1] meets N[3] in vertex 2
     p5 = named_graph("p5")

@@ -240,6 +240,30 @@ def test_link_graph_reads_its_deadline_while_building_links(monkeypatch):
     assert reads == [("link graph", 0)] * 553 + [("link graph", k) for k in range(0, 7_276, 1024)]
 
 
+def test_family_audit_reads_its_deadline_every_64th_mark_set(monkeypatch):
+    # 43 disjoint triangles: 43 one-cycle families of three mark sets each;
+    # one read before each family, and one before the 64th and 128th tests
+    g = Graph.from_edges(129, [(3 * t + i, 3 * t + j) for t in range(43) for i, j in ((0, 1), (0, 2), (1, 2))])
+    groups = exclusive_groups(families_of(g))
+    tests = []
+    reads = []
+    test, read = seams.undominated, seams.check_deadline
+
+    def counted_test(*args):
+        tests.append(args)
+        return test(*args)
+
+    def counted_read(deadline, phase):
+        reads.append((phase, len(tests)))
+        read(deadline, phase)
+
+    monkeypatch.setattr(seams, "undominated", counted_test)
+    monkeypatch.setattr(seams, "check_deadline", counted_read)
+    verdict = family_dset_audit(g, groups, 43, deadline=time.monotonic() + 3600)
+    assert verdict.info["assignments"] == len(tests) == 129
+    assert reads == sorted([("family audit", 3 * f) for f in range(43)] + [("family audit", 63), ("family audit", 127)])
+
+
 def test_collection_links_replay():
     for name in ("k4", "prism", "petersen"):
         for fam in families_of(named_graph(name)):

@@ -423,6 +423,12 @@ def test_cli_csg_budget_bounds_the_cycle_listing():
                            for phase in ("link graph", "cycle listing")}
 
 
+def test_cli_csg_reports_its_timeout(capsys):
+    # the listing of this graph's cycles takes about 40 ms on a 2-vCPU VM
+    assert cli.main(["csg", encode_graph6(random_cubic(24, 1)), "--budget-ms", "1"]) == 0
+    assert capsys.readouterr().out == "verdict: timeout after 1 ms (cycle listing)\n"
+
+
 def test_cli_csg_budget_stops_inside_the_cycle_listing():
     # this graph has 61,478 0-mod-3 cycles, which take about 4.5 s to list
     # on a 2-vCPU VM, so a 100 ms budget runs out in the listing's own
@@ -467,6 +473,7 @@ def test_cli_sweep_rejects_a_repeated_check(capsys):
 
 
 @pytest.mark.parametrize("spec, named", [
+    ("", "empty generator spec"),
     ("random-cubic count=2", "n="),
     ("gnp n=5 count=2", "p="),
     ("random-cubic n=6 sed=3", "'sed'"),
@@ -534,12 +541,13 @@ def exit_code_and_stderr(argv, capsys):
 
 
 def test_cli_rejects_jobs_below_one(capsys):
-    for value in ("0", "-2"):
+    for value, error in (("0", "must be at least 1, got 0"), ("-2", "must be at least 1, got -2"),
+                         ("x", "invalid int value: 'x'")):
         code, err = exit_code_and_stderr(
             ["sweep", "--corpus", "gnp n=4 p=0.5 count=1", "--jobs", value], capsys
         )
         assert code == 2
-        assert "usage:" in err and f"argument --jobs: must be at least 1, got {value}" in err
+        assert "usage:" in err and f"argument --jobs: {error}" in err
 
 
 def test_cli_rejects_budget_below_one(capsys):
