@@ -269,18 +269,32 @@ def vertex_connectivity(g: Graph) -> int:
 
 
 def delete_edges(g: Graph, edges: Iterable[Edge]) -> Graph:
-    """Same vertices, edges minus `edges`; non-edges are rejected."""
-    doomed: dict[int, set[int]] = {}
+    """Same vertices, edges minus `edges`; non-edges are rejected.
+
+    Only the endpoints' rows and N[v] masks change, and every other row
+    and mask is shared with g.  Deleting edges from a valid graph keeps
+    its rows sorted, in range, loop-free and mirrored, so the result is
+    built without `Graph.__post_init__` revalidating every row.
+    """
+    adj = list(g.adj)
+    masks = list(g.masks)
     for u, v in edges:
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
             raise ValueError(f"{u}-{v} is not an edge")
-        doomed.setdefault(u, set()).add(v)
-        doomed.setdefault(v, set()).add(u)
-    # only the endpoints' rows change; every other row is shared with g
-    adj = list(g.adj)
-    for v, gone in doomed.items():
-        adj[v] = tuple(u for u in adj[v] if u not in gone)
-    return Graph(g.n, tuple(adj))
+        for a, b in ((u, v), (v, u)):
+            row = adj[a]
+            if b in row:  # an edge listed twice is deleted once
+                i = row.index(b)
+                adj[a] = row[:i] + row[i + 1:]
+                masks[a] &= ~(1 << b)
+    smaller = object.__new__(Graph)
+    # the class is frozen and slotted, so every field is set past its guard
+    setattr_ = object.__setattr__
+    setattr_(smaller, "n", g.n)
+    setattr_(smaller, "adj", tuple(adj))
+    setattr_(smaller, "masks", tuple(masks))
+    setattr_(smaller, "search", None)
+    return smaller
 
 
 def random_cubic(n: int, seed: int) -> Graph:

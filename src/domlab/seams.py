@@ -5,9 +5,12 @@ single arc swapped for a single ear: the derived cycle is (base minus the
 replaced arc) plus the ear, whose interior avoids the base entirely.
 One rule decides it: two cycles link exactly when they share s >= 2
 vertices and s - 1 edges (the lemma proven in `seamless_families`).
-The pair scan applies it with two integer ANDs on per-cycle bitmasks,
-and `try_ear_link` applies it in one pass over the derived cycle and
-keeps a link as its (base, derived) index pair.
+Each `Cycle` keeps a vertex bitmask and an edge bitmask whose bit for
+edge u-w, u < w, is w(w - 1)/2 + u, the same in every cycle.  So s is
+the bit count of the AND of two vertex masks, and the shared edges the
+bit count of the AND of two edge masks.  The pair scan and `try_ear_link`
+both apply the rule that way, and a link is kept as its (base, derived)
+index pair.
 A `CycleCollection` is one component of that link graph, so its links
 are seamless and connect it by construction.  Pruning splits a family
 into exclusive groups: tuples of its cycles in which every cycle owns
@@ -22,7 +25,6 @@ is what `family_dset_audit` measures against the exact solver.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,25 +36,18 @@ from .reduction import AuditVerdict
 
 def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: int) -> tuple[int, int] | None:
     """The link (base_index, derived_index) when base links seamlessly to
-    derived, or None, in one pass over derived.
+    derived, or None.
 
-    The pass counts the s derived vertices on base and the derived edges
-    whose ends are consecutive on base, which are the shared edges.  The
-    cycles link exactly when s >= 2 and those edges number s - 1: the
-    lemma proven in `seamless_families`.  Identical cycles share s edges.
+    The cycles' vertex and edge bitmasks give the s vertices and the
+    edges they share in two ANDs.  The cycles link exactly when s >= 2
+    and the shared edges number s - 1: the lemma proven in
+    `seamless_families`.  Identical cycles share s edges.
     """
-    size = len(base.vertices)
-    where = {v: p for p, v in enumerate(base.vertices)}
-    shared = edges = 0
-    q = where.get(derived.vertices[-1])
-    for v in derived.vertices:
-        p = where.get(v)
-        if p is not None:
-            shared += 1
-            if q is not None and (p - q) % size in (1, size - 1):
-                edges += 1
-        q = p
-    return (base_index, derived_index) if shared > 1 and edges == shared - 1 else None
+    (base_vertices, base_edges), (vertices, edges) = base.masks, derived.masks
+    shared = (base_vertices & vertices).bit_count()
+    if shared > 1 and (base_edges & edges).bit_count() == shared - 1:
+        return (base_index, derived_index)
+    return None
 
 
 def _link_components(members: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -112,22 +107,6 @@ class CycleCollection:
         return frozenset(v for c in self.cycles for v in c.vertices)
 
 
-def _cycle_masks(cycles: Sequence[Cycle]) -> tuple[list[int], list[int]]:
-    """Each cycle's vertex bitmask and edge bitmask.  Edge bits are
-    numbered on first sight within the listing."""
-    bit: dict[tuple[int, int], int] = {}
-    vertex_masks, edge_masks = [], []
-    for c in cycles:
-        vs = c.vertices
-        vertex_mask = edge_mask = 0
-        for u, w in zip(vs, vs[1:] + vs[:1]):
-            vertex_mask |= 1 << u
-            edge_mask |= 1 << bit.setdefault((u, w) if u < w else (w, u), len(bit))
-        vertex_masks.append(vertex_mask)
-        edge_masks.append(edge_mask)
-    return vertex_masks, edge_masks
-
-
 def seamless_families(
     cycles: Sequence[Cycle], *, deadline: float | None = None
 ) -> tuple[CycleCollection, ...]:
@@ -170,7 +149,9 @@ def seamless_families(
     before each row a of the pair scan and before every 1,024th link
     build.
     """
-    vertex_masks, edge_masks = _cycle_masks(cycles)
+    masks = [c.masks for c in cycles]
+    vertex_masks = [vertex_mask for vertex_mask, _ in masks]
+    edge_masks = [edge_mask for _, edge_mask in masks]
     k = len(cycles)
     pairs = []
     for a in range(k):
@@ -213,12 +194,16 @@ def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
     built on a pair proven linked, and it is a component of the
     survivors' link graph, so it is connected.
     """
-    uses = Counter(v for c in fam.cycles for v in c.vertices)
+    uses: dict[int, int] = {}
+    for c in fam.cycles:
+        for v in c.vertices:
+            uses[v] = uses.get(v, 0) + 1
     kept = []
     for i in sorted(range(len(fam.cycles)), key=lambda i: fam.cycles[i].vertices):
         vertices = fam.cycles[i].vertices
         if all(uses[v] > 1 for v in vertices):
-            uses.subtract(vertices)
+            for v in vertices:
+                uses[v] -= 1
         else:
             kept.append(i)
     return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(sorted(kept), fam.links))
@@ -310,7 +295,9 @@ def family_dset_audit(
         check_deadline(deadline, "family audit")
         for group, assignments in family:
             collections += 1
-            union = sum(1 << v for v in {v for c in group for v in c.vertices})
+            union = 0
+            for c in group:
+                union |= c.masks[0]
             lone = sum(1 << r for r in range(g.n) if g.masks[r] & ~union == 1 << r)
             for chosen in assignments:
                 tried += 1

@@ -2,7 +2,8 @@
 
 `domination_by_frontier_dp` gives gamma and i by dynamic programming
 over a vertex order, sharing no code or idea with the branch-and-bound.
-The last sections keep earlier, slower implementations of the exact
+The last sections keep earlier, slower implementations of the cycle
+listing (which walks every cycle both ways), of the exact
 kernels (the gamma branch list rescanned at every node among them), of
 the seamless link test (which builds each link's ear and
 replaced arc as an `EarLink`) and link replay, of the seamless
@@ -427,6 +428,35 @@ def useful_candidates(g: Graph, u: int, undominated: set[int]) -> list[int]:
     kept = [c for c in near
             if not any(cover[c] < cover[d] or cover[c] == cover[d] and d < c for d in near)]
     return sorted(kept, key=lambda c: (-len(cover[c]), c))
+
+
+# --- earlier cycle listing: every cycle walked both ways --------------------
+
+
+def all_simple_cycles_both_ways(g: Graph) -> list[Cycle]:
+    """The earlier cycle listing: every cycle is walked in both directions
+    from its smallest vertex s, and the direction whose second vertex is
+    smaller than its last is kept when the walk closes back at s."""
+    found: list[Cycle] = []
+    path: list[int] = []
+    on_path: set[int] = set()
+
+    def extend(s: int, v: int) -> None:
+        for w in g.adj[v]:
+            if w == s and len(path) >= 3 and path[1] < path[-1]:
+                found.append(Cycle(tuple(path)))
+            elif w > s and w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                extend(s, w)
+                path.pop()
+                on_path.remove(w)
+
+    for s in range(g.n):
+        path = [s]
+        on_path = {s}
+        extend(s, s)
+    return found
 
 
 # --- earlier link test and link replay -------------------------------------

@@ -1,9 +1,12 @@
+import pickle
 import time
+from itertools import combinations
 
 import pytest
 
-from domlab import Cycle, SolverTimeout, gnp_random, mod3_cycles, named_graph, random_cubic
+from domlab import Cycle, Graph, SolverTimeout, cycles, gnp_random, mod3_cycles, named_graph, random_cubic
 from domlab.cycles import all_simple_cycles
+from domlab.graphs import edge_key
 
 from _oracles import cycle_from_sequence, cycles_by_permutation
 
@@ -71,3 +74,50 @@ def test_first_mod3_cycle():
 
 def test_petersen_girth_by_enumeration():
     assert min(len(c) for c in all_simple_cycles(named_graph("petersen"))) == 5
+
+
+@pytest.mark.parametrize("n, listed, read", [(24, 4_210, 33), (28, 16_416, 132)])
+def test_cycle_listing_reads_its_deadline_every_1024th_step(monkeypatch, n, listed, read):
+    # one read at every 1,024th path the walk extends, that is every
+    # 1,024th path with a closing neighbour of its start still off it
+    reads = []
+    check = cycles.check_deadline
+
+    def counted_read(deadline, phase):
+        reads.append(phase)
+        check(deadline, phase)
+
+    monkeypatch.setattr(cycles, "check_deadline", counted_read)
+    assert len(all_simple_cycles(random_cubic(n, 1), deadline=time.monotonic() + 3600)) == listed
+    assert reads == ["cycle listing"] * read
+
+
+def edge_masks_by_rank(n: int) -> dict[tuple[int, int], int]:
+    """Bit of each pair u < w: its rank in colex order, by w and then u."""
+    pairs = sorted(combinations(range(n), 2), key=lambda e: (e[1], e[0]))
+    return {e: 1 << rank for rank, e in enumerate(pairs)}
+
+
+def test_cycle_masks_match_their_vertex_and_edge_sets():
+    k6 = Graph.from_edges(6, list(combinations(range(6), 2)))
+    listings = [all_simple_cycles(g) for g in (k6, gnp_random(8, 0.5, 1), gnp_random(8, 0.5, 2))]
+    bit = edge_masks_by_rank(8)
+    for listing in listings:
+        edge_sets = []
+        for c in listing:
+            vs = c.vertices
+            edges = {edge_key(vs[i - 1], vs[i]) for i in range(len(vs))}
+            assert c.masks == (sum(1 << v for v in set(vs)), sum(bit[e] for e in edges))
+            edge_sets.append((set(vs), edges))
+        for (a, (va, ea)), (b, (vb, eb)) in combinations(zip(listing, edge_sets), 2):
+            assert (a.masks[0] & b.masks[0]).bit_count() == len(va & vb)
+            assert (a.masks[1] & b.masks[1]).bit_count() == len(ea & eb)
+    assert sum(map(len, listings)) > 197
+
+
+def test_cycle_masks_leave_equality_hash_and_repr_alone():
+    read, fresh = Cycle((0, 1, 3, 2)), Cycle((0, 1, 3, 2))
+    assert read.masks == (0b1111, 1 << 0 | 1 << 4 | 1 << 5 | 1 << 1)
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(read))
+    assert copy == fresh and copy.masks == read.masks

@@ -1,9 +1,10 @@
 """`Graph.masks`, the closed-neighbourhood table every domination test reads.
 
-Each graph builds the table once, when it is made, whichever way it is
-made: `Graph.from_edges`, `parse_graph6`, `delete_edges` or the plain
-constructor.  The expected table here is built from the edge list that
-made the graph, so it shares nothing with `Graph` beyond that list.  The
+Each graph holds the table from when it is made, whichever way it is
+made: `Graph.from_edges`, `parse_graph6` and the plain constructor build
+it, and `delete_edges` patches its parent's endpoint masks.  The
+expected table here is built from the edge list that made the graph, so
+it shares nothing with `Graph` beyond that list.  The
 table is derived, so graphs equal by (n, adj) stay equal and hash equal
 however they were built, and the table survives a pickle round trip.
 """

@@ -23,8 +23,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def traced_family_chunk(tmp_path, monkeypatch):
     """Sweep chunk 0 of `family-n10` seed 1 under the `Tracer`; returns the
-    workload, the tracer, per-layer calls and `Graph` constructions, each
-    of which builds one N[v] mask table."""
+    workload, the tracer, per-layer calls and the `Graph.__post_init__`
+    runs, each of which validates rows and builds one N[v] mask table."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
         workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
@@ -78,6 +78,7 @@ def test_family_workload_surgery_work_is_pinned(tmp_path, monkeypatch):
     assert calls["reduction.check_detach_fact"] == 141
     assert calls["reduction.detachable_vertices"] == 141
     assert calls["reduction.removable_edges"] == 141
-    # each graph builds its N[v] table once: the 10 parsed graphs and the
-    # 150 g - e graphs, and no solver or audit builds another
-    assert tables == 160
+    # only the 10 parsed graphs build and validate an N[v] table: each
+    # g - e patches its parent's two endpoint masks, and no solver or
+    # audit builds another
+    assert tables == 10
