@@ -17,6 +17,7 @@ from .checks import CHECKS, Facts
 from .domination import SolverTimeout, gamma_exact, idom_exact
 from .graph6 import Graph6ParseError, encode_graph6, parse_graph6, read_graph6_lines
 from .graphs import Graph, gnp_random, is_graph_name, named_graph, random_cubic
+from .seams import family_links
 from .sweep import (
     CACHE_ENV,
     DEFAULT_CHECKS,
@@ -56,8 +57,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_csg(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
-    # one deadline for the cycle listing, the link graph, the groups, gamma
-    # and the audit
+    # one deadline for the cycle listing, the link graph, the groups, the
+    # printed link counts, gamma and the audit
     deadline = time.monotonic() + args.budget_ms / 1000 if args.budget_ms else None
     facts = Facts(g, deadline)
     try:
@@ -68,7 +69,7 @@ def cmd_csg(args: argparse.Namespace) -> int:
         print(f"collections: {len(families)}")
         for i, (fam, marked) in enumerate(zip(families, groups)):
             print(f"collection {i}: kind=CSG cycles={len(fam.cycles)} "
-                  f"vertices={len(fam.vertex_union)} links={len(fam.links)}")
+                  f"vertices={len(fam.vertex_union)} links={len(family_links(fam, deadline=deadline))}")
             for c in fam.cycles:
                 print(f"  cycle {'-'.join(map(str, c.vertices))}")
             for j, (group, marks) in enumerate(marked):

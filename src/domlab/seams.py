@@ -8,13 +8,15 @@ vertices and s - 1 edges (the lemma proven in `seamless_families`).
 Each `Cycle` keeps a vertex bitmask and an edge bitmask whose bit for
 edge u-w, u < w, is w(w - 1)/2 + u, the same in every cycle.  So s is
 the bit count of the AND of two vertex masks, and the shared edges the
-bit count of the AND of two edge masks.  The pair scan and `try_ear_link`
-both apply the rule that way, and a link is kept as its (base, derived)
-index pair.
-A `CycleCollection` is one component of that link graph, so its links
-are seamless and connect it by construction.  Pruning splits a family
-into exclusive groups: tuples of its cycles in which every cycle owns
-at least one vertex no other cycle of the group touches.
+bit count of the AND of two edge masks; `try_ear_link` alone applies
+the rule, and returns a link as its (base, derived) index pair.
+One traversal, `_link_components`, grows the link graph's components by
+`try_ear_link`.  A `CycleCollection` is one of them, so seamless links
+connect its cycles by construction; they are not stored (`family_links`
+lists them for `csg`).  Pruning splits a family into exclusive groups,
+tuples of its cycles in which every cycle owns at least one vertex no
+other cycle of the group touches, by the same traversal over the cycles
+it keeps.
 
 A mark set is "spaced" on a set of cycles when, on every cycle, the marked
 vertices occupy exactly one residue class of cyclic positions mod 3 --
@@ -50,31 +52,31 @@ def try_ear_link(base: Cycle, derived: Cycle, base_index: int, derived_index: in
     return None
 
 
-def _link_components(members: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+def _link_components(cycles: Sequence[Cycle], members: Iterable[int], deadline: float | None = None) -> list[list[int]]:
     """Connected components of the link graph on the member cycles.
 
-    `members` are increasing cycle indexes and `pairs` the linked index
-    pairs; pairs that touch a non-member are ignored.  Components come in
-    order of their smallest member, each listed in BFS order from it with
-    neighbours in increasing order.
+    `members` are increasing indexes into `cycles`.  Each component grows
+    from the smallest member not yet reached: members are popped in BFS
+    order, and each is tested by `try_ear_link` against every member not
+    yet reached, in increasing order; linked ones join the queue.  So
+    components come in order of their smallest member, each in BFS order
+    with neighbours in increasing order, and no pair is tested twice.
+    `deadline` is read before each pop, so a read bounds at most
+    len(members) tests.
     """
-    nbrs: dict[int, set[int]] = {i: set() for i in members}
-    for a, b in pairs:
-        if a in nbrs and b in nbrs:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-    seen: set[int] = set()
+    unreached = list(members)
     out = []
-    for start in nbrs:
-        if start in seen:
-            continue
-        seen.add(start)
-        order = [start]
+    while unreached:
+        order, unreached = [unreached[0]], unreached[1:]
         for i in order:  # the list grows while it is read: a FIFO queue
-            for j in sorted(nbrs[i]):
-                if j not in seen:
-                    seen.add(j)
+            check_deadline(deadline, "link graph")
+            base, rest = cycles[i], []
+            for j in unreached:
+                if try_ear_link(base, cycles[j], i, j) is None:
+                    rest.append(j)
+                else:
                     order.append(j)
+            unreached = rest
         out.append(order)
     return out
 
@@ -84,12 +86,11 @@ class CycleCollection:
     """Seamless family: 0-mod-3 cycles with a connected link graph.
 
     Only the input's shape is checked.  `seamless_families` builds each
-    family as a link-graph component and each link on a pair its count
-    lemma proves linked, so the links are seamless and connect the cycles.
+    family as a link-graph component grown by `try_ear_link`, so seamless
+    links connect its cycles; `family_links` lists them.
     """
 
     cycles: tuple[Cycle, ...]
-    links: tuple[tuple[int, int], ...]  # (base, derived) indexes into cycles
 
     def __post_init__(self) -> None:
         if not self.cycles:
@@ -98,9 +99,6 @@ class CycleCollection:
             raise ValueError("a collection lists a cycle twice")
         if any(len(c) % 3 for c in self.cycles):
             raise ValueError("every cycle length must be divisible by 3")
-        k = len(self.cycles)
-        if any(not (0 <= a < k and 0 <= b < k) for a, b in self.links):
-            raise ValueError("link refers to a cycle outside the collection")
 
     @property
     def vertex_union(self) -> frozenset[int]:
@@ -112,9 +110,9 @@ def seamless_families(
 ) -> tuple[CycleCollection, ...]:
     """All maximal seamlessly linked families among the listed 0-mod-3 cycles.
 
-    `cycles` is a listing such as `mod3_cycles(g)`.  Each pair a < b is
-    decided by two integer ANDs, with this lemma: two distinct cycles B
-    and D are linked exactly when s = |V(B) & V(D)| >= 2 and
+    `cycles` is a listing such as `mod3_cycles(g)`.  `try_ear_link`
+    decides a pair by two integer ANDs, with this lemma: two distinct
+    cycles B and D are linked exactly when s = |V(B) & V(D)| >= 2 and
     |E(B) & E(D)| = s - 1.  The link is symmetric: if D = (B minus arc)
     plus ear, then B = (D minus ear) plus arc, and the arc is an ear of
     D, since its interior avoids D.  So one direction per pair suffices.
@@ -140,39 +138,33 @@ def seamless_families(
     replaced arc.  If S = V(B), B is K plus the edge joining K's ends, a
     replaced arc of one edge; read from D, that edge is a chord ear.
 
-    Only linked pairs reach `try_ear_link`, which returns each link as
-    its index pair.  The families are the connected components of the link
-    graph, ordered by their smallest member: growing a family from a seed
-    until no listed cycle links to it reaches exactly the seed's
-    component.  Each family's links are built once, in pair order, with
-    the cycles' positions in the family as indexes.  `deadline` is read
-    before each row a of the pair scan and before every 1,024th link
-    build.
+    The families are the link graph's components, grown by
+    `_link_components` and ordered by their smallest member, each with
+    its cycles in listing order.  A cycle is tested only against cycles
+    no family has reached yet, so where links are dense far fewer than
+    the k(k - 1)/2 pairs are tested.  `deadline` is read before each
+    reached cycle's tests.
     """
-    masks = [c.masks for c in cycles]
-    vertex_masks = [vertex_mask for vertex_mask, _ in masks]
-    edge_masks = [edge_mask for _, edge_mask in masks]
-    k = len(cycles)
-    pairs = []
-    for a in range(k):
-        check_deadline(deadline, "link graph")
-        va, ea = vertex_masks[a], edge_masks[a]
-        for b in range(a + 1, k):
-            shared = (va & vertex_masks[b]).bit_count()
-            if shared > 1 and (ea & edge_masks[b]).bit_count() == shared - 1:
-                pairs.append((a, b))
-    members = [sorted(order) for order in _link_components(range(k), pairs)]
-    place = {i: (f, pos) for f, family in enumerate(members) for pos, i in enumerate(family)}
-    links: list[list[tuple[int, int]]] = [[] for _ in members]
-    for built, (a, b) in enumerate(pairs):
-        if built % 1024 == 0:
-            check_deadline(deadline, "link graph")
-        f, pos = place[a]
-        links[f].append(try_ear_link(cycles[a], cycles[b], pos, place[b][1]))
     return tuple(
-        CycleCollection(tuple(cycles[i] for i in family), tuple(own))
-        for family, own in zip(members, links)
+        CycleCollection(tuple(cycles[i] for i in sorted(order)))
+        for order in _link_components(cycles, range(len(cycles)), deadline)
     )
+
+
+def family_links(fam: CycleCollection, *, deadline: float | None = None) -> tuple[tuple[int, int], ...]:
+    """Every link (a, b), a < b, between the family's cycles, by their
+    positions in it, in pair order: `try_ear_link` on every pair.  Only
+    `csg` lists them, to print their count.  `deadline` is read before
+    each row a."""
+    cycles = fam.cycles
+    links = []
+    for a, base in enumerate(cycles):
+        check_deadline(deadline, "link graph")
+        for b in range(a + 1, len(cycles)):
+            link = try_ear_link(base, cycles[b], a, b)
+            if link is not None:
+                links.append(link)
+    return tuple(links)
 
 
 def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
@@ -187,12 +179,12 @@ def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
     order, each by this pass's test at that cycle, and a lone survivor,
     owning all its vertices, is never dropped.
 
-    Survivors are regrouped by the family's own links between them, so
-    pruning tests no link; groups come in order of their smallest
-    survivor.  A group needs no check of its own: every survivor owns a
-    vertex no other survivor touches, its links are family links, each
-    built on a pair proven linked, and it is a component of the
-    survivors' link graph, so it is connected.
+    The groups are the survivors' link-graph components, grown by
+    `_link_components` as the families are, in order of their smallest
+    survivor and each in BFS order.  A group needs no check of its own:
+    every survivor owns a vertex no other survivor touches, and each
+    cycle of a group after the first was reached by a link from an
+    earlier one, so the group is connected.
     """
     uses: dict[int, int] = {}
     for c in fam.cycles:
@@ -206,7 +198,7 @@ def prune_nonexclusive(fam: CycleCollection) -> tuple[tuple[Cycle, ...], ...]:
                 uses[v] -= 1
         else:
             kept.append(i)
-    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(sorted(kept), fam.links))
+    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(fam.cycles, sorted(kept)))
 
 
 def spaced_assignments(cycles: Sequence[Cycle]) -> tuple[frozenset[int], ...]:

@@ -5,9 +5,9 @@ parallelism.  Records are byte-stable: keys sorted, compact separators,
 and no timing fields unless explicitly requested, so two runs of the same
 sweep diff clean.  The cache is an append-only JSONL file with one line
 per computed graph, `{"v": code digest, "g": graph6, "r": {check: piece}}`.
-A line of older code is skipped unread, undecoded when its digest leads it; one rule, `_cacheable`, decides
-what a line may hold, and a line that does not parse or breaks the rule is
-skipped whole with a warning.  Only a sweep that starts a helper process
+A line of older code is skipped unread: its digest leads it, so it is not
+decoded.  One rule, `_cacheable`, decides what a line may hold, and a line
+that does not parse or breaks the rule is skipped whole with a warning.  Only a sweep that starts a helper process
 loads `multiprocessing`.
 """
 

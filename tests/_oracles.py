@@ -7,12 +7,13 @@ listing (which walks every cycle both ways), of the exact
 kernels (the gamma branch list rescanned at every node among them), of
 the seamless link test (which builds each link's ear and
 replaced arc as an `EarLink`) and link replay, of the seamless
-families and their pruning, of the mark search (without its cap) and
-the family audit's candidate test, of edge deletion, of the surgery
-tools' set-based edge and vertex tests, of the detach audit and of the
-pair-separation check that tests every kept set, as differential
-oracles for the code that replaced them.
-`family_fault` checks a built family against the definition of a link.
+families and their pruning (with their own walk of a link-pair list),
+of the mark search (without its cap) and the family audit's candidate
+test, of edge deletion, of the surgery tools' set-based edge and vertex
+tests, of the detach audit and of the pair-separation check that tests
+every kept set, as differential oracles for the code that replaced them.
+`family_fault` checks a family's cycles and links against the
+definition of a link.
 """
 
 from collections import Counter, deque
@@ -25,7 +26,7 @@ from domlab.acceptance import _cut_enumeration_connectivity as connectivity_by_c
 from domlab.domination import _certificate
 from domlab.graphs import Edge, _disjoint_paths, _split_network, edge_key
 from domlab.reduction import AuditVerdict, check_pair_separation
-from domlab.seams import CycleCollection, _link_components, try_ear_link
+from domlab.seams import CycleCollection, try_ear_link
 
 
 def cycle_from_sequence(seq) -> Cycle:
@@ -547,25 +548,25 @@ def ear_fault(base: Cycle, derived: Cycle, link: EarLink) -> str | None:
     return None
 
 
-def family_fault(fam) -> str | None:
-    """The first way `fam` breaks the definition of a seamless family,
-    or None when it meets it.
+def family_fault(cycles, links) -> str | None:
+    """The first way `cycles` with the index pairs `links` break the
+    definition of a seamless family, or None when they meet it.
 
     Each link (a, b) must lead from cycle a to cycle b: the split oracle
     `try_ear_link_by_splits`, which shares no code with `seams`, builds
     its ear and replaced arc, and `ear_fault` checks them.  The links
-    must also connect all the family's cycles.
+    must also connect all the cycles.
     """
-    for a, b in fam.links:
-        base, derived = fam.cycles[a], fam.cycles[b]
+    for a, b in links:
+        base, derived = cycles[a], cycles[b]
         link = try_ear_link_by_splits(base, derived, a, b)
         if link is None:
             return f"no ear leads from {base.vertices} to {derived.vertices}"
         fault = ear_fault(base, derived, link)
         if fault is not None:
             return fault
-    nbrs: dict[int, set[int]] = {i: set() for i in range(len(fam.cycles))}
-    for a, b in fam.links:
+    nbrs: dict[int, set[int]] = {i: set() for i in range(len(cycles))}
+    for a, b in links:
         nbrs[a].add(b)
         nbrs[b].add(a)
     reached, queue = {0}, deque([0])
@@ -573,8 +574,8 @@ def family_fault(fam) -> str | None:
         for j in nbrs[queue.popleft()] - reached:
             reached.add(j)
             queue.append(j)
-    if len(reached) != len(fam.cycles):
-        return f"links reach {len(reached)} of the {len(fam.cycles)} cycles"
+    if len(reached) != len(cycles):
+        return f"links reach {len(reached)} of the {len(cycles)} cycles"
     return None
 
 
@@ -645,19 +646,52 @@ def try_ear_link_by_splits(base: Cycle, derived: Cycle, base_index: int, derived
 # --- earlier seamless families ---------------------------------------------
 
 
+def link_components_by_pairs(members, pairs) -> list[list[int]]:
+    """Connected components of the link graph given as a pair list.
+
+    `members` are increasing cycle indexes and `pairs` the linked index
+    pairs; pairs that touch a non-member are ignored.  Components come in
+    order of their smallest member, each listed in BFS order from it with
+    neighbours in increasing order.
+    """
+    nbrs: dict[int, set[int]] = {i: set() for i in members}
+    for a, b in pairs:
+        if a in nbrs and b in nbrs:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    seen: set[int] = set()
+    out = []
+    for start in nbrs:
+        if start in seen:
+            continue
+        seen.add(start)
+        order = [start]
+        for i in order:  # the list grows while it is read: a FIFO queue
+            for j in sorted(nbrs[i]):
+                if j not in seen:
+                    seen.add(j)
+                    order.append(j)
+        out.append(order)
+    return out
+
+
+def links_by_pair_tests(cycles, members=None) -> list[tuple[int, int]]:
+    """The linked pairs a < b among `members` (default: every cycle),
+    one `try_ear_link` test per pair."""
+    members = range(len(cycles)) if members is None else members
+    return [(a, b) for a, b in combinations(members, 2) if try_ear_link(cycles[a], cycles[b], a, b)]
+
+
 def seamless_families_by_pair_tests(cycles):
-    """Families from one `try_ear_link` test per cycle pair a < b."""
-    links = []
-    for a, b in combinations(range(len(cycles)), 2):
-        link = try_ear_link(cycles[a], cycles[b], a, b)
-        if link is not None:
-            links.append(link)
+    """(family, links) per family, from one `try_ear_link` test per cycle
+    pair a < b; the links index the family's cycles, in pair order."""
+    links = links_by_pair_tests(cycles)
     families = []
-    for order in _link_components(range(len(cycles)), links):
+    for order in link_components_by_pairs(range(len(cycles)), links):
         members = sorted(order)
         pos = {i: li for li, i in enumerate(members)}
-        own = [(pos[a], pos[b]) for a, b in links if a in pos]
-        families.append(CycleCollection(tuple(cycles[i] for i in members), tuple(own)))
+        own = tuple((pos[a], pos[b]) for a, b in links if a in pos)
+        families.append((CycleCollection(tuple(cycles[i] for i in members)), own))
     return tuple(families)
 
 
@@ -670,7 +704,7 @@ def _collection_from(cycles, indexes, pair_link):
             link = pair_link(indexes[a], indexes[b])
             if link is not None:
                 links.append((pos[link.base], pos[link.derived]))
-    return CycleCollection(tuple(local), tuple(links))
+    return CycleCollection(tuple(local)), tuple(links)
 
 
 def _pair_link_memo(cycles):
@@ -690,7 +724,9 @@ def _pair_link_memo(cycles):
 
 
 def seamless_families_greedy(cycles):
-    """Families grown greedily from every seed to a fixpoint, deduplicated."""
+    """(family, links) per family, grown greedily from every seed to a
+    fixpoint and deduplicated; links are tested both ways by the split
+    oracle, in pair order."""
     cycles = list(cycles)
     if not cycles:
         return ()
@@ -773,14 +809,16 @@ def _without_exclusive(cycles):
 def prune_nonexclusive_by_fixpoint(fam):
     """Pruning to a fixpoint: the lexicographically smallest cycle owning
     no exclusive vertex is dropped, one at a time, recounting every
-    vertex use after each drop; survivors are regrouped by family links."""
+    vertex use after each drop; survivors are regrouped by the links
+    among them."""
     kept = list(range(len(fam.cycles)))
     while len(kept) > 1:
         lacking = _without_exclusive([fam.cycles[i] for i in kept])
         if not lacking:
             break
         del kept[min(lacking, key=lambda li: fam.cycles[kept[li]].vertices)]
-    return tuple(tuple(fam.cycles[i] for i in order) for order in _link_components(kept, fam.links))
+    links = links_by_pair_tests(fam.cycles, kept)
+    return tuple(tuple(fam.cycles[i] for i in order) for order in link_components_by_pairs(kept, links))
 
 
 # --- earlier mark search: backtracking over residue classes -----------------
@@ -820,7 +858,7 @@ def spaced_assignments_by_search(cycles) -> tuple[frozenset[int], ...]:
 def in_link_order(fam) -> tuple:
     """A family's cycles in link-graph BFS order from its first cycle, so
     each cycle after the first is linked to an earlier one."""
-    [order] = _link_components(range(len(fam.cycles)), fam.links)
+    [order] = link_components_by_pairs(range(len(fam.cycles)), links_by_pair_tests(fam.cycles))
     return tuple(fam.cycles[i] for i in order)
 
 

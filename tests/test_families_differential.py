@@ -1,19 +1,20 @@
 """Differential tests of the link-graph families against the greedy code.
 
-`seamless_families` takes the components of a link graph whose pairs are
+`seamless_families` grows the components of a link graph whose links are
 decided by counting shared vertices and edges, and `prune_nonexclusive`
-regroups survivors by the family's own links.  Both must return the very
-families, links included, and the very groups, in the same order, of the
-implementations they replaced: families from one link test per cycle
-pair, families grown from every seed with both link directions tested,
-and pruning that tests links again.  The count rule itself must hold
+grows the survivors' components the same way.  Both must return the very
+families and the very groups, in the same order, of the implementations
+they replaced, and `family_links` the very links: families from one link
+test per cycle pair, walked as a pair list, families grown from every
+seed with both link directions tested, and pruning that tests links
+again.  The count rule itself must hold
 exactly on the pairs that `try_ear_link` links, in either order.  Each
 group must also meet what makes it exclusive: every cycle owns a vertex
-no other survivor touches, and the family's links among its cycles
-connect it.  On dense graphs, where both of those oracles are too slow,
+no other survivor touches, and each cycle after the first links to an
+earlier one.  On dense graphs, where both of those oracles are too slow,
 the one-pass prune is compared with the fixpoint prune it replaced.
-Every family built here must meet the definition of a seamless family
-(`family_fault`).
+Every family built here, with its oracle links, must meet the definition
+of a seamless family (`family_fault`).
 """
 
 from itertools import combinations
@@ -35,10 +36,11 @@ from domlab import (
     vertex_connectivity,
 )
 from domlab.cycles import all_simple_cycles
-from domlab.seams import CycleCollection, try_ear_link
+from domlab.seams import CycleCollection, family_links, try_ear_link
 
 from _oracles import (
     family_fault,
+    links_by_pair_tests,
     prune_nonexclusive_by_fixpoint,
     prune_nonexclusive_relinking,
     seamless_families_by_pair_tests,
@@ -48,34 +50,25 @@ from _oracles import (
 seeds = st.integers(min_value=0, max_value=10**6)
 
 
-def assert_group_is_exclusive(fam, group, survivors) -> None:
+def assert_group_is_exclusive(group, survivors) -> None:
     for c in group:
         others = {v for d in survivors if d != c for v in d.vertices}
         assert set(c.vertices) - others, c
-    index = {c: i for i, c in enumerate(fam.cycles)}
-    inside = {index[c] for c in group}
-    reached = {index[group[0]]}
-    frontier = [index[group[0]]]
-    while frontier:
-        i = frontier.pop()
-        for base, derived in fam.links:
-            for a, b in ((base, derived), (derived, base)):
-                if a == i and b in inside and b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-    assert reached == inside
+    # each cycle after the first links to an earlier one: the group is connected
+    linked = set(links_by_pair_tests(group))
+    assert all(any((a, b) in linked for a in range(b)) for b in range(1, len(group))), group
 
 
 def assert_matches_greedy(cycles) -> None:
-    families = seamless_families(cycles)
-    assert families == seamless_families_greedy(cycles)
-    for fam in families:
-        assert family_fault(fam) is None
+    expected = seamless_families_greedy(cycles)
+    assert tuple((fam, family_links(fam)) for fam in seamless_families(cycles)) == expected
+    for fam, links in expected:
+        assert family_fault(fam.cycles, links) is None
         groups = prune_nonexclusive(fam)
         assert groups == prune_nonexclusive_relinking(fam)
         survivors = [c for group in groups for c in group]
         for group in groups:
-            assert_group_is_exclusive(fam, group, survivors)
+            assert_group_is_exclusive(group, survivors)
     # the link relation is symmetric, so one direction per pair suffices
     for a, b in combinations(range(len(cycles)), 2):
         forward = try_ear_link(cycles[a], cycles[b], a, b)
@@ -115,10 +108,10 @@ def assert_count_rule_matches_links(cycles) -> None:
 
 
 def assert_matches_pair_tests(cycles) -> None:
-    families = seamless_families(cycles)
-    assert families == seamless_families_by_pair_tests(cycles)
-    for fam in families:
-        assert family_fault(fam) is None
+    expected = seamless_families_by_pair_tests(cycles)
+    assert tuple((fam, family_links(fam)) for fam in seamless_families(cycles)) == expected
+    for fam, links in expected:
+        assert family_fault(fam.cycles, links) is None
     assert_count_rule_matches_links(cycles)
 
 
@@ -155,11 +148,11 @@ def test_count_rule_matches_links_on_chords():
         assert_count_rule_matches_links(all_simple_cycles(named_graph(name)))
 
 
-def grown_family(cycles, size: int) -> CycleCollection:
-    """A collection of at most `size` of the listed cycles with the links
+def grown_family(cycles, size: int) -> tuple[CycleCollection, tuple]:
+    """A collection of at most `size` of the listed cycles and the links
     that took them in: grown from the first cycle, each taken cycle tests
-    every cycle not yet taken.  Linear in the listing while links are
-    common, where `seamless_families` tests every pair."""
+    every cycle not yet taken, as `seamless_families` grows a family, but
+    the growth stops at `size` cycles."""
     taken, links = [0], []
     rest = list(range(1, len(cycles)))
     for pos, a in enumerate(taken):  # the list grows while it is read
@@ -174,7 +167,7 @@ def grown_family(cycles, size: int) -> CycleCollection:
                 taken.append(b)
                 links.append(link)
         rest = left
-    return CycleCollection(tuple(cycles[i] for i in taken), tuple(links))
+    return CycleCollection(tuple(cycles[i] for i in taken)), tuple(links)
 
 
 @settings(max_examples=8)
@@ -192,10 +185,10 @@ def test_prune_matches_fixpoint_on_dense_gnp(n, p, seed, start, size):
     assume(vertex_connectivity(g) >= 3)
     cycles = mod3_cycles(g)
     cut = start % len(cycles)
-    fam = grown_family(cycles[cut:] + cycles[:cut], size)
-    assert family_fault(fam) is None
+    fam, links = grown_family(cycles[cut:] + cycles[:cut], size)
+    assert family_fault(fam.cycles, links) is None
     groups = prune_nonexclusive(fam)
     assert groups == prune_nonexclusive_by_fixpoint(fam)
     survivors = [c for group in groups for c in group]
     for group in groups:
-        assert_group_is_exclusive(fam, group, survivors)
+        assert_group_is_exclusive(group, survivors)

@@ -58,7 +58,7 @@ def test_marks_match_search_on_random_cubic(n, seed):
 @given(n=st.integers(min_value=5, max_value=10), p=st.sampled_from([0.4, 0.5, 0.6, 0.7]), seed=seeds)
 def test_marks_match_search_on_three_connected_gnp(n, p, seed):
     # dense n = 10 graphs list tens of thousands of cycles, too many for
-    # the link graph's pair scan here
+    # `in_link_order`'s test of every pair
     g = gnp_random(n, p, seed)
     assume(vertex_connectivity(g) >= 3 and len(mod3_cycles(g)) <= 1_000)
     assert_marks_match_search(g)

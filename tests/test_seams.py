@@ -13,6 +13,7 @@ from domlab import (
     named_graph,
     parse_graph6,
     prune_nonexclusive,
+    random_cubic,
     seamless_families,
     spaced_assignments,
 )
@@ -22,6 +23,7 @@ from domlab.seams import (
     CycleCollection,
     _link_components,
     exclusive_groups,
+    family_links,
     try_ear_link,
 )
 
@@ -32,6 +34,7 @@ from _oracles import (
     family_fault,
     has_mark_every_third,
     in_link_order,
+    link_components_by_pairs,
     try_ear_link_by_splits,
 )
 
@@ -49,7 +52,7 @@ def test_try_ear_link_triangle_pair():
     derived = Cycle((1, 2, 3))
     link = try_ear_link(base, derived, 0, 1)
     assert link == (0, 1)
-    assert family_fault(CycleCollection((base, derived), (link,))) is None
+    assert family_fault((base, derived), (link,)) is None
     # identical cycles never link
     assert try_ear_link(base, base, 0, 0) is None
     # vertex-disjoint cycles never link
@@ -61,7 +64,7 @@ def test_try_ear_link_prism_triangle_to_hexagon():
     hexagon = cycle_from_sequence((0, 1, 4, 3, 5, 2))
     link = try_ear_link(tri, hexagon, 0, 1)
     assert link == (0, 1)
-    assert family_fault(CycleCollection((tri, hexagon), (link,))) is None
+    assert family_fault((tri, hexagon), (link,)) is None
     assert set(try_ear_link_by_splits(tri, hexagon, 0, 1).ear[1:-1]) == {3, 4, 5}
 
 
@@ -97,34 +100,30 @@ def test_family_oracle_rejects_a_broken_arc_replay_or_link_graph():
     assert fault(EarLink(0, 1, (0, 6, 2), (0, 1, 2)), Cycle((0, 6, 2, 3, 4, 7))).startswith("swapping")
     # an ear through the base
     assert fault(EarLink(0, 1, (0, 6, 2, 7, 4), (0, 1, 2, 3, 4))).startswith("ear")
-    assert family_fault(CycleCollection((c, spliced), ((0, 1),))) is None
-    unlinked = CycleCollection((c, spliced), ())
-    assert family_fault(unlinked) == "links reach 1 of the 2 cycles"
+    assert family_fault((c, spliced), ((0, 1),)) is None
+    assert family_fault((c, spliced), ()) == "links reach 1 of the 2 cycles"
     # a pair that no ear joins: the two cycles share only the vertex 0
-    apart = CycleCollection((Cycle((0, 1, 2)), Cycle((0, 3, 4))), ((0, 1),))
-    assert family_fault(apart) == "no ear leads from (0, 1, 2) to (0, 3, 4)"
+    apart = (Cycle((0, 1, 2)), Cycle((0, 3, 4)))
+    assert family_fault(apart, ((0, 1),)) == "no ear leads from (0, 1, 2) to (0, 3, 4)"
 
 
 def test_collection_rejects_a_repeated_cycle():
     c = Cycle((0, 1, 2))
     with pytest.raises(ValueError):
-        CycleCollection((c, c), ())
+        CycleCollection((c, c))
 
 
 def test_collection_checks_the_shape_of_its_input():
-    tri, hexagon = Cycle((0, 1, 2)), Cycle((0, 1, 2, 3, 4, 5))
     with pytest.raises(ValueError, match="at least one cycle"):
-        CycleCollection((), ())
+        CycleCollection(())
     with pytest.raises(ValueError, match="divisible by 3"):
-        CycleCollection((tri, Cycle((0, 1, 2, 3))), ())
-    with pytest.raises(ValueError, match="outside the collection"):
-        CycleCollection((tri, hexagon), ((0, 2),))
+        CycleCollection((Cycle((0, 1, 2)), Cycle((0, 1, 2, 3))))
 
 
 def test_seamless_families_fixtures():
     assert families_of(named_graph("c4")) == ()
     fams = families_of(named_graph("c6"))
-    assert len(fams) == 1 and len(fams[0].cycles) == 1 and not fams[0].links
+    assert len(fams) == 1 and len(fams[0].cycles) == 1 and not family_links(fams[0])
     assert fams[0].vertex_union == frozenset(range(6))
     fams = families_of(named_graph("k4"))
     assert len(fams) == 1 and len(fams[0].cycles) == 4
@@ -147,16 +146,16 @@ def test_chord_ear_links_to_a_cycle_on_the_base_vertices():
     # S = V(derived): s = 6 shared vertices, 5 shared edges, and the ear is
     # the chord 5-0
     (fam,) = seamless_families([NONAGON, HEXAGON_ON_NONAGON])
-    assert fam.links == ((0, 1),)
-    assert family_fault(fam) is None
+    assert family_links(fam) == ((0, 1),)
+    assert family_fault(fam.cycles, family_links(fam)) is None
     assert try_ear_link_by_splits(NONAGON, HEXAGON_ON_NONAGON, 0, 1) == EarLink(0, 1, (5, 0), (5, 6, 7, 8, 0))
 
 
 def test_one_edge_replaced_arc_links_to_a_cycle_through_the_base():
     # S = V(base): the replaced arc is the base edge 5-0
     (fam,) = seamless_families([HEXAGON_ON_NONAGON, NONAGON])
-    assert fam.links == ((0, 1),)
-    assert family_fault(fam) is None
+    assert family_links(fam) == ((0, 1),)
+    assert family_fault(fam.cycles, family_links(fam)) is None
     assert try_ear_link_by_splits(HEXAGON_ON_NONAGON, NONAGON, 0, 1) == EarLink(0, 1, (5, 6, 7, 8, 0), (5, 0))
 
 
@@ -177,9 +176,7 @@ def test_shared_edges_in_two_paths_do_not_link():
     assert_unlinked(NONAGON, Cycle((0, 1, 2, 9, 5, 10)))
 
 
-def test_dense_link_graph_work_is_pinned(monkeypatch):
-    # one try_ear_link call per link, none per unlinked pair
-    cycles = mod3_cycles(parse_graph6("Hf^~Grb"))
+def count_link_tests(monkeypatch) -> list:
     calls = []
     original = seams.try_ear_link
 
@@ -188,16 +185,36 @@ def test_dense_link_graph_work_is_pinned(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(seams, "try_ear_link", counted)
+    return calls
+
+
+def test_dense_link_graph_work_is_pinned(monkeypatch):
+    # the growth tests a reached cycle only against unreached ones: 4,505
+    # tests of the 152,628 pairs find the one family; listing its 7,276
+    # links tests every pair
+    cycles = mod3_cycles(parse_graph6("Hf^~Grb"))
+    calls = count_link_tests(monkeypatch)
     families = seamless_families(cycles)
-    assert len(cycles) == 553
-    assert sum(len(fam.links) for fam in families) == 7_276
-    assert len(calls) == 7_276
+    assert len(cycles) == 553 and len(families) == 1
+    assert len(calls) == 4_505
+    assert sum(len(family_links(fam)) for fam in families) == 7_276
+    assert len(calls) == 4_505 + 553 * 552 // 2
+
+
+def test_cubic_link_graph_work_is_pinned(monkeypatch):
+    # 5,504 0-mod-3 cycles, about 15.1 million pairs, one family: the
+    # growth tests 13,560 of them
+    cycles = mod3_cycles(random_cubic(28, 1))
+    calls = count_link_tests(monkeypatch)
+    families = seamless_families(cycles)
+    assert len(cycles) == 5_504 and len(families) == 1
+    assert len(calls) == 13_560
 
 
 @pytest.mark.parametrize("graph", [named_graph("petersen"), parse_graph6("Hf^~Grb")], ids=["petersen", "Hf^~Grb"])
 def test_families_walk_the_link_graph_once_and_build_no_cycle(monkeypatch, graph):
-    # after the deadline reads, only link builds run: no family is checked
-    # again by replaying its links or walking its link graph
+    # one growth of the link graph finds the families, and no cycle is
+    # built: no family is checked again by replaying links or a second walk
     facts = Facts(graph)
     facts.mod3_cycles
     walks, built = [], []
@@ -218,8 +235,8 @@ def test_families_walk_the_link_graph_once_and_build_no_cycle(monkeypatch, graph
 
 
 def test_link_graph_reads_its_deadline_while_building_links(monkeypatch):
-    # one read before each row of the pair scan, then one before every
-    # 1,024th of the 7,276 link builds, at 0, 1,024, ..., 7,168 builds
+    # one read before each popped cycle's tests, so before 553 pops; each
+    # read bounds at most the 552 tests of a cycle against the others
     cycles = mod3_cycles(parse_graph6("Hf^~Grb"))
     builds = []
     reads = []
@@ -236,8 +253,11 @@ def test_link_graph_reads_its_deadline_while_building_links(monkeypatch):
     monkeypatch.setattr(seams, "try_ear_link", counted_build)
     monkeypatch.setattr(seams, "check_deadline", counted_read)
     seamless_families(cycles, deadline=time.monotonic() + 3600)
-    assert len(builds) == 7_276
-    assert reads == [("link graph", 0)] * 553 + [("link graph", k) for k in range(0, 7_276, 1024)]
+    assert len(builds) == 4_505
+    assert [phase for phase, _ in reads] == ["link graph"] * 553
+    counts = [done for _, done in reads] + [len(builds)]
+    assert counts[:2] == [0, 552]  # the first pop tests every other cycle
+    assert all(0 <= later - earlier <= 552 for earlier, later in zip(counts, counts[1:]))
 
 
 def test_family_audit_reads_its_deadline_every_64th_mark_set(monkeypatch):
@@ -267,9 +287,10 @@ def test_family_audit_reads_its_deadline_every_64th_mark_set(monkeypatch):
 def test_collection_links_replay():
     for name in ("k4", "prism", "petersen"):
         for fam in families_of(named_graph(name)):
-            assert fam.links or len(fam.cycles) == 1
-            assert family_fault(fam) is None, name
-            for a, b in fam.links:
+            links = family_links(fam)
+            assert links or len(fam.cycles) == 1
+            assert family_fault(fam.cycles, links) is None, name
+            for a, b in links:
                 assert len(fam.cycles[a]) % 3 == 0
                 assert len(fam.cycles[b]) % 3 == 0
 
@@ -292,9 +313,21 @@ def test_prune_nonexclusive_prism():
 def test_link_components_list_each_component_in_bfs_order():
     # the link path 0-2-1 is walked from 0, so 2 comes before 1
     pairs = [(0, 2), (2, 1)]
-    assert _link_components(range(3), pairs) == [[0, 2, 1]]
+    assert link_components_by_pairs(range(3), pairs) == [[0, 2, 1]]
     # pairs touching a non-member are ignored
-    assert _link_components([0, 1], pairs) == [[0], [1]]
+    assert link_components_by_pairs([0, 1], pairs) == [[0], [1]]
+
+
+def test_link_graph_growth_lists_each_component_in_bfs_order():
+    # triangle 0 links triangle 2 on the edge 1-2, and 2 links 1 on 2-3;
+    # 0 and 1 share only the vertex 2
+    cycles = (Cycle((0, 1, 2)), Cycle((2, 3, 4)), Cycle((1, 2, 3)))
+    assert try_ear_link(cycles[0], cycles[1], 0, 1) is None
+    assert _link_components(cycles, range(3)) == [[0, 2, 1]]
+    assert _link_components(cycles, [0, 1]) == [[0], [1]]
+    # a family keeps its cycles in listing order
+    assert [fam.cycles for fam in seamless_families(cycles)] == [cycles]
+    assert family_links(seamless_families(cycles)[0]) == ((0, 2), (1, 2))
 
 
 def test_has_mark_every_third():
@@ -374,7 +407,7 @@ def test_family_dset_audit_stops_at_its_deadline():
 
 
 def test_link_graph_stops_at_its_deadline():
-    cycles = mod3_cycles(named_graph("petersen"))  # the read before the scan's first row raises
+    cycles = mod3_cycles(named_graph("petersen"))  # the read before the first pop raises
     with pytest.raises(SolverTimeout, match="^link graph exceeded its budget$"):
         seamless_families(cycles, deadline=time.monotonic() - 1)
     assert seamless_families(cycles, deadline=time.monotonic() + 3600) == seamless_families(cycles)

@@ -372,7 +372,7 @@ def test_cli_csg_matches_golden_output(capsys):
         assert cli.main(["csg", graph]) == 0
         assert capsys.readouterr().out == expected, graph
         for fam in Facts(cli._resolve_graph(graph)).families:
-            assert family_fault(fam) is None, graph
+            assert family_fault(fam.cycles, seams.family_links(fam)) is None, graph
 
 
 def test_cli_csg_builds_the_link_graph_once(monkeypatch, capsys):
@@ -386,7 +386,9 @@ def test_cli_csg_builds_the_link_graph_once(monkeypatch, capsys):
     monkeypatch.setattr(seams, "try_ear_link", counted)
     assert cli.main(["csg", "petersen"]) == 0
     assert "verdict: holds=True" in capsys.readouterr().out
-    assert len(calls) == 90  # one call per link of the 30 0-mod-3 cycles
+    # one growth over the 30 0-mod-3 cycles (85 tests), one prune (1 test)
+    # and the printed link count, which tests all 435 pairs
+    assert len(calls) == 85 + 1 + 435
 
 
 def test_cli_csg_prunes_each_family_once(capsys):
@@ -410,17 +412,37 @@ def test_cli_csg_prunes_each_family_once(capsys):
 
 
 def test_cli_csg_budget_bounds_the_cycle_listing():
-    # unbounded, listing and linking the cycles of this graph takes over
-    # 30 s; in a child process the test fails on time instead of hanging
+    # in a child process the test fails on time instead of hanging
     line = encode_graph6(random_cubic(24, 1))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     done = subprocess.run([sys.executable, "-m", "domlab.cli", "csg", line, "--budget-ms", "100"],
                           capture_output=True, text=True, timeout=5, env=env)
     assert done.returncode == 0
-    # the listing alone takes about 40 ms on a 2-vCPU VM, so the budget
-    # runs out while linking; a slower machine may stop in the listing
-    assert done.stdout in {f"verdict: timeout after 100 ms ({phase})\n"
-                           for phase in ("link graph", "cycle listing")}
+    # on a 2-vCPU VM the 1,397 cycles take about 25 ms to list, 10 ms to
+    # link and 10 ms to prune, and the printed count of their 24,665 links
+    # about 240 ms, so the budget runs out in the printout; a slower
+    # machine may stop in the listing or the growth
+    assert done.stdout in {
+        "verdict: timeout after 100 ms (cycle listing)\n",
+        "verdict: timeout after 100 ms (link graph)\n",
+        "collections: 1\nverdict: timeout after 100 ms (link graph)\n",
+    }
+
+
+def test_cli_csg_budget_bounds_the_printed_link_count(capsys):
+    # this graph's 5,504 0-mod-3 cycles form one family, and the printed
+    # link count tests their 15.1 million pairs: about 18 times the time
+    # of listing, linking and pruning them (3.9 s against 0.22 s on a
+    # 2-vCPU VM).  A budget of 4 times the measured time of those phases
+    # leaves a margin of about 4 on both sides on any machine, traced or
+    # not, so only the printout overruns it
+    g = random_cubic(28, 1)
+    start = time.perf_counter()
+    facts = Facts(g)
+    assert len(facts.families) == len(facts.groups) == 1
+    budget = round(4000 * (time.perf_counter() - start))
+    assert cli.main(["csg", encode_graph6(g), "--budget-ms", str(budget)]) == 0
+    assert capsys.readouterr().out == f"collections: 1\nverdict: timeout after {budget} ms (link graph)\n"
 
 
 def test_cli_csg_reports_its_timeout(capsys):
